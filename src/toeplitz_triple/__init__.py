@@ -15,9 +15,10 @@ from .operators import BandPattern, PowerIterationError, TruncatedOperator, \
     operator_norm, pattern_kernel_dims, rectangular_kernel_dims, shift, \
     shift_adjoint, shift_adjoint_pattern, shift_pattern, symbol_estimate, \
     toeplitz
-from .dirac import DiracBlock, FredholmIndexError, SpectrumReport, abs_dirac, \
+from .dirac import DiracBlock, FredholmIndexError, SpectrumReport, \
     analytic_eigenvector, dirac, fredholm_index, grading, polar_check, \
-    represent, spectrum, summability_partial_sum, summability_report
+    polar_parts, represent, spectrum, summability_partial_sum, \
+    summability_report
 from .reports import VerificationReport
 from .triple import AlgebraElement, SweepReport, boundedness_sweep, \
     delta_absdirac_spot_check, evenness_check, membership_check, random_words, \
@@ -38,7 +39,6 @@ __all__ = [
     "TruncatedOperator",
     "VerificationReport",
     "WedgeReport",
-    "abs_dirac",
     "analytic_eigenvector",
     "boundedness_sweep",
     "cauchy_riemann_weight_gap",
@@ -61,6 +61,7 @@ __all__ = [
     "operator_norm",
     "pattern_kernel_dims",
     "polar_check",
+    "polar_parts",
     "random_words",
     "rectangular_kernel_dims",
     "represent",

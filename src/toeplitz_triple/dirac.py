@@ -32,7 +32,7 @@ __all__ = [
     "analytic_eigenvector",
     "spectrum",
     "polar_check",
-    "abs_dirac",
+    "polar_parts",
     "fredholm_index",
     "summability_partial_sum",
     "summability_report",
@@ -42,12 +42,8 @@ __all__ = [
 # belongs to the zero cluster of a truncation.
 ZERO_WINDOW = 0.5
 
-# Fraction of eigenvector mass on first-summand e_{n-1} that flags the
-# truncation artifact.
-SPURIOUS_CONCENTRATION = 0.99
-
-# Pseudo-inverse cutoff for forming the polar factor: singular values below
-# this fraction of the operator norm are treated as kernel directions.
+# Kernel cutoff for forming the polar factor: eigenvalues of D below this
+# fraction of the operator norm are treated as kernel directions.
 PINV_CUTOFF = 1e-8
 
 
@@ -154,48 +150,59 @@ class SpectrumReport:
             writer.writerow([i, repr(ev), repr(res), int(i in flags)])
 
 
+def _eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of Hermitian ``h``, one component at a time.
+
+    The result is the pair a dense ``eigh`` of ``h`` returns, except that the
+    eigenvalues come in component order rather than sorted.  The components
+    of the nonzero pattern are read off ``h`` by label propagation, each
+    index ending labelled with the smallest index of its component.
+    Components are taken in order of that smallest index, and those of one
+    size share a batched eigensolve whose eigenvectors fill the rows and
+    columns named by each component's own indices.  Exact for any Hermitian
+    ``h``; for D every component has at most two indices.
+    """
+    rows, cols = np.nonzero(h)
+    labels = np.arange(h.shape[0])
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    order = np.argsort(labels, kind="stable")
+    _, starts, sizes = np.unique(labels[order], return_index=True,
+                                 return_counts=True)
+    evals = np.zeros(h.shape[0])
+    vecs = np.zeros(h.shape, dtype=complex)
+    for size in np.unique(sizes):
+        idx = order[starts[sizes == size][:, None] + np.arange(size)]
+        block = (idx[:, :, None], idx[:, None, :])
+        evals[idx], vecs[block] = np.linalg.eigh(h[block])
+    return evals, vecs
+
+
 def spectrum(d: DiracBlock, tol: float = 1e-10) -> SpectrumReport:
     """Full Hermitian eigendecomposition with the boundary zero mode flagged.
 
     The truncation has the exact eigenvalues ``+-1, ..., +-(n-1)`` once each,
     plus a double zero: the true mode 0 (+) e_0 and one spurious mode created
-    by cutting the raising image of first-summand ``e_{n-1}``.  The eigensolver
-    returns an arbitrary orthonormal basis of the degenerate zero cluster, so
-    the cluster is rotated to isolate the direction of maximal overlap with
-    first-summand ``e_{n-1}``; that direction is flagged spurious when it
-    carries more than 99% of its mass there.
+    by cutting the raising image of first-summand ``e_{n-1}``.  The two zero
+    modes are separate components of D's nonzero pattern, so the eigensolve
+    returns each as its own basis vector.  A zero mode is flagged spurious
+    when its eigenvector vanishes on the second summand, where the
+    semi-infinite kernel 0 (+) e_0 lives.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     h = d.assembled
     n = d.n
-    evals, vecs = np.linalg.eigh(h)
-    vecs = np.array(vecs)  # writable copy
-    flags = np.zeros(evals.size, dtype=bool)
-
-    zero_idx = np.where(np.abs(evals) < ZERO_WINDOW)[0]
-    if zero_idx.size:
-        cluster = vecs[:, zero_idx]
-        target = np.zeros(2 * n, dtype=complex)
-        target[n - 1] = 1.0
-        w = cluster @ (cluster.conj().T @ target)
-        concentration = float(np.real(np.vdot(w, w)))
-        if concentration > SPURIOUS_CONCENTRATION:
-            spur = w / np.linalg.norm(w)
-            rest = cluster - np.outer(spur, spur.conj() @ cluster)
-            basis = [spur]
-            if zero_idx.size > 1:
-                u, s, _ = np.linalg.svd(rest, full_matrices=False)
-                basis.extend(u[:, i] for i in range(zero_idx.size - 1))
-            newv = np.column_stack(basis)
-            vecs[:, zero_idx] = newv
-            evals[zero_idx] = [float(np.real(np.vdot(v, h @ v))) for v in newv.T]
-            flags[zero_idx[0]] = True
-
+    evals, vecs = _eigensystem(h)
     order = np.argsort(evals, kind="stable")
     evals = evals[order]
     vecs = vecs[:, order]
-    flags = flags[order]
+    flags = (np.abs(evals) < ZERO_WINDOW) & ~vecs[n:].any(axis=0)
     residuals = np.linalg.norm(h @ vecs - vecs * evals[None, :], axis=0)
 
     distinct, mults = [], []
@@ -220,31 +227,18 @@ def spectrum(d: DiracBlock, tol: float = 1e-10) -> SpectrumReport:
 # polar decomposition
 # ----------------------------------------------------------------------
 
-def abs_dirac(n: int) -> np.ndarray:
-    """|D| as the Hermitian square root of D^2 via eigendecomposition.
+def polar_parts(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(F, |D|) of the polar decomposition D = F |D|.
 
-    Working with D^2 avoids the sign-function conditioning near the double
-    zero eigenvalue of D itself.
+    Both come from the eigensystem of D: ``|D| = V |lambda| V*`` and
+    ``F = V sign(lambda) V*``, where eigenvalues below ``PINV_CUTOFF`` times
+    the operator norm count as kernel and get sign 0, so F vanishes on the
+    kernel of |D|.
     """
-    h = dirac(n).assembled
-    w, v = np.linalg.eigh(h @ h)
-    w = np.clip(w, 0.0, None)
-    a = (v * np.sqrt(w)) @ v.conj().T
-    return (a + a.conj().T) / 2.0
-
-
-def _polar_factor(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(F, |D|) with F = D pinv(|D|); kernel directions of |D| map to zero."""
-    h = dirac(n).assembled
-    w, v = np.linalg.eigh(h @ h)
-    w = np.clip(w, 0.0, None)
-    s = np.sqrt(w)
-    absd = (v * s) @ v.conj().T
-    absd = (absd + absd.conj().T) / 2.0
-    cutoff = PINV_CUTOFF * (s.max() if s.size else 0.0)
-    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    pinv = (v * inv) @ v.conj().T
-    return h @ pinv, absd
+    w, v = _eigensystem(dirac(n).assembled)
+    s = np.abs(w)
+    sign = np.where(s > PINV_CUTOFF * s.max(), np.sign(w), 0.0)
+    return (v * sign) @ v.conj().T, (v * s) @ v.conj().T
 
 
 def _block(m: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
@@ -270,7 +264,7 @@ def polar_check(n: int, margin: int, tol: float = 1e-10) -> VerificationReport:
     if 2 * margin >= n:
         raise ValueError(f"margin {margin} too large for n = {n}")
     d = dirac(n)
-    f, absd = _polar_factor(n)
+    f, absd = polar_parts(n)
     num = op.number(n).matrix
     eye = np.eye(n)
     zero = np.zeros((n, n))
@@ -321,14 +315,14 @@ def fredholm_index(n_small: int, n_large: int) -> int:
     """Index of the off-diagonal polar factor block, computed two ways.
 
     The block of F mapping the negative graded summand to the positive one is
-    extracted from the numerically computed polar factor and matched against
-    the adjoint-shift band pattern.  The index is then computed (a) exactly on
+    extracted from the polar factor that ``polar_parts`` builds from the
+    eigensystem of D, and matched against the adjoint-shift band pattern.  The index is then computed (a) exactly on
     the semi-infinite pattern and (b) numerically from rectangular truncations
     at both sizes; all three must agree.
     """
     if not (2 <= n_small < n_large):
         raise ValueError("need 2 <= n_small < n_large")
-    f, _ = _polar_factor(n_small)
+    f, _ = polar_parts(n_small)
     top_right = _block(f, n_small, 0, 1)
     pattern_dev = float(np.abs(top_right - op.shift_adjoint(n_small).matrix).max())
     if pattern_dev > 1e-6:

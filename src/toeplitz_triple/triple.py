@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as op
-from .dirac import abs_dirac, dirac, grading, represent
+from .dirac import dirac, grading, polar_parts, represent
 from .fourier import FourierSeries, coefficient_distance, wedge_check
 from .reports import VerificationReport
 
@@ -338,14 +338,14 @@ def delta_absdirac_spot_check(f: FourierSeries, n: int,
 
     |D| = diag(N+1, N) and the +1 drops out of commutators, so
     [|D|, a (+) a] should be block diagonal with both blocks equal to
-    [N, a] = -i T_{f'}; |D| is formed numerically from D^2.
+    [N, a] = -i T_{f'}; |D| is formed numerically from the eigensystem of D.
     """
     b = f.bandwidth
     if margin is None:
         margin = b + 1
     if n <= 4 * margin:
         raise ValueError(f"n must exceed 4*margin = {4 * margin}")
-    absd = abs_dirac(n)
+    _, absd = polar_parts(n)
     doubled = represent(op.toeplitz(f, n)).matrix
     comm = absd @ doubled - doubled @ absd
     expected = ((-1j) * op.toeplitz(f.derivative(), n)).matrix

@@ -8,12 +8,13 @@ import pytest
 
 from toeplitz_triple import operators as op
 from toeplitz_triple.dirac import (
-    abs_dirac,
+    _eigensystem,
     analytic_eigenvector,
     dirac,
     fredholm_index,
     grading,
     polar_check,
+    polar_parts,
     represent,
     spectrum,
     summability_partial_sum,
@@ -131,14 +132,41 @@ def test_eigenbasis_with_spurious_mode_is_orthonormal():
 # spectrum
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [8, 64])
+def test_eigensystem_reads_components_off_the_matrix():
+    # Components {0, 3, 5}, {1, 6} and the singletons {2}, {4}; the coupling
+    # 6-1 joins the last index to another one, unlike anything in D.
+    n = 7
+    h = np.zeros((n, n), dtype=complex)
+    h[2, 2] = 0.5
+    h[4, 4] = -2.0
+    h[0, 3], h[3, 5], h[0, 5] = 1.0 + 2.0j, -0.5j, 0.25
+    h[0, 0], h[3, 3], h[5, 5] = 1.0, -1.5, 3.0
+    h[1, 6], h[1, 1] = 2.0 - 1.0j, 0.75
+    h = h + np.triu(h, 1).conj().T
+    evals, vecs = _eigensystem(h)
+    assert np.abs(np.sort(evals) - np.linalg.eigvalsh(h)).max() < 1e-12
+    assert np.abs(vecs.conj().T @ vecs - np.eye(n)).max() < 1e-12
+    assert np.abs(h @ vecs - vecs * evals).max() < 1e-12
+    # each eigenvector lives on its own component
+    assert evals[2] == 0.5 and evals[4] == -2.0
+    assert not vecs[[0, 2, 3, 4, 5]][:, [1, 6]].any()
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
 def test_spectrum_ladder(n):
     report = spectrum(dirac(n))
     assert [round(v) for v in report.eigenvalues] == sorted(
         list(range(-(n - 1), n)) + [0])
     assert max(report.residuals) < 1e-10
-    assert len(report.spurious) == 1
-    assert abs(report.eigenvalues[report.spurious[0]]) < 1e-12
+    assert report.spurious == [n - 1]
+    assert report.eigenvalues[n - 1] == 0.0
+    # the flagged mode, in the order spectrum sorts the eigensystem, is
+    # first-summand e_{n-1}
+    evals, vecs = _eigensystem(dirac(n).assembled)
+    flagged = vecs[:, np.argsort(evals, kind="stable")[n - 1]]
+    expected = np.zeros(2 * n)
+    expected[n - 1] = 1.0
+    assert np.array_equal(np.abs(flagged), expected)
 
 
 def test_spectrum_n2():
@@ -179,7 +207,7 @@ def test_spectrum_rejects_bad_tolerance():
 
 def test_abs_dirac_matches_number_blocks_interior():
     n = 32
-    a = abs_dirac(n)
+    _, a = polar_parts(n)
     expected_tl = np.diag(np.arange(1, n + 1, dtype=float))
     expected_br = np.diag(np.arange(n, dtype=float))
     sl = slice(2, n - 2)
