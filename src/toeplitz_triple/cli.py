@@ -307,11 +307,14 @@ def cmd_sweep(cfg: RunConfig, outdir: Path):
 def cmd_wedge(cfg: RunConfig, outdir: Path):
     f = load_symbol(cfg.symbol_spec)
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-9
-    report = wedge_check(f, tol, 1024)
+    report = wedge_check(f, tol)
     checks = [_check("wedge_gluing", report.passed,
                      max_violation_first=report.max_violation_first,
                      max_violation_second=report.max_violation_second,
                      tolerance=tol)]
+    # max_violation_* are l1 sums of the violations' Fourier coefficients,
+    # which bound the curve below on the whole circle, so they may exceed its
+    # sampled maximum; the curve is plot data, the verdict is exact
     t = np.linspace(0.0, np.pi / 2, 1024)
     v1 = np.abs(f.evaluate(t) - f.evaluate(-t - np.pi / 2))
     v2 = np.abs(f.evaluate(-t) - f.evaluate(t + np.pi / 2))

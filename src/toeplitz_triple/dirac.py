@@ -76,8 +76,8 @@ def dirac(n: int) -> DiracBlock:
     tr = op.dz(n)
     bl = op.dz_star(n)
     h = np.zeros((2 * n, 2 * n), dtype=complex)
-    h[:n, n:] = tr.matrix
-    h[n:, :n] = bl.matrix
+    h[:n, n:] = tr.dense()
+    h[n:, :n] = bl.dense()
     h.setflags(write=False)
     return DiracBlock(n=n, top_right=tr, bottom_left=bl, assembled=h)
 
@@ -86,19 +86,16 @@ def grading(n: int) -> op.TruncatedOperator:
     """Grading on the doubled space: +1 on the first summand, -1 on the second."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = np.ones(2 * n)
-    g[n:] = -1.0
-    return op.TruncatedOperator(np.diag(g).astype(complex), (0, 0))
+    g = np.ones((1, 2 * n))
+    g[0, n:] = -1.0
+    return op.TruncatedOperator(g, 0)
 
 
 def represent(a: op.TruncatedOperator) -> op.TruncatedOperator:
     """Diagonal doubling a -> a (+) a of the representation on the doubled space."""
-    n = a.dim
-    m = np.zeros((2 * n, 2 * n), dtype=complex)
-    m[:n, :n] = a.matrix
-    m[n:, n:] = a.matrix
-    # both copies sit on the diagonal, so the offsets are unchanged
-    return op.TruncatedOperator(m, a.band)
+    # both copies sit on the diagonal, so the offsets are unchanged; an entry
+    # of one copy whose row leaves its block is already stored as 0
+    return op.TruncatedOperator(np.hstack([a.diagonals, a.diagonals]), a.lo)
 
 
 def analytic_eigenvector(k: int, n: int) -> np.ndarray:
@@ -265,7 +262,7 @@ def polar_check(n: int, margin: int, tol: float = 1e-10) -> VerificationReport:
         raise ValueError(f"margin {margin} too large for n = {n}")
     d = dirac(n)
     f, absd = polar_parts(n)
-    num = op.number(n).matrix
+    num = op.number(n).dense()
     eye = np.eye(n)
     zero = np.zeros((n, n))
 
@@ -276,8 +273,8 @@ def polar_check(n: int, margin: int, tol: float = 1e-10) -> VerificationReport:
         _interior_dev(_block(absd, n, 1, 0), zero, margin),
     )
     dev_f = max(
-        _interior_dev(_block(f, n, 0, 1), op.shift_adjoint(n).matrix, margin),
-        _interior_dev(_block(f, n, 1, 0), op.shift(n).matrix, margin),
+        _interior_dev(_block(f, n, 0, 1), op.shift_adjoint(n).dense(), margin),
+        _interior_dev(_block(f, n, 1, 0), op.shift(n).dense(), margin),
         _interior_dev(_block(f, n, 0, 0), zero, margin),
         _interior_dev(_block(f, n, 1, 1), zero, margin),
     )
@@ -324,7 +321,7 @@ def fredholm_index(n_small: int, n_large: int) -> int:
         raise ValueError("need 2 <= n_small < n_large")
     f, _ = polar_parts(n_small)
     top_right = _block(f, n_small, 0, 1)
-    pattern_dev = float(np.abs(top_right - op.shift_adjoint(n_small).matrix).max())
+    pattern_dev = float(np.abs(top_right - op.shift_adjoint(n_small).dense()).max())
     if pattern_dev > 1e-6:
         raise FredholmIndexError(
             f"polar factor block deviates from the adjoint shift by {pattern_dev:.3e}")

@@ -1,10 +1,16 @@
 """Finite truncations of the operator algebra on one-sided sequence space.
 
 All operators act on ``l2(N)`` with basis ``e_0, e_1, ...`` and are stored as
-their compressions to ``span{e_0, ..., e_{n-1}}``: dense complex ``n x n``
-matrices with the convention ``A[r, c]`` = coefficient of ``e_r`` in the image
-of ``e_c``.  A Toeplitz matrix built from a symbol ``f`` therefore has entries
-``A[r, c] = fhat(r - c)``.
+their compressions to ``span{e_0, ..., e_{n-1}}``, with the convention
+``A[r, c]`` = coefficient of ``e_r`` in the image of ``e_c``.  A Toeplitz
+matrix built from a symbol ``f`` therefore has entries ``A[r, c] = fhat(r - c)``.
+
+Every operator of the triple is banded, or banded plus a small top-left
+block, so a compression is stored by its diagonals: a lowest offset ``lo`` and
+a complex ``(num_diagonals, n)`` array whose row ``j`` holds the diagonal of
+offset ``lo + j``, indexed by column.  Construction, sums, products,
+adjoints, interior blocks and symbol recovery cost O(n * bandwidth); only
+``TruncatedOperator.dense`` and ``operator_norm`` form an ``n x n`` array.
 
 Besides the concrete matrices, ``BandPattern`` describes single weighted
 shifts of the semi-infinite model exactly (integer/rational weights), which is
@@ -57,56 +63,110 @@ class PowerIterationError(RuntimeError):
     """Norm estimation failed to converge within the iteration cap."""
 
 
-class TruncatedOperator:
-    """Dense ``n x n`` compression of an operator on ``l2(N)``.
+def _rows(lo: int, count: int, n: int) -> np.ndarray:
+    """Row index ``m + lo + j`` of band entry ``[j, m]``, shape (count, n)."""
+    return np.arange(n) + np.arange(lo, lo + count)[:, None]
 
-    ``band`` is optional metadata ``(lower, upper)``: entries vanish outside
-    offsets ``lower <= r - c <= upper``.  Operators are immutable values;
-    arithmetic returns new instances and combines band metadata when both
-    operands carry it.
+
+def _gather(matrix: np.ndarray, lo: int, hi: int, n: int) -> np.ndarray:
+    """Diagonals ``lo..hi`` of a square matrix of size <= n as a band array
+    of width n; entries outside the matrix are 0."""
+    k = matrix.shape[0]
+    rows = _rows(lo, hi - lo + 1, n)
+    cols = np.broadcast_to(np.arange(n), rows.shape)
+    inside = (rows >= 0) & (rows < k) & (cols < k)
+    out = np.zeros(rows.shape, dtype=complex)
+    out[inside] = matrix[rows[inside], cols[inside]]
+    return out
+
+
+def _shift_columns(data: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """``out[j, m] = data[j, m + shifts[j]]``, and 0 where that column is
+    outside ``0..n-1``."""
+    count, n = data.shape
+    cols = np.arange(n) + shifts[:, None]
+    inside = (cols >= 0) & (cols < n)
+    picked = data[np.arange(count)[:, None], np.clip(cols, 0, n - 1)]
+    return np.where(inside, picked, 0)
+
+
+class TruncatedOperator:
+    """``n x n`` compression of an operator on ``l2(N)``, stored by diagonals.
+
+    ``diagonals[j, m]`` is the entry ``A[m + lo + j, m]``.  Entries whose row
+    ``m + lo + j`` falls outside ``0..n-1`` are stored as 0 whatever the input
+    holds there, and diagonals beyond offset ``+-(n-1)`` are dropped, so the
+    columns ``s..e-1`` of a band array make the compression to
+    ``span{e_s, ..., e_{e-1}}``.
+
+    ``TruncatedOperator(diagonals, lo)`` takes a band array; a dense block
+    enters through ``finite_rank``.  Operators are immutable values;
+    arithmetic returns new instances.
     """
 
-    __slots__ = ("matrix", "band")
+    __slots__ = ("lo", "diagonals")
 
-    def __init__(self, matrix, band=None):
-        m = np.array(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+    def __init__(self, diagonals, lo: int):
+        band = np.asarray(diagonals)
+        if band.ndim != 2 or band.shape[1] < 1:
+            raise ValueError(
+                f"expected a (diagonals, n) band array, got shape {band.shape}")
+        n = band.shape[1]
+        lo = int(lo)
+        first, last = max(lo, 1 - n), min(lo + band.shape[0] - 1, n - 1)
+        if first > last:
+            lo, band = 0, np.zeros((1, n), dtype=complex)
+        else:
+            band = np.array(band[first - lo:last - lo + 1], dtype=complex)
+            lo = first
+            rows = _rows(lo, band.shape[0], n)
+            band[(rows < 0) | (rows >= n)] = 0
+        if not np.all(np.isfinite(band)):
             raise ValueError("matrix entries must be finite")
-        m.setflags(write=False)
-        self.matrix = m
-        self.band = None if band is None else (int(band[0]), int(band[1]))
+        band.setflags(write=False)
+        self.lo = lo
+        self.diagonals = band
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.diagonals.shape[1]
+
+    @property
+    def band(self) -> tuple[int, int]:
+        """Lowest and highest stored offset ``r - c``."""
+        return self.lo, self.lo + self.diagonals.shape[0] - 1
 
     def __repr__(self):
         return f"TruncatedOperator(dim={self.dim}, band={self.band})"
 
-    def band_consistent(self) -> bool:
-        """True when every nonzero entry lies inside the recorded band."""
-        if self.band is None:
-            return True
-        lo, up = self.band
-        r, c = np.nonzero(self.matrix)
-        off = r - c
-        return bool(np.all((off >= lo) & (off <= up)))
+    def dense(self) -> np.ndarray:
+        """The ``n x n`` matrix, for callers that need one."""
+        count, n = self.diagonals.shape
+        rows = _rows(self.lo, count, n)
+        cols = np.broadcast_to(np.arange(n), rows.shape)
+        inside = (rows >= 0) & (rows < n)
+        out = np.zeros((n, n), dtype=complex)
+        out[rows[inside], cols[inside]] = self.diagonals[inside]
+        return out
 
     def adjoint(self) -> "TruncatedOperator":
-        band = None if self.band is None else (-self.band[1], -self.band[0])
-        return TruncatedOperator(self.matrix.conj().T, band)
+        # A*[c + d, c] = conj(A[c, c + d]): offset -d of A, read at column c + d
+        lo, hi = self.band
+        offsets = np.arange(-hi, -lo + 1)
+        flipped = self.diagonals[::-1].conj()
+        return TruncatedOperator(_shift_columns(flipped, offsets), -hi)
 
     def __add__(self, other):
         if not isinstance(other, TruncatedOperator):
             return NotImplemented
         self._check_dim(other)
-        band = None
-        if self.band is not None and other.band is not None:
-            band = (min(self.band[0], other.band[0]),
-                    max(self.band[1], other.band[1]))
-        return TruncatedOperator(self.matrix + other.matrix, band)
+        lo = min(self.lo, other.lo)
+        hi = max(self.band[1], other.band[1])
+        out = np.zeros((hi - lo + 1, self.dim), dtype=complex)
+        a, b = self.diagonals, other.diagonals
+        out[self.lo - lo:self.lo - lo + a.shape[0]] = a
+        out[other.lo - lo:other.lo - lo + b.shape[0]] += b
+        return TruncatedOperator(out, lo)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedOperator):
@@ -116,7 +176,7 @@ class TruncatedOperator:
     def __mul__(self, scalar):
         if isinstance(scalar, TruncatedOperator):
             return NotImplemented
-        return TruncatedOperator(scalar * self.matrix, self.band)
+        return TruncatedOperator(scalar * self.diagonals, self.lo)
 
     __rmul__ = __mul__
 
@@ -124,15 +184,32 @@ class TruncatedOperator:
         return (-1.0) * self
 
     def __matmul__(self, other):
+        """Product by diagonals: offset p of self times offset q of other adds
+        ``a_p[c + q] * b_q[c]`` to offset p + q at column c.
+
+        The Python loop runs over the diagonals of the narrower factor; each
+        step is vectorised across all diagonals of the other.
+        """
         if not isinstance(other, TruncatedOperator):
             return NotImplemented
         self._check_dim(other)
-        band = None
-        if self.band is not None and other.band is not None:
-            m = self.dim - 1
-            band = (max(self.band[0] + other.band[0], -m),
-                    min(self.band[1] + other.band[1], m))
-        return TruncatedOperator(self.matrix @ other.matrix, band)
+        a, b = self.diagonals, other.diagonals
+        n = self.dim
+        out = np.zeros((a.shape[0] + b.shape[0] - 1, n), dtype=complex)
+        if b.shape[0] <= a.shape[0]:
+            for j, b_q in enumerate(b):
+                q = other.lo + j
+                rows = out[j:j + a.shape[0]]
+                if q >= 0:
+                    rows[:, :n - q] += a[:, q:] * b_q[:n - q]
+                else:
+                    rows[:, -q:] += a[:, :n + q] * b_q[-q:]
+        else:
+            q = np.arange(other.lo, other.lo + b.shape[0])
+            for i, a_p in enumerate(a):
+                shifted = _shift_columns(np.broadcast_to(a_p, b.shape), q)
+                out[i:i + b.shape[0]] += shifted * b
+        return TruncatedOperator(out, self.lo + other.lo)
 
     def _check_dim(self, other):
         if self.dim != other.dim:
@@ -144,20 +221,19 @@ class TruncatedOperator:
 
     def to_json_obj(self) -> dict:
         """Sparse JSON form {dim, band, entries: [[r, c, re, im], ...]}."""
-        rows, cols = np.nonzero(self.matrix)
+        m = self.dense()
+        rows, cols = np.nonzero(m)
         entries = [
-            [int(r), int(c), float(self.matrix[r, c].real), float(self.matrix[r, c].imag)]
+            [int(r), int(c), float(m[r, c].real), float(m[r, c].imag)]
             for r, c in zip(rows, cols)
         ]
-        return {"dim": self.dim, "band": list(self.band) if self.band else None,
-                "entries": entries}
+        return {"dim": self.dim, "band": list(self.band), "entries": entries}
 
     def to_csv(self, stream) -> None:
         """Row-major dump with entries formatted as ``re+imi``."""
         writer = csv.writer(stream, lineterminator="\n")
-        for r in range(self.dim):
-            writer.writerow(
-                [f"{z.real:.17g}{z.imag:+.17g}i" for z in self.matrix[r]])
+        for row in self.dense():
+            writer.writerow([f"{z.real:.17g}{z.imag:+.17g}i" for z in row])
 
 
 # ----------------------------------------------------------------------
@@ -168,54 +244,44 @@ def toeplitz(f: FourierSeries, n: int) -> TruncatedOperator:
     """Truncated Toeplitz matrix of symbol f: entries ``fhat(r - c)``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = np.zeros((n, n), dtype=complex)
-    for k, v in f.coeffs.items():
-        if abs(k) < n:
-            idx = np.arange(n - abs(k))
-            if k >= 0:
-                m[idx + k, idx] = v
-            else:
-                m[idx, idx - k] = v
-    b = f.bandwidth
-    return TruncatedOperator(m, (max(-b, -(n - 1)), min(b, n - 1)))
+    coeffs = {k: v for k, v in f.coeffs.items() if abs(k) < n}
+    if not coeffs:
+        return TruncatedOperator(np.zeros((1, n)), 0)
+    lo = min(coeffs)
+    band = np.zeros((max(coeffs) - lo + 1, n), dtype=complex)
+    for k, v in coeffs.items():
+        band[k - lo] = v
+    return TruncatedOperator(band, lo)
 
 
 def identity(n: int) -> TruncatedOperator:
-    return TruncatedOperator(np.eye(n, dtype=complex), (0, 0))
+    return TruncatedOperator(np.ones((1, n)), 0)
 
 
 def shift(n: int) -> TruncatedOperator:
     """S e_m = e_{m+1}; the image of e_{n-1} is cut by the truncation."""
-    m = np.zeros((n, n), dtype=complex)
-    m[np.arange(1, n), np.arange(n - 1)] = 1.0
-    return TruncatedOperator(m, (1, 1))
+    return TruncatedOperator(np.ones((1, n)), 1)
 
 
 def shift_adjoint(n: int) -> TruncatedOperator:
     """S* e_m = e_{m-1} for m >= 1 and S* e_0 = 0."""
-    m = np.zeros((n, n), dtype=complex)
-    m[np.arange(n - 1), np.arange(1, n)] = 1.0
-    return TruncatedOperator(m, (-1, -1))
+    return TruncatedOperator(np.ones((1, n)), -1)
 
 
 def number(n: int) -> TruncatedOperator:
     """N e_m = m e_m."""
-    return TruncatedOperator(np.diag(np.arange(n, dtype=float)).astype(complex), (0, 0))
+    return TruncatedOperator(np.arange(n, dtype=float)[None, :], 0)
 
 
 def dz(n: int) -> TruncatedOperator:
     """Lowering derivative: e_m -> m e_{m-1} (equals shift_adjoint @ number)."""
-    m = np.zeros((n, n), dtype=complex)
-    m[np.arange(n - 1), np.arange(1, n)] = np.arange(1, n, dtype=float)
-    return TruncatedOperator(m, (-1, -1))
+    return TruncatedOperator(np.arange(n, dtype=float)[None, :], -1)
 
 
 def dz_star(n: int) -> TruncatedOperator:
     """Raising adjoint: e_m -> (m+1) e_{m+1}; the image ``n*e_n`` of ``e_{n-1}``
     is cut by the truncation, so the last column is zero."""
-    m = np.zeros((n, n), dtype=complex)
-    m[np.arange(1, n), np.arange(n - 1)] = np.arange(1, n, dtype=float)
-    return TruncatedOperator(m, (1, 1))
+    return TruncatedOperator(np.arange(1, n + 1, dtype=float)[None, :], 1)
 
 
 def finite_rank(block, n: int) -> TruncatedOperator:
@@ -226,9 +292,9 @@ def finite_rank(block, n: int) -> TruncatedOperator:
     k = b.shape[0]
     if k > n:
         raise ValueError(f"block size {k} exceeds truncation size {n}")
-    m = np.zeros((n, n), dtype=complex)
-    m[:k, :k] = b
-    return TruncatedOperator(m, (-(k - 1), k - 1) if k > 0 else (0, 0))
+    if k == 0:
+        return TruncatedOperator(np.zeros((1, n)), 0)
+    return TruncatedOperator(_gather(b, 1 - k, k - 1, n), 1 - k)
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +319,7 @@ def operator_norm(a: TruncatedOperator, tol: float = 1e-10,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    m = a.matrix
+    m = a.dense()
     n = a.dim
     if n <= FULL_SVD_DIM:
         return float(np.linalg.svd(m, compute_uv=False)[0])
@@ -289,12 +355,7 @@ def interior_block(a: TruncatedOperator, margin: int) -> TruncatedOperator:
         raise ValueError(f"margin {margin} too large for dim {a.dim}")
     if margin == 0:
         return a
-    sub = a.matrix[margin:a.dim - margin, margin:a.dim - margin]
-    band = None
-    if a.band is not None:
-        m = sub.shape[0] - 1
-        band = (max(a.band[0], -m), min(a.band[1], m))
-    return TruncatedOperator(sub, band)
+    return TruncatedOperator(a.diagonals[:, margin:a.dim - margin], a.lo)
 
 
 def symbol_estimate(a: TruncatedOperator, max_freq: int) -> FourierSeries:
@@ -311,15 +372,13 @@ def symbol_estimate(a: TruncatedOperator, max_freq: int) -> FourierSeries:
         raise ValueError("max_freq must be >= 0")
     if max_freq >= n / 4:
         raise ValueError(f"max_freq must be < dim/4 = {n / 4}")
+    lo, hi = a.band
     coeffs = {}
-    for k in range(-max_freq, max_freq + 1):
+    for k in range(max(-max_freq, lo), min(max_freq, hi) + 1):
         ms = max(0, -k)
         me = n - 1 - max(0, k)
-        count = me - ms + 1
-        lo = ms + count // 2
-        rows = np.arange(lo, me + 1) + k
-        cols = np.arange(lo, me + 1)
-        coeffs[k] = complex(a.matrix[rows, cols].mean())
+        start = ms + (me - ms + 1) // 2
+        coeffs[k] = complex(a.diagonals[k - lo, start:me + 1].mean())
     return FourierSeries(coeffs)
 
 
@@ -371,15 +430,11 @@ class BandPattern:
 
     def realize(self, n: int) -> TruncatedOperator:
         """Float truncation, for cross-checks against the exact computations."""
-        m = np.zeros((n, n), dtype=complex)
-        for i, d in enumerate(self.offsets):
-            for col in range(n):
-                row = col + d
-                if 0 <= row < n:
-                    m[row, col] = float(self.weight(i, col))
         lo = min(self.offsets)
-        up = max(self.offsets)
-        return TruncatedOperator(m, (lo, up))
+        band = np.zeros((max(self.offsets) - lo + 1, n), dtype=complex)
+        for i, d in enumerate(self.offsets):
+            band[d - lo] = [float(self.weight(i, col)) for col in range(n)]
+        return TruncatedOperator(band, lo)
 
     def nonnegative_zeros(self, i: int) -> list[int]:
         """All integers m >= 0 with ``weights[i](m) == 0``, found exactly."""

@@ -81,10 +81,10 @@ class AlgebraElement:
     # ------------------------------------------------------------------
 
     @classmethod
-    def toeplitz(cls, f: FourierSeries, label=None, wedge_tolerance: float = 1e-9,
-                 sample_count: int = 1024) -> "AlgebraElement":
+    def toeplitz(cls, f: FourierSeries, label=None,
+                 wedge_tolerance: float = 1e-9) -> "AlgebraElement":
         """Toeplitz generator; the symbol must pass the wedge gluing check."""
-        report = wedge_check(f, wedge_tolerance, sample_count)
+        report = wedge_check(f, wedge_tolerance)
         if not report.passed:
             raise ValueError(
                 "symbol fails the wedge gluing check (violations "
@@ -252,9 +252,8 @@ class AlgebraElement:
 
 def _interior_max_dev(a: op.TruncatedOperator, b: op.TruncatedOperator,
                       margin: int) -> float:
-    x = op.interior_block(a, margin).matrix
-    y = op.interior_block(b, margin).matrix
-    return float(np.abs(x - y).max())
+    diff = op.interior_block(a, margin) - op.interior_block(b, margin)
+    return float(np.abs(diff.diagonals).max())
 
 
 def verify_commutator_number(f: FourierSeries, n: int, margin: int | None = None,
@@ -346,9 +345,9 @@ def delta_absdirac_spot_check(f: FourierSeries, n: int,
     if n <= 4 * margin:
         raise ValueError(f"n must exceed 4*margin = {4 * margin}")
     _, absd = polar_parts(n)
-    doubled = represent(op.toeplitz(f, n)).matrix
+    doubled = represent(op.toeplitz(f, n)).dense()
     comm = absd @ doubled - doubled @ absd
-    expected = ((-1j) * op.toeplitz(f.derivative(), n)).matrix
+    expected = ((-1j) * op.toeplitz(f.derivative(), n)).dense()
     sl = slice(margin, n - margin)
     dev = max(
         float(np.abs(comm[:n, :n][sl, sl] - expected[sl, sl]).max()),
@@ -367,9 +366,9 @@ def evenness_check(a: AlgebraElement, n: int) -> VerificationReport:
     representation have integer-patterned block structure, so all four
     residuals vanish exactly in floating point, not just approximately.
     """
-    g = grading(n).matrix
+    g = grading(n).dense()
     d = dirac(n).assembled
-    p = represent(a.realize(n)).matrix
+    p = represent(a.realize(n)).dense()
     eye = np.eye(2 * n)
     r_inv = float(np.abs(g @ g - eye).max())
     r_sa = float(np.abs(g - g.conj().T).max())
@@ -393,8 +392,7 @@ def evenness_check(a: AlgebraElement, n: int) -> VerificationReport:
 
 
 def membership_check(a: AlgebraElement, n: int, wedge_tolerance: float = 1e-8,
-                     compact_tolerance: float = 1e-8,
-                     sample_count: int = 1024) -> VerificationReport:
+                     compact_tolerance: float = 1e-8) -> VerificationReport:
     """Estimate the symbol of a realization and test wedge membership.
 
     Two checks: the symbol recovered from the interior diagonals passes the
@@ -414,7 +412,7 @@ def membership_check(a: AlgebraElement, n: int, wedge_tolerance: float = 1e-8,
         raise ValueError(
             f"n = {n} too small to estimate frequencies up to {max_freq}")
     estimate = op.symbol_estimate(trimmed, max_freq)
-    wedge = wedge_check(estimate, wedge_tolerance, sample_count)
+    wedge = wedge_check(estimate, wedge_tolerance)
     symbol_dev = coefficient_distance(estimate, sym)
     delta = realized - op.toeplitz(sym, n)
     compact_estimate = op.symbol_estimate(op.interior_block(delta, collar), max_freq)
@@ -482,22 +480,22 @@ class SweepReport:
 
 
 def _sweep_blocks(word: AlgebraElement, which: str, order: int,
-                  m: int) -> list[np.ndarray]:
+                  m: int) -> list[op.TruncatedOperator]:
     a = word.realize(m)
     if which == "dirac":
-        return [op.commutator(op.dz(m), a).matrix,
-                op.commutator(op.dz_star(m), a).matrix]
+        return [op.commutator(op.dz(m), a),
+                op.commutator(op.dz_star(m), a)]
     num = op.number(m)
     if which == "delta":
         x = a
         for _ in range(order):
             x = op.commutator(num, x)
-        return [x.matrix]
+        return [x]
     if which == "delta_dz":
         x = op.commutator(op.dz(m), a)
         for _ in range(order):
             x = op.commutator(num, x)
-        return [x.matrix]
+        return [x]
     raise ValueError(f"unknown sweep target {which!r}")
 
 
@@ -512,13 +510,19 @@ def _sweep_value(word: AlgebraElement, n: int, which: str, order: int,
     spread = word.band_spread() + (0 if which == "delta" else 1)
     max_freq = min(spread, n // 4 - 1)
     for x in blocks:
-        lead = op.TruncatedOperator(x[:n, :n])
+        lead = op.TruncatedOperator(x.diagonals[:, :n], x.lo)
         try:
             section = op.operator_norm(lead, norm_tol)
         except op.PowerIterationError:
             # nearly degenerate top singular values stall the iteration;
-            # fall back to the full decomposition
-            section = float(np.linalg.svd(lead.matrix, compute_uv=False)[0])
+            # fall back to the full decomposition.  logging is imported on
+            # this path only, which keeps it out of the CLI's start-up
+            import logging
+            logging.getLogger(__name__).warning(
+                "power iteration did not converge within %d iterations at "
+                "dim %d; falling back to a dense SVD",
+                op.POWER_ITERATION_CAP, lead.dim)
+            section = float(np.linalg.svd(lead.dense(), compute_uv=False)[0])
         raw = max(raw, section)
         sup = 0.0
         if max_freq >= 0:

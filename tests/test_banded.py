@@ -1,0 +1,122 @@
+"""Banded operator storage: arithmetic against dense numpy, and O(n * b) size."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toeplitz_triple import operators as op
+from toeplitz_triple.dirac import represent
+from toeplitz_triple.fourier import FourierSeries, coefficient_distance
+from toeplitz_triple.triple import verify_commutator_dz, verify_delta_k
+
+# one nonzero diagonal of real entries: every entry of a product with one of
+# these is a single product, so banded and dense results agree bit for bit
+ELEMENTARY = (op.number, op.dz, op.dz_star, op.shift, op.shift_adjoint)
+
+
+def reference_dense(diagonals, lo):
+    """Dense matrix of a band array, entry by entry from the definition."""
+    count, n = diagonals.shape
+    m = np.zeros((n, n), dtype=complex)
+    for j in range(count):
+        for c in range(n):
+            if 0 <= c + lo + j < n:
+                m[c + lo + j, c] = diagonals[j, c]
+    return m
+
+
+def reference_symbol_estimate(m, max_freq):
+    """Dense form of ``symbol_estimate``: diagonal means over the second half."""
+    n = m.shape[0]
+    coeffs = {}
+    for k in range(-max_freq, max_freq + 1):
+        ms = max(0, -k)
+        me = n - 1 - max(0, k)
+        cols = np.arange(ms + (me - ms + 1) // 2, me + 1)
+        coeffs[k] = complex(m[cols + k, cols].mean())
+    return FourierSeries(coeffs)
+
+
+@st.composite
+def banded(draw, n):
+    """A band array (possibly wider than n, with all-zero diagonals) plus a
+    corner block, as an operator and as the dense matrix it stands for."""
+    lo = draw(st.integers(-n - 2, n + 2))
+    count = draw(st.integers(1, 2 * n + 4))
+    k = draw(st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.uniform(-1, 1, (count, n)) + 1j * rng.uniform(-1, 1, (count, n))
+    data[rng.random(count) < 0.3] = 0.0
+    block = rng.uniform(-1, 1, (k, k)) + 1j * rng.uniform(-1, 1, (k, k))
+    dense = reference_dense(data, lo)
+    dense[:k, :k] += block
+    return op.TruncatedOperator(data, lo) + op.finite_rank(block, n), dense
+
+
+sizes = st.integers(1, 40)
+single = sizes.flatmap(banded)
+pairs = sizes.flatmap(lambda n: st.tuples(banded(n), banded(n)))
+scalars = st.complex_numbers(max_magnitude=4, allow_nan=False,
+                             allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs, scalars)
+def test_linear_operations_match_dense(pair, scalar):
+    (a, x), (b, y) = pair
+    zero = np.zeros_like(x)
+    assert np.array_equal(a.dense(), x)
+    assert np.array_equal((a + b).dense(), x + y)
+    assert np.array_equal((a - b).dense(), x - y)
+    assert np.array_equal((scalar * a).dense(), scalar * x)
+    assert np.array_equal(a.adjoint().dense(), x.conj().T)
+    assert np.array_equal(represent(a).dense(), np.block([[x, zero], [zero, x]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs)
+def test_products_match_dense(pair):
+    (a, x), (b, y) = pair
+    assert np.abs((a @ b).dense() - x @ y).max() <= 1e-13
+    assert np.abs(op.commutator(a, b).dense() - (x @ y - y @ x)).max() <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(single, st.sampled_from(ELEMENTARY))
+def test_products_with_elementary_factors_are_exact(ax, make):
+    a, x = ax
+    e = make(a.dim)
+    d = e.dense()
+    assert np.array_equal((e @ a).dense(), d @ x)
+    assert np.array_equal((a @ e).dense(), x @ d)
+    assert np.array_equal(op.commutator(e, a).dense(), d @ x - x @ d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(single, st.data())
+def test_interior_block_and_symbol_estimate_match_dense(ax, data):
+    a, x = ax
+    n = a.dim
+    margin = data.draw(st.integers(0, (n - 1) // 2))
+    inner = op.interior_block(a, margin)
+    inner_dense = x[margin:n - margin, margin:n - margin]
+    assert np.array_equal(inner.dense(), inner_dense)
+    max_freq = data.draw(st.integers(0, (inner.dim - 1) // 4))
+    estimate = op.symbol_estimate(inner, max_freq)
+    reference = reference_symbol_estimate(inner_dense, max_freq)
+    assert coefficient_distance(estimate, reference) == 0.0
+
+
+def held_bytes(a):
+    """Bytes of the arrays an operator holds in its slots."""
+    values = (getattr(a, name) for name in type(a).__slots__)
+    return sum(v.nbytes for v in values if isinstance(v, np.ndarray))
+
+
+def test_storage_and_checks_scale_with_the_band():
+    n = 16384
+    f = FourierSeries.cosine(16)
+    # 33 diagonals of n complex entries; a dense matrix would take 4 GiB
+    assert held_bytes(op.toeplitz(f, n)) <= 33 * n * 16
+    assert verify_commutator_dz(f, n).passed
+    assert verify_delta_k(f, 3, n).passed

@@ -58,7 +58,7 @@ def test_dirac_requires_n_at_least_two():
 
 def test_grading_relations_exact():
     n = 16
-    g = grading(n).matrix
+    g = grading(n).dense()
     d = dirac(n).assembled
     assert np.abs(g @ g - np.eye(2 * n)).max() == 0.0
     assert np.abs(g - g.conj().T).max() == 0.0
@@ -67,8 +67,8 @@ def test_grading_relations_exact():
 
 def test_grading_commutes_with_representation():
     n = 12
-    g = grading(n).matrix
-    p = represent(op.toeplitz(FourierSeries.cosine(4), n)).matrix
+    g = grading(n).dense()
+    p = represent(op.toeplitz(FourierSeries.cosine(4), n)).dense()
     assert np.abs(g @ p - p @ g).max() == 0.0
 
 
@@ -76,11 +76,11 @@ def test_representation_properties():
     n = 10
     a = op.toeplitz(FourierSeries.cosine(4), n)
     b = op.dz(n)
-    assert np.array_equal(represent(op.identity(n)).matrix, np.eye(2 * n))
-    assert np.array_equal(represent(a).adjoint().matrix,
-                          represent(a.adjoint()).matrix)
-    assert np.array_equal(represent(a @ b).matrix,
-                          (represent(a) @ represent(b)).matrix)
+    assert np.array_equal(represent(op.identity(n)).dense(), np.eye(2 * n))
+    assert np.array_equal(represent(a).adjoint().dense(),
+                          represent(a.adjoint()).dense())
+    assert np.array_equal(represent(a @ b).dense(),
+                          (represent(a) @ represent(b)).dense())
 
 
 # ----------------------------------------------------------------------

@@ -181,9 +181,17 @@ def test_wedge_monomial_power_four_fails():
 def test_wedge_preconditions():
     f = FourierSeries.constant(1.0)
     with pytest.raises(ValueError):
-        wedge_check(f, 1e-9, sample_count=8)
-    with pytest.raises(ValueError):
         wedge_check(f, 0.0)
+
+
+def test_wedge_rejects_sampling_alias():
+    # 4092 = 4 * 1023 aliases to a passing frequency on a 1024-point grid of
+    # [0, pi/2]; on the coefficients both relations fail with l1 norm 2
+    alias = FourierSeries({4092: 1.0})
+    report = wedge_check(alias, 1e-9)
+    assert not report.passed
+    assert report.max_violation_first == 2.0
+    assert report.max_violation_second == 2.0
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ def cos4():
 
 def test_toeplitz_of_u_is_shift():
     t = op.toeplitz(FourierSeries({1: 1.0}), 4)
-    assert np.array_equal(t.matrix, op.shift(4).matrix)
+    assert np.array_equal(t.dense(), op.shift(4).dense())
 
 
 def test_toeplitz_cos4_band():
@@ -30,55 +30,54 @@ def test_toeplitz_cos4_band():
         for c in range(8):
             if abs(r - c) == 4:
                 expected[r, c] = 0.5
-    assert np.array_equal(t.matrix, expected)
+    assert np.array_equal(t.dense(), expected)
     assert t.band == (-4, 4)
-    assert t.band_consistent()
 
 
 def test_toeplitz_constant_is_identity():
     t = op.toeplitz(FourierSeries.constant(1.0), 5)
-    assert np.array_equal(t.matrix, np.eye(5))
+    assert np.array_equal(t.dense(), np.eye(5))
 
 
 def test_elementary_matrices():
     d = op.dz(3)
-    assert np.array_equal(d.matrix, np.array([[0, 1, 0], [0, 0, 2], [0, 0, 0]],
-                                             dtype=complex))
-    ds = op.dz_star(3)
-    assert np.array_equal(ds.matrix, np.array([[0, 0, 0], [1, 0, 0], [0, 2, 0]],
+    assert np.array_equal(d.dense(), np.array([[0, 1, 0], [0, 0, 2], [0, 0, 0]],
                                               dtype=complex))
-    assert np.array_equal(op.number(3).matrix, np.diag([0.0, 1.0, 2.0]))
+    ds = op.dz_star(3)
+    assert np.array_equal(ds.dense(), np.array([[0, 0, 0], [1, 0, 0], [0, 2, 0]],
+                                               dtype=complex))
+    assert np.array_equal(op.number(3).dense(), np.diag([0.0, 1.0, 2.0]))
     s = op.shift(3)
-    assert np.array_equal(s.matrix, np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]],
-                                             dtype=complex))
-    assert np.array_equal(op.shift_adjoint(3).matrix, s.matrix.T)
+    assert np.array_equal(s.dense(), np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+                                              dtype=complex))
+    assert np.array_equal(op.shift_adjoint(3).dense(), s.dense().T)
 
 
 def test_dz_is_shift_adjoint_times_number():
     n = 16
     product = op.shift_adjoint(n) @ op.number(n)
-    assert np.array_equal(product.matrix, op.dz(n).matrix)
+    assert np.array_equal(product.dense(), op.dz(n).dense())
 
 
 def test_dz_star_is_adjoint_of_dz_in_truncation():
     # both cut the same raising image, so the truncations are exact adjoints
     n = 12
-    assert np.array_equal(op.dz(n).adjoint().matrix, op.dz_star(n).matrix)
+    assert np.array_equal(op.dz(n).adjoint().dense(), op.dz_star(n).dense())
 
 
 def test_finite_rank_embedding():
     t = op.finite_rank([[1.0]], 4)
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
-    assert np.array_equal(t.matrix, expected)
+    assert np.array_equal(t.dense(), expected)
 
     block = [[0.0, 1.0], [0.0, 0.0]]
     t2 = op.finite_rank(block, 4)
-    assert t2.matrix[0, 1] == 1.0
-    assert np.count_nonzero(t2.matrix) == 1
+    assert t2.dense()[0, 1] == 1.0
+    assert np.count_nonzero(t2.dense()) == 1
 
     t3 = op.finite_rank(np.eye(3), 3)
-    assert np.array_equal(t3.matrix, np.eye(3))
+    assert np.array_equal(t3.dense(), np.eye(3))
 
     with pytest.raises(ValueError):
         op.finite_rank(np.eye(5), 4)
@@ -91,19 +90,19 @@ def test_finite_rank_embedding():
 def test_commutator_number_shift_is_shift():
     n = 8
     c = op.commutator(op.number(n), op.shift(n))
-    assert np.array_equal(c.matrix, op.shift(n).matrix)
+    assert np.array_equal(c.dense(), op.shift(n).dense())
 
 
 def test_commutator_with_itself_vanishes():
     a = op.toeplitz(cos4(), 16)
-    assert np.abs(op.commutator(a, a).matrix).max() == 0.0
+    assert np.abs(op.commutator(a, a).dense()).max() == 0.0
 
 
 def test_adjoint_of_toeplitz_is_toeplitz_of_conjugate():
     f = FourierSeries({2: 1.0 + 0.5j, -1: 0.25j})
     n = 10
-    assert np.array_equal(op.toeplitz(f, n).adjoint().matrix,
-                          op.toeplitz(f.conjugate(), n).matrix)
+    assert np.array_equal(op.toeplitz(f, n).adjoint().dense(),
+                          op.toeplitz(f.conjugate(), n).dense())
 
 
 def test_dimension_mismatch_raises():
@@ -117,7 +116,6 @@ def test_band_metadata_combination():
     s = op.shift(8)
     ss = s @ s
     assert ss.band == (2, 2)
-    assert ss.band_consistent()
     mixed = s + op.shift_adjoint(8)
     assert mixed.band == (-1, 1)
     assert s.adjoint().band == (-1, -1)
@@ -139,7 +137,7 @@ def test_norm_of_number_operator():
 
 def test_norm_toeplitz_cos4_against_full_decomposition():
     a = op.toeplitz(cos4(), 64)
-    oracle = float(np.linalg.svd(a.matrix, compute_uv=False)[0])
+    oracle = float(np.linalg.svd(a.dense(), compute_uv=False)[0])
     value = op.operator_norm(a, 1e-10)
     assert value == pytest.approx(oracle, rel=1e-10)
     # bounded by the sup of the symbol from below
@@ -161,7 +159,7 @@ def test_toeplitz_norm_bounded_by_symbol_sup():
 def test_power_iteration_matches_svd_on_random_matrix():
     rng = np.random.default_rng(11)
     m = rng.standard_normal((96, 96)) + 1j * rng.standard_normal((96, 96))
-    a = op.TruncatedOperator(m)
+    a = op.finite_rank(m, len(m))
     oracle = float(np.linalg.svd(m, compute_uv=False)[0])
     assert op.operator_norm(a, 1e-9) == pytest.approx(oracle, rel=1e-6)
 
@@ -172,7 +170,7 @@ def test_norm_rejects_bad_tolerance():
 
 
 def test_norm_of_zero_matrix():
-    z = op.TruncatedOperator(np.zeros((80, 80)))
+    z = op.finite_rank(np.zeros((80, 80)), 80)
     assert op.operator_norm(z) == 0.0
 
 
@@ -187,7 +185,7 @@ def test_interior_block_margin_zero_is_identity():
 
 def test_interior_of_identity_is_identity():
     inner = op.interior_block(op.identity(10), 3)
-    assert np.array_equal(inner.matrix, np.eye(4))
+    assert np.array_equal(inner.dense(), np.eye(4))
 
 
 def test_interior_commutator_identity_entrywise():
@@ -196,8 +194,8 @@ def test_interior_commutator_identity_entrywise():
     n = 64
     lhs = op.commutator(op.number(n), op.toeplitz(f, n))
     rhs = (-1j) * op.toeplitz(f.derivative(), n)
-    dev = np.abs(op.interior_block(lhs, 4).matrix
-                 - op.interior_block(rhs, 4).matrix).max()
+    dev = np.abs(op.interior_block(lhs, 4).dense()
+                 - op.interior_block(rhs, 4).dense()).max()
     assert dev < 1e-13
 
 
@@ -274,11 +272,11 @@ def test_pattern_kernel_dims_rejects_multi_offset():
 
 
 def test_pattern_realization_matches_matrices():
-    assert np.array_equal(op.dz_pattern().realize(6).matrix, op.dz(6).matrix)
-    assert np.array_equal(op.dz_star_pattern().realize(6).matrix,
-                          op.dz_star(6).matrix)
-    assert np.array_equal(op.shift_pattern().realize(6).matrix,
-                          op.shift(6).matrix)
+    assert np.array_equal(op.dz_pattern().realize(6).dense(), op.dz(6).dense())
+    assert np.array_equal(op.dz_star_pattern().realize(6).dense(),
+                          op.dz_star(6).dense())
+    assert np.array_equal(op.shift_pattern().realize(6).dense(),
+                          op.shift(6).dense())
 
 
 def test_rectangular_dims_match_exact_and_are_stable():
@@ -324,6 +322,10 @@ def test_csv_dump_format():
 
 def test_matrix_validation():
     with pytest.raises(ValueError):
-        op.TruncatedOperator(np.ones((2, 3)))
+        op.finite_rank(np.ones((2, 3)), 3)
     with pytest.raises(ValueError):
-        op.TruncatedOperator(np.array([[np.inf]]))
+        op.finite_rank(np.array([[np.inf]]), 1)
+    with pytest.raises(ValueError):
+        op.TruncatedOperator(np.ones(3), 0)
+    with pytest.raises(ValueError):
+        op.TruncatedOperator(np.array([[np.nan, 1.0]]), 0)

@@ -1,5 +1,7 @@
 """Tests for algebra words, identity verification and boundedness sweeps."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -33,8 +35,10 @@ def sin4_series():
 # ----------------------------------------------------------------------
 
 def test_constructor_guards_wedge_membership():
-    with pytest.raises(ValueError, match="wedge"):
-        AlgebraElement.toeplitz(sin4_series())
+    # FourierSeries({4092: 1.0}) passed a sampled check through aliasing
+    for f in (sin4_series(), FourierSeries({4092: 1.0})):
+        with pytest.raises(ValueError, match="wedge"):
+            AlgebraElement.toeplitz(f)
     # the explicit unchecked constructor is the only negative-control path
     AlgebraElement.unchecked_toeplitz(sin4_series())
 
@@ -44,13 +48,13 @@ def test_realization_is_star_homomorphic():
     b = AlgebraElement.toeplitz(FourierSeries.cosine(8))
     n = 32
     prod = (a * b).realize(n)
-    assert np.array_equal(prod.matrix, (a.realize(n) @ b.realize(n)).matrix)
+    assert np.array_equal(prod.dense(), (a.realize(n) @ b.realize(n)).dense())
     added = (a + b).realize(n)
-    assert np.array_equal(added.matrix, (a.realize(n) + b.realize(n)).matrix)
-    assert np.array_equal(a.adjoint().realize(n).matrix,
-                          a.realize(n).adjoint().matrix)
+    assert np.array_equal(added.dense(), (a.realize(n) + b.realize(n)).dense())
+    assert np.array_equal(a.adjoint().realize(n).dense(),
+                          a.realize(n).adjoint().dense())
     scaled = (2.5j * a).realize(n)
-    assert np.array_equal(scaled.matrix, (2.5j * a.realize(n)).matrix)
+    assert np.array_equal(scaled.dense(), (2.5j * a.realize(n)).dense())
 
 
 def test_realization_cache_returns_same_object():
@@ -97,7 +101,7 @@ def test_commutator_number_constant_vanishes():
     report = verify_commutator_number(FourierSeries.constant(3.0), 64, 1)
     assert report.passed
     lhs = op.commutator(op.number(64), op.toeplitz(FourierSeries.constant(3.0), 64))
-    assert np.abs(lhs.matrix).max() == 0.0
+    assert np.abs(lhs.dense()).max() == 0.0
 
 
 def test_commutator_number_of_u_gives_shift():
@@ -106,7 +110,7 @@ def test_commutator_number_of_u_gives_shift():
     report = verify_commutator_number(u, 32, 1)
     assert report.passed
     lhs = op.commutator(op.number(32), op.shift(32))
-    assert np.array_equal(lhs.matrix, op.shift(32).matrix)
+    assert np.array_equal(lhs.dense(), op.shift(32).dense())
 
 
 def test_commutator_dz_cos4_hand_expansion():
@@ -120,15 +124,15 @@ def test_commutator_dz_cos4_hand_expansion():
         - 2.0 * op.toeplitz(FourierSeries({-5: 1.0}), n)
     lhs = op.commutator(op.dz(n), op.toeplitz(f, n))
     margin = 5
-    assert np.abs(op.interior_block(lhs, margin).matrix
-                  - op.interior_block(hand, margin).matrix).max() < 1e-13
+    assert np.abs(op.interior_block(lhs, margin).dense()
+                  - op.interior_block(hand, margin).dense()).max() < 1e-13
 
 
 def test_commutator_dz_of_u_gives_identity_band():
     # [dz, S] e_m = (m+1) e_m - m e_m = e_m
     n = 32
     lhs = op.commutator(op.dz(n), op.shift(n))
-    assert np.abs(op.interior_block(lhs, 1).matrix - np.eye(n - 2)).max() == 0.0
+    assert np.abs(op.interior_block(lhs, 1).dense() - np.eye(n - 2)).max() == 0.0
     report = verify_commutator_dz(FourierSeries({1: 1.0}), n)
     assert report.passed
 
@@ -141,8 +145,8 @@ def test_delta_two_gives_sixteen_times_cos4():
     num = op.number(n)
     x = op.commutator(num, op.commutator(num, op.toeplitz(f, n)))
     target = 16.0 * op.toeplitz(f, n)
-    assert np.abs(op.interior_block(x, 8).matrix
-                  - op.interior_block(target, 8).matrix).max() < 1e-12
+    assert np.abs(op.interior_block(x, 8).dense()
+                  - op.interior_block(target, 8).dense()).max() < 1e-12
 
 
 def test_delta_one_reduces_to_commutator_number():
@@ -294,6 +298,27 @@ def test_sweep_negative_control_grows():
     assert report.trend == "growing"
     assert not report.stabilized
     assert report.values == sorted(report.values)
+
+
+def test_sweep_logs_svd_fallback(monkeypatch, caplog):
+    def stalled(a, tol=1e-10, max_iterations=op.POWER_ITERATION_CAP):
+        raise op.PowerIterationError("stalled")
+
+    monkeypatch.setattr(op, "operator_norm", stalled)
+    with caplog.at_level(logging.WARNING, logger="toeplitz_triple.triple"):
+        report = boundedness_sweep(cos4_word(), [64, 128], "delta", order=1)
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 2  # one block per size
+    for size, message in zip((64, 128), messages):
+        assert f"dim {size}" in message
+        assert str(op.POWER_ITERATION_CAP) in message
+    # the fallback itself is unchanged: the full decomposition of the
+    # section, which for [N, T_f] is the commutator of the truncations
+    f = FourierSeries.cosine(4)
+    assert report.raw_values == [
+        float(np.linalg.svd(op.commutator(op.number(n), op.toeplitz(f, n)).dense(),
+                            compute_uv=False)[0])
+        for n in (64, 128)]
 
 
 def test_sweep_rejects_bad_sizes():
