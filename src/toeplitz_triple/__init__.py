@@ -11,12 +11,12 @@ from .fourier import FourierSeries, WedgeReport, coefficient_distance, \
     wedge_check, wedge_from_profiles
 from .operators import BandPattern, PowerIterationError, TruncatedOperator, \
     cauchy_riemann_weight_gap, commutator, dz, dz_pattern, dz_star, \
-    dz_star_pattern, finite_rank, identity, interior_block, number, \
-    operator_norm, pattern_kernel_dims, rectangular_kernel_dims, shift, \
-    shift_adjoint, shift_adjoint_pattern, shift_pattern, symbol_estimate, \
-    toeplitz
-from .dirac import DiracBlock, FredholmIndexError, SpectrumReport, \
-    analytic_eigenvector, dirac, fredholm_index, grading, polar_check, \
+    dz_star_pattern, finite_rank, identity, interior_block, \
+    interior_deviation, number, operator_norm, pattern_kernel_dims, \
+    rectangular_kernel_dims, shift, shift_adjoint, shift_adjoint_pattern, \
+    shift_pattern, symbol_estimate, toeplitz
+from .dirac import FredholmIndexError, SpectrumReport, analytic_eigenvector, \
+    block_interior_deviation, dirac, fredholm_index, grading, polar_check, \
     polar_parts, represent, spectrum, summability_partial_sum, \
     summability_report
 from .reports import VerificationReport
@@ -30,7 +30,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraElement",
     "BandPattern",
-    "DiracBlock",
     "FourierSeries",
     "FredholmIndexError",
     "PowerIterationError",
@@ -40,6 +39,7 @@ __all__ = [
     "VerificationReport",
     "WedgeReport",
     "analytic_eigenvector",
+    "block_interior_deviation",
     "boundedness_sweep",
     "cauchy_riemann_weight_gap",
     "coefficient_distance",
@@ -56,6 +56,7 @@ __all__ = [
     "grading",
     "identity",
     "interior_block",
+    "interior_deviation",
     "membership_check",
     "number",
     "operator_norm",

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -59,19 +59,7 @@ class RunConfig:
     rough_control: bool = False
 
     def to_json_obj(self) -> dict:
-        return {
-            "command": self.command,
-            "n": self.n,
-            "sizes": self.sizes,
-            "epsilon": self.epsilon,
-            "partial_sum_terms": self.partial_sum_terms,
-            "symbol_spec": self.symbol_spec,
-            "margin": self.margin,
-            "output_dir": self.output_dir,
-            "emit_svg": self.emit_svg,
-            "tolerance": self.tolerance,
-            "rough_control": self.rough_control,
-        }
+        return asdict(self)
 
 
 def load_symbol(spec: str) -> FourierSeries:

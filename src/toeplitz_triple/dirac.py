@@ -1,14 +1,21 @@
-"""The block Dirac operator on the doubled space, its spectrum and invariants.
+"""The even Dirac operator on the doubled space, its spectrum and invariants.
 
 The operator acts on two copies of ``l2(N)`` as
 
     D = [[0, dz], [dz*, 0]],
 
 with the lowering derivative in the top-right corner and its adjoint in the
-bottom-left.  On the semi-infinite model its spectrum is exactly the integers
-with multiplicity one; the truncation to 2n dimensions keeps the eigenvalues
+bottom-left; the grading is ``id (+) -id`` and the algebra acts as ``a (+) a``.
+On the semi-infinite model the spectrum of D is exactly the integers with
+multiplicity one; the truncation to 2n dimensions keeps the eigenvalues
 ``-(n-1), ..., n-1`` intact and adds a single spurious zero mode supported on
 the last basis vector of the first summand (whose raising image is cut).
+
+The doubled space is stored in Kronecker order, ``H (+) H = H (x) C^2``:
+first-summand ``e_m`` is index ``2m``, second-summand ``e_m`` is ``2m + 1``.
+Then D (offsets +-3), F and |D| (offsets -3..3), ``a (+) a`` and the grading
+are banded ``TruncatedOperator``s of dimension 2n.  Only this module knows
+the order; others compare through ``block_interior_deviation``.
 """
 
 from __future__ import annotations
@@ -23,12 +30,12 @@ from . import operators as op
 from .reports import VerificationReport
 
 __all__ = [
-    "DiracBlock",
     "SpectrumReport",
     "FredholmIndexError",
     "dirac",
     "grading",
     "represent",
+    "block_interior_deviation",
     "analytic_eigenvector",
     "spectrum",
     "polar_check",
@@ -51,51 +58,51 @@ class FredholmIndexError(RuntimeError):
     """Index computations disagree across truncations or methods."""
 
 
-@dataclass
-class DiracBlock:
-    """Truncated Dirac operator: blocks plus the assembled 2n x 2n matrix."""
+def _double(blocks: dict, n: int) -> op.TruncatedOperator:
+    """Operator on the doubled space from its n x n blocks ``{(i, j): block}``.
 
-    n: int
-    top_right: op.TruncatedOperator
-    bottom_left: op.TruncatedOperator
-    assembled: np.ndarray
+    Entry ``(r, c)`` of block ``(i, j)`` goes to ``(2r + i, 2c + j)``, so the
+    block's offset ``d`` becomes offset ``2d + i - j`` on the columns of
+    parity ``j``; absent blocks are zero.
+    """
+    lo = min(2 * b.lo + i - j for (i, j), b in blocks.items())
+    hi = max(2 * b.band[1] + i - j for (i, j), b in blocks.items())
+    out = np.zeros((hi - lo + 1, 2 * n), dtype=complex)
+    for (i, j), b in blocks.items():
+        out[2 * np.arange(b.lo, b.band[1] + 1) + i - j - lo, j::2] = b.diagonals
+    return op.TruncatedOperator(out, lo)
 
-    def __repr__(self):
-        return f"DiracBlock(n={self.n})"
 
-
-def dirac(n: int) -> DiracBlock:
-    """Assemble D = [[0, dz], [dz*, 0]] on the doubled truncated space.
+def dirac(n: int) -> op.TruncatedOperator:
+    """D = [[0, dz], [dz*, 0]] on the doubled truncated space.
 
     The truncated bottom-left block is exactly the conjugate transpose of the
     truncated top-right block (the raising image of ``e_{n-1}`` is cut on both
-    sides), so the assembled matrix is exactly Hermitian.
+    sides), so D is exactly Hermitian.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    tr = op.dz(n)
-    bl = op.dz_star(n)
-    h = np.zeros((2 * n, 2 * n), dtype=complex)
-    h[:n, n:] = tr.dense()
-    h[n:, :n] = bl.dense()
-    h.setflags(write=False)
-    return DiracBlock(n=n, top_right=tr, bottom_left=bl, assembled=h)
+    return _double({(0, 1): op.dz(n), (1, 0): op.dz_star(n)}, n)
 
 
 def grading(n: int) -> op.TruncatedOperator:
     """Grading on the doubled space: +1 on the first summand, -1 on the second."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = np.ones((1, 2 * n))
-    g[0, n:] = -1.0
-    return op.TruncatedOperator(g, 0)
+    one = op.identity(n)
+    return _double({(0, 0): one, (1, 1): -one}, n)
 
 
 def represent(a: op.TruncatedOperator) -> op.TruncatedOperator:
     """Diagonal doubling a -> a (+) a of the representation on the doubled space."""
-    # both copies sit on the diagonal, so the offsets are unchanged; an entry
-    # of one copy whose row leaves its block is already stored as 0
-    return op.TruncatedOperator(np.hstack([a.diagonals, a.diagonals]), a.lo)
+    return _double({(0, 0): a, (1, 1): a}, a.dim)
+
+
+def block_interior_deviation(a: op.TruncatedOperator, b: op.TruncatedOperator,
+                             margin: int) -> float:
+    """Largest ``|a - b|`` over the interiors, at ``margin``, of the four
+    n x n blocks; in Kronecker order they make the interior at ``2 * margin``."""
+    return op.interior_deviation(a, b, 2 * margin)
 
 
 def analytic_eigenvector(k: int, n: int) -> np.ndarray:
@@ -109,12 +116,12 @@ def analytic_eigenvector(k: int, n: int) -> np.ndarray:
         raise ValueError(f"|k| must be <= n - 1 = {n - 1}, got k = {k}")
     v = np.zeros(2 * n, dtype=complex)
     if k == 0:
-        v[n] = 1.0
+        v[1] = 1.0
         return v
     j = abs(k)
     s = 1.0 / math.sqrt(2.0)
-    v[j - 1] = s if k > 0 else -s
-    v[n + j] = s
+    v[2 * (j - 1)] = s if k > 0 else -s
+    v[2 * j + 1] = s
     return v
 
 
@@ -147,20 +154,21 @@ class SpectrumReport:
             writer.writerow([i, repr(ev), repr(res), int(i in flags)])
 
 
-def _eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of Hermitian ``h``, one component at a time.
+def _eigensystem(h: op.TruncatedOperator) -> list:
+    """Eigensystem of Hermitian ``h``, one component at a time.
 
-    The result is the pair a dense ``eigh`` of ``h`` returns, except that the
-    eigenvalues come in component order rather than sorted.  The components
-    of the nonzero pattern are read off ``h`` by label propagation, each
-    index ending labelled with the smallest index of its component.
-    Components are taken in order of that smallest index, and those of one
-    size share a batched eigensolve whose eigenvectors fill the rows and
-    columns named by each component's own indices.  Exact for any Hermitian
-    ``h``; for D every component has at most two indices.
+    The components of the nonzero pattern are read off the stored diagonals
+    by label propagation, each index ending labelled with the smallest index
+    of its component; those of one size share a batched eigensolve.  Returns
+    one ``(idx, block, w, v)`` per component size: ``idx[c]`` lists the
+    indices of component c in increasing order, ``block[c]`` is ``h`` on
+    them, and eigenpair ``w[c, t]``, ``v[c, :, t]`` is filed under index
+    ``idx[c, t]``.  Exact for any Hermitian ``h``; for D every component has
+    at most two indices.
     """
-    rows, cols = np.nonzero(h)
-    labels = np.arange(h.shape[0])
+    diag, cols = np.nonzero(h.diagonals)
+    rows = cols + h.lo + diag
+    labels = np.arange(h.dim)
     while True:
         new = labels.copy()
         np.minimum.at(new, rows, labels[cols])
@@ -171,16 +179,18 @@ def _eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(labels, kind="stable")
     _, starts, sizes = np.unique(labels[order], return_index=True,
                                  return_counts=True)
-    evals = np.zeros(h.shape[0])
-    vecs = np.zeros(h.shape, dtype=complex)
+    lo, hi = h.band
+    parts = []
     for size in np.unique(sizes):
         idx = order[starts[sizes == size][:, None] + np.arange(size)]
-        block = (idx[:, :, None], idx[:, None, :])
-        evals[idx], vecs[block] = np.linalg.eigh(h[block])
-    return evals, vecs
+        j = idx[:, :, None] - idx[:, None, :] - lo
+        picked = h.diagonals[j.clip(0, hi - lo), idx[:, None, :]]
+        block = np.where((j >= 0) & (j <= hi - lo), picked, 0)
+        parts.append((idx, block, *np.linalg.eigh(block)))
+    return parts
 
 
-def spectrum(d: DiracBlock, tol: float = 1e-10) -> SpectrumReport:
+def spectrum(d: op.TruncatedOperator, tol: float = 1e-10) -> SpectrumReport:
     """Full Hermitian eigendecomposition with the boundary zero mode flagged.
 
     The truncation has the exact eigenvalues ``+-1, ..., +-(n-1)`` once each,
@@ -189,18 +199,23 @@ def spectrum(d: DiracBlock, tol: float = 1e-10) -> SpectrumReport:
     modes are separate components of D's nonzero pattern, so the eigensolve
     returns each as its own basis vector.  A zero mode is flagged spurious
     when its eigenvector vanishes on the second summand, where the
-    semi-infinite kernel 0 (+) e_0 lives.
+    semi-infinite kernel 0 (+) e_0 lives; it sorts before the true zero mode.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    h = d.assembled
-    n = d.n
-    evals, vecs = _eigensystem(h)
-    order = np.argsort(evals, kind="stable")
-    evals = evals[order]
-    vecs = vecs[:, order]
-    flags = (np.abs(evals) < ZERO_WINDOW) & ~vecs[n:].any(axis=0)
-    residuals = np.linalg.norm(h @ vecs - vecs * evals[None, :], axis=0)
+    evals = np.zeros(d.dim)
+    residuals = np.zeros(d.dim)
+    on_second = np.zeros(d.dim, dtype=bool)
+    for idx, block, w, v in _eigensystem(d):
+        evals[idx] = w
+        residuals[idx] = np.linalg.norm(block @ v - v * w[:, None, :], axis=1)
+        # second-summand indices are the odd ones
+        on_second[idx] = ((idx % 2 == 1)[:, :, None] & (v != 0)).any(axis=1)
+    flags = (np.abs(evals) < ZERO_WINDOW) & ~on_second
+    # the true zero mode (index 1) precedes the spurious one (index 2n - 2),
+    # so ties go to the flagged mode to keep it first of the double zero
+    order = np.lexsort((~flags, evals))
+    evals, residuals, flags = evals[order], residuals[order], flags[order]
 
     distinct, mults = [], []
     group_tol = max(tol, 1e-9)
@@ -216,7 +231,7 @@ def spectrum(d: DiracBlock, tol: float = 1e-10) -> SpectrumReport:
         spurious=[int(i) for i in np.where(flags)[0]],
         distinct_values=distinct,
         multiplicities=mults,
-        dim=2 * n,
+        dim=d.dim,
     )
 
 
@@ -224,28 +239,30 @@ def spectrum(d: DiracBlock, tol: float = 1e-10) -> SpectrumReport:
 # polar decomposition
 # ----------------------------------------------------------------------
 
-def polar_parts(n: int) -> tuple[np.ndarray, np.ndarray]:
+def polar_parts(n: int) -> tuple[op.TruncatedOperator, op.TruncatedOperator]:
     """(F, |D|) of the polar decomposition D = F |D|.
 
-    Both come from the eigensystem of D: ``|D| = V |lambda| V*`` and
-    ``F = V sign(lambda) V*``, where eigenvalues below ``PINV_CUTOFF`` times
-    the operator norm count as kernel and get sign 0, so F vanishes on the
-    kernel of |D|.
+    Both come from the eigensystem of D, one component at a time:
+    ``|D| = V |lambda| V*`` and ``F = V sign(lambda) V*``, where eigenvalues
+    below ``PINV_CUTOFF`` times the operator norm count as kernel and get
+    sign 0, so F vanishes on the kernel of |D|.  Each component's product is
+    scattered into a band array, so both are banded.
     """
-    w, v = _eigensystem(dirac(n).assembled)
-    s = np.abs(w)
-    sign = np.where(s > PINV_CUTOFF * s.max(), np.sign(w), 0.0)
-    return (v * sign) @ v.conj().T, (v * s) @ v.conj().T
-
-
-def _block(m: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
-    return m[i * n:(i + 1) * n, j * n:(j + 1) * n]
-
-
-def _interior_dev(x: np.ndarray, y: np.ndarray, margin: int) -> float:
-    n = x.shape[0]
-    sl = slice(margin, n - margin)
-    return float(np.abs(x[sl, sl] - y[sl, sl]).max())
+    parts = _eigensystem(dirac(n))
+    top = max(np.abs(w).max() for _, _, w, _ in parts)
+    # the indices of a component increase, so its first and last are the
+    # furthest apart
+    reach = max(int((idx[:, -1] - idx[:, 0]).max()) for idx, _, _, _ in parts)
+    f = np.zeros((2 * reach + 1, 2 * n), dtype=complex)
+    absd = np.zeros_like(f)
+    for idx, _, w, v in parts:
+        s = np.abs(w)
+        sign = np.where(s > PINV_CUTOFF * top, np.sign(w), 0.0)
+        vh = v.conj().swapaxes(1, 2)
+        at = (idx[:, :, None] - idx[:, None, :] + reach, idx[:, None, :])
+        f[at] = (v * sign[:, None, :]) @ vh
+        absd[at] = (v * s[:, None, :]) @ vh
+    return op.TruncatedOperator(f, -reach), op.TruncatedOperator(absd, -reach)
 
 
 def polar_check(n: int, margin: int, tol: float = 1e-10) -> VerificationReport:
@@ -260,32 +277,15 @@ def polar_check(n: int, margin: int, tol: float = 1e-10) -> VerificationReport:
         raise ValueError("margin must be >= 1")
     if 2 * margin >= n:
         raise ValueError(f"margin {margin} too large for n = {n}")
-    d = dirac(n)
     f, absd = polar_parts(n)
-    num = op.number(n).dense()
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-
-    dev_absd = max(
-        _interior_dev(_block(absd, n, 0, 0), num + eye, margin),
-        _interior_dev(_block(absd, n, 1, 1), num, margin),
-        _interior_dev(_block(absd, n, 0, 1), zero, margin),
-        _interior_dev(_block(absd, n, 1, 0), zero, margin),
-    )
-    dev_f = max(
-        _interior_dev(_block(f, n, 0, 1), op.shift_adjoint(n).dense(), margin),
-        _interior_dev(_block(f, n, 1, 0), op.shift(n).dense(), margin),
-        _interior_dev(_block(f, n, 0, 0), zero, margin),
-        _interior_dev(_block(f, n, 1, 1), zero, margin),
-    )
-    recomposed = f @ absd
-    dev_rec = max(
-        _interior_dev(_block(recomposed, n, i, j), _block(d.assembled, n, i, j), margin)
-        for i in (0, 1) for j in (0, 1)
-    )
+    num = op.number(n)
+    expected_absd = _double({(0, 0): num + op.identity(n), (1, 1): num}, n)
+    expected_f = _double({(0, 1): op.shift_adjoint(n), (1, 0): op.shift(n)}, n)
+    dev_absd = block_interior_deviation(absd, expected_absd, margin)
+    dev_f = block_interior_deviation(f, expected_f, margin)
+    dev_rec = block_interior_deviation(f @ absd, dirac(n), margin)
     # full-matrix deviation, collar included: shows the boundary artifact size
-    full_absd_dev = float(np.abs(absd - np.block(
-        [[num + eye, zero], [zero, num]])).max())
+    full_absd_dev = block_interior_deviation(absd, expected_absd, 0)
 
     worst = max(dev_absd, dev_f, dev_rec)
     return VerificationReport(
@@ -311,20 +311,22 @@ def polar_check(n: int, margin: int, tol: float = 1e-10) -> VerificationReport:
 def fredholm_index(n_small: int, n_large: int) -> int:
     """Index of the off-diagonal polar factor block, computed two ways.
 
-    The block of F mapping the negative graded summand to the positive one is
-    extracted from the polar factor that ``polar_parts`` builds from the
-    eigensystem of D, and matched against the adjoint-shift band pattern.  The index is then computed (a) exactly on
-    the semi-infinite pattern and (b) numerically from rectangular truncations
-    at both sizes; all three must agree.
+    The polar factor F that ``polar_parts`` builds from the eigensystem of D
+    is matched, all four blocks, against ``[[0, S*], [S, 0]]``, whose
+    top-right block maps the negative graded summand to the positive one
+    with the adjoint-shift band pattern.  The index of that pattern is then
+    computed (a) exactly on the semi-infinite pattern and (b) numerically
+    from rectangular truncations at both sizes; all three must agree.
     """
     if not (2 <= n_small < n_large):
         raise ValueError("need 2 <= n_small < n_large")
     f, _ = polar_parts(n_small)
-    top_right = _block(f, n_small, 0, 1)
-    pattern_dev = float(np.abs(top_right - op.shift_adjoint(n_small).dense()).max())
+    expected = _double({(0, 1): op.shift_adjoint(n_small),
+                        (1, 0): op.shift(n_small)}, n_small)
+    pattern_dev = block_interior_deviation(f, expected, 0)
     if pattern_dev > 1e-6:
         raise FredholmIndexError(
-            f"polar factor block deviates from the adjoint shift by {pattern_dev:.3e}")
+            f"polar factor deviates from [[0, S*], [S, 0]] by {pattern_dev:.3e}")
 
     pattern = op.shift_adjoint_pattern()
     ker, coker = op.pattern_kernel_dims(pattern)

@@ -15,6 +15,7 @@ wedge of two circles (all four corner points +-1, +-i are identified).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,8 @@ class FourierSeries:
 
     Instances are immutable values: every operation returns a new series.
     Coefficients with magnitude below ``DROP_TOL`` times the largest magnitude
-    are dropped on construction.
+    are dropped on construction; a coefficient that is not finite raises
+    ``ValueError``, since it would make that cutoff drop every coefficient.
     """
 
     __slots__ = ("_coeffs",)
@@ -49,6 +51,9 @@ class FourierSeries:
         cleaned = {}
         if coeffs:
             items = [(int(k), complex(v)) for k, v in dict(coeffs).items()]
+            if not all(math.isfinite(v.real) and math.isfinite(v.imag)
+                       for _, v in items):
+                raise ValueError("Fourier coefficients must be finite")
             top = max(abs(v) for _, v in items)
             cutoff = DROP_TOL * top
             cleaned = {k: v for k, v in items if abs(v) > cutoff}
@@ -96,14 +101,16 @@ class FourierSeries:
     def from_samples(cls, values) -> "FourierSeries":
         """Series whose values at the angles ``2*pi*j/n`` are ``values[j]``.
 
-        The sample count must be a power of two, at least 8.  Frequencies are
-        centered: ``k`` runs over ``[-n/2, n/2)``.  Band-limited inputs are
-        reproduced exactly up to rounding.
+        The sample count must be a power of two, at least 8, and every sample
+        finite.  Frequencies are centered: ``k`` runs over ``[-n/2, n/2)``.
+        Band-limited inputs are reproduced exactly up to rounding.
         """
         values = np.asarray(values, dtype=complex).ravel()
         n = values.size
         if n < 8 or n & (n - 1) != 0:
             raise ValueError(f"sample count must be a power of two >= 8, got {n}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("samples must be finite")
         spectrum = np.fft.fft(values) / n
         coeffs = {}
         for i in range(n):

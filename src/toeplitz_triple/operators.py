@@ -44,6 +44,7 @@ __all__ = [
     "commutator",
     "operator_norm",
     "interior_block",
+    "interior_deviation",
     "symbol_estimate",
     "cauchy_riemann_weight_gap",
     "shift_pattern",
@@ -313,7 +314,11 @@ def operator_norm(a: TruncatedOperator, tol: float = 1e-10,
     Uses a full decomposition for ``dim <= 64``, otherwise power iteration on
     ``A* A`` started from the normalized all-ones vector (deterministic, so
     reports are reproducible).  The stop rule watches the value, not the
-    vector.  Nearly degenerate top singular values slow the iteration down;
+    vector: it stops once the value moves by at most ``tol`` (relative)
+    between steps, and the result can then fall short of the norm by far
+    more than ``tol``; for ``[N, T_f]`` with ``f = cos(4 theta)`` at n = 128
+    and ``tol`` 1e-9 it is 1.8e-8 relative below the dense SVD value.
+    Nearly degenerate top singular values slow the iteration down;
     when the cap is hit, a PowerIterationError signals the caller to fall back
     to a full decomposition.
     """
@@ -356,6 +361,13 @@ def interior_block(a: TruncatedOperator, margin: int) -> TruncatedOperator:
     if margin == 0:
         return a
     return TruncatedOperator(a.diagonals[:, margin:a.dim - margin], a.lo)
+
+
+def interior_deviation(a: TruncatedOperator, b: TruncatedOperator,
+                       margin: int) -> float:
+    """Largest entry of ``|a - b|`` on the interior blocks at ``margin``."""
+    diff = interior_block(a, margin) - interior_block(b, margin)
+    return float(np.abs(diff.diagonals).max())
 
 
 def symbol_estimate(a: TruncatedOperator, max_freq: int) -> FourierSeries:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as op
-from .dirac import dirac, grading, polar_parts, represent
+from .dirac import block_interior_deviation, dirac, grading, polar_parts, \
+    represent
 from .fourier import FourierSeries, coefficient_distance, wedge_check
 from .reports import VerificationReport
 
@@ -250,12 +251,6 @@ class AlgebraElement:
 # identity checks
 # ----------------------------------------------------------------------
 
-def _interior_max_dev(a: op.TruncatedOperator, b: op.TruncatedOperator,
-                      margin: int) -> float:
-    diff = op.interior_block(a, margin) - op.interior_block(b, margin)
-    return float(np.abs(diff.diagonals).max())
-
-
 def verify_commutator_number(f: FourierSeries, n: int, margin: int | None = None,
                              tolerance: float = 1e-12) -> VerificationReport:
     """[N, T_f] equals -i T_{f'} on interior blocks."""
@@ -269,7 +264,7 @@ def verify_commutator_number(f: FourierSeries, n: int, margin: int | None = None
         raise ValueError(f"n must exceed 4*margin = {4 * margin}")
     lhs = op.commutator(op.number(n), op.toeplitz(f, n))
     rhs = (-1j) * op.toeplitz(f.derivative(), n)
-    dev = _interior_max_dev(lhs, rhs, margin)
+    dev = op.interior_deviation(lhs, rhs, margin)
     return VerificationReport("commutator_number", dev < tolerance, dev,
                               tolerance, n, margin)
 
@@ -286,7 +281,7 @@ def verify_commutator_dz(f: FourierSeries, n: int, margin: int | None = None,
         raise ValueError(f"n must exceed 4*margin = {4 * margin}")
     lhs = op.commutator(op.dz(n), op.toeplitz(f, n))
     rhs = (-1j) * op.toeplitz(f.derivative().shifted(-1), n)
-    dev = _interior_max_dev(lhs, rhs, margin)
+    dev = op.interior_deviation(lhs, rhs, margin)
     return VerificationReport("commutator_dz", dev < tolerance, dev,
                               tolerance, n, margin)
 
@@ -310,7 +305,7 @@ def verify_delta_k(f: FourierSeries, k: int, n: int, margin: int | None = None,
         x = op.commutator(num, x)
         g = g.derivative()
     rhs = (-1j) ** k * op.toeplitz(g, n)
-    dev = _interior_max_dev(x, rhs, margin)
+    dev = op.interior_deviation(x, rhs, margin)
     return VerificationReport(f"delta_{k}", dev < tolerance, dev,
                               tolerance, n, margin)
 
@@ -324,7 +319,7 @@ def verify_dzstar_via_adjoint(a: AlgebraElement, n: int, margin: int = 0,
     mat_star = a.adjoint().realize(n)
     lhs = op.commutator(op.dz_star(n), mat)
     rhs = -(op.commutator(op.dz(n), mat_star).adjoint())
-    dev = _interior_max_dev(lhs, rhs, margin)
+    dev = op.interior_deviation(lhs, rhs, margin)
     return VerificationReport("dzstar_via_adjoint", dev < tolerance, dev,
                               tolerance, n, margin,
                               details={"word": a.describe()})
@@ -345,16 +340,9 @@ def delta_absdirac_spot_check(f: FourierSeries, n: int,
     if n <= 4 * margin:
         raise ValueError(f"n must exceed 4*margin = {4 * margin}")
     _, absd = polar_parts(n)
-    doubled = represent(op.toeplitz(f, n)).dense()
-    comm = absd @ doubled - doubled @ absd
-    expected = ((-1j) * op.toeplitz(f.derivative(), n)).dense()
-    sl = slice(margin, n - margin)
-    dev = max(
-        float(np.abs(comm[:n, :n][sl, sl] - expected[sl, sl]).max()),
-        float(np.abs(comm[n:, n:][sl, sl] - expected[sl, sl]).max()),
-        float(np.abs(comm[:n, n:][sl, sl]).max()),
-        float(np.abs(comm[n:, :n][sl, sl]).max()),
-    )
+    comm = op.commutator(absd, represent(op.toeplitz(f, n)))
+    expected = represent((-1j) * op.toeplitz(f.derivative(), n))
+    dev = block_interior_deviation(comm, expected, margin)
     return VerificationReport("delta_absdirac_spot_check", dev < tolerance,
                               dev, tolerance, n, margin)
 
@@ -366,14 +354,13 @@ def evenness_check(a: AlgebraElement, n: int) -> VerificationReport:
     representation have integer-patterned block structure, so all four
     residuals vanish exactly in floating point, not just approximately.
     """
-    g = grading(n).dense()
-    d = dirac(n).assembled
-    p = represent(a.realize(n)).dense()
-    eye = np.eye(2 * n)
-    r_inv = float(np.abs(g @ g - eye).max())
-    r_sa = float(np.abs(g - g.conj().T).max())
-    r_anti = float(np.abs(g @ d + d @ g).max())
-    r_comm = float(np.abs(g @ p - p @ g).max())
+    g = grading(n)
+    d = dirac(n)
+    p = represent(a.realize(n))
+    r_inv = block_interior_deviation(g @ g, op.identity(2 * n), 0)
+    r_sa = block_interior_deviation(g, g.adjoint(), 0)
+    r_anti = block_interior_deviation(g @ d, -(d @ g), 0)
+    r_comm = block_interior_deviation(g @ p, p @ g, 0)
     worst = max(r_inv, r_sa, r_anti, r_comm)
     return VerificationReport(
         name="evenness",

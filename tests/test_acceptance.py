@@ -56,7 +56,7 @@ def test_criterion_01_spectrum():
 
 def test_criterion_02_eigenbasis():
     n = 256
-    h = dirac(n).assembled
+    h = dirac(n).dense()
     basis = np.column_stack([analytic_eigenvector(k, n)
                              for k in range(-(n - 2), n - 1)])
     ks = np.arange(-(n - 2), n - 1, dtype=float)

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toeplitz_triple import operators as op
-from toeplitz_triple.dirac import represent
+from toeplitz_triple.dirac import dirac, polar_check, polar_parts, represent, \
+    spectrum
 from toeplitz_triple.fourier import FourierSeries, coefficient_distance
 from toeplitz_triple.triple import verify_commutator_dz, verify_delta_k
 
@@ -64,13 +65,12 @@ scalars = st.complex_numbers(max_magnitude=4, allow_nan=False,
 @given(pairs, scalars)
 def test_linear_operations_match_dense(pair, scalar):
     (a, x), (b, y) = pair
-    zero = np.zeros_like(x)
     assert np.array_equal(a.dense(), x)
     assert np.array_equal((a + b).dense(), x + y)
     assert np.array_equal((a - b).dense(), x - y)
     assert np.array_equal((scalar * a).dense(), scalar * x)
     assert np.array_equal(a.adjoint().dense(), x.conj().T)
-    assert np.array_equal(represent(a).dense(), np.block([[x, zero], [zero, x]]))
+    assert np.array_equal(represent(a).dense(), np.kron(x, np.eye(2)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,3 +120,12 @@ def test_storage_and_checks_scale_with_the_band():
     assert held_bytes(op.toeplitz(f, n)) <= 33 * n * 16
     assert verify_commutator_dz(f, n).passed
     assert verify_delta_k(f, 3, n).passed
+
+
+def test_doubled_space_scales_with_the_band():
+    n = 16384
+    assert spectrum(dirac(n)).spurious == [n - 1]
+    assert polar_check(n, 2).passed
+    # offsets -3..3 of 2n complex entries; a dense factor would take 16 GiB
+    for factor in polar_parts(n):
+        assert held_bytes(factor) <= 7 * 2 * n * 16

@@ -202,6 +202,20 @@ def test_usage_error_writes_error_record(tmp_path):
     assert report["checks"] == []
 
 
+def test_non_finite_sample_file_is_a_config_error(tmp_path):
+    # such a file used to become the zero series, and verify passed on it
+    path = tmp_path / "samples.txt"
+    path.write_text("nan\n" + "1.0\n" * 7)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "64", "--symbol", str(path),
+              "--output-dir", str(tmp_path)])
+    assert exc.value.code == EXIT_USAGE
+    report = read_report(tmp_path)
+    assert report["error"]["type"] == "config"
+    assert "finite" in report["error"]["message"]
+    assert report["checks"] == []
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     override = tmp_path / "elsewhere"
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(override))

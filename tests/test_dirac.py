@@ -8,8 +8,10 @@ import pytest
 
 from toeplitz_triple import operators as op
 from toeplitz_triple.dirac import (
+    PINV_CUTOFF,
     _eigensystem,
     analytic_eigenvector,
+    block_interior_deviation,
     dirac,
     fredholm_index,
     grading,
@@ -32,18 +34,17 @@ def test_dirac_n2_hand_assembly():
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 3] = 1.0
     expected[3, 0] = 1.0
-    assert np.array_equal(d.assembled, expected)
+    assert np.array_equal(d.dense(), expected)
 
 
 def test_dirac_diagonal_blocks_zero():
-    d = dirac(9)
-    n = 9
-    assert np.abs(d.assembled[:n, :n]).max() == 0.0
-    assert np.abs(d.assembled[n:, n:]).max() == 0.0
+    h = dirac(9).dense()
+    assert np.abs(h[0::2, 0::2]).max() == 0.0
+    assert np.abs(h[1::2, 1::2]).max() == 0.0
 
 
 def test_dirac_exactly_hermitian():
-    h = dirac(17).assembled
+    h = dirac(17).dense()
     assert np.abs(h - h.conj().T).max() == 0.0
 
 
@@ -59,7 +60,7 @@ def test_dirac_requires_n_at_least_two():
 def test_grading_relations_exact():
     n = 16
     g = grading(n).dense()
-    d = dirac(n).assembled
+    d = dirac(n).dense()
     assert np.abs(g @ g - np.eye(2 * n)).max() == 0.0
     assert np.abs(g - g.conj().T).max() == 0.0
     assert np.abs(g @ d + d @ g).max() == 0.0
@@ -83,6 +84,48 @@ def test_representation_properties():
                           (represent(a) @ represent(b)).dense())
 
 
+@pytest.mark.parametrize("n", [2, 3, 17])
+def test_doubled_space_is_in_kronecker_order(n):
+    # perm maps block order (first summand 0..n-1, then the second) to
+    # Kronecker order (first-summand e_m at 2m, second-summand e_m at 2m + 1)
+    perm = np.zeros((2 * n, 2 * n))
+    perm[np.r_[0:2 * n:2, 1:2 * n:2], np.arange(2 * n)] = 1.0
+    zero = np.zeros((n, n))
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    blocks = [
+        (dirac(n), np.block([[zero, op.dz(n).dense()],
+                             [op.dz_star(n).dense(), zero]])),
+        (grading(n), np.diag(np.r_[np.ones(n), -np.ones(n)])),
+        (represent(op.finite_rank(a, n)), np.block([[a, zero], [zero, a]])),
+    ]
+    for banded, block_form in blocks:
+        assert np.array_equal(banded.dense(), perm @ block_form @ perm.T)
+    # both polar factors against a dense eigensolve of D
+    w, v = np.linalg.eigh(dirac(n).dense())
+    s = np.abs(w)
+    sign = np.where(s > PINV_CUTOFF * s.max(), np.sign(w), 0.0)
+    f, absd = polar_parts(n)
+    assert np.abs(f.dense() - (v * sign) @ v.conj().T).max() < 1e-12
+    assert np.abs(absd.dense() - (v * s) @ v.conj().T).max() < 1e-12
+
+
+def test_block_interior_deviation_is_over_the_four_block_interiors():
+    n = 11
+    rng = np.random.default_rng(5)
+    # entries grow toward the edges, so every margin has its own maximum
+    edge = np.abs(np.arange(2 * n) - (2 * n - 1) / 2)
+    x = rng.uniform(0, 1, (2 * n, 2 * n)) + 10 * np.maximum.outer(edge, edge)
+    y = rng.uniform(0, 1, (2 * n, 2 * n))
+    a, b = op.finite_rank(x, 2 * n), op.finite_rank(y, 2 * n)
+    for margin in range(n // 2 + 1):
+        sl = slice(margin, n - margin)
+        # block (i, j) of a doubled matrix is its rows i::2, columns j::2
+        expected = max(float(np.abs((x - y)[i::2, j::2][sl, sl]).max())
+                       for i in (0, 1) for j in (0, 1))
+        assert block_interior_deviation(a, b, margin) == expected
+
+
 # ----------------------------------------------------------------------
 # analytic eigenvectors
 # ----------------------------------------------------------------------
@@ -90,24 +133,25 @@ def test_representation_properties():
 def test_eigenvector_k0():
     v = analytic_eigenvector(0, 4)
     expected = np.zeros(8, dtype=complex)
-    expected[4] = 1.0
+    expected[1] = 1.0  # second-summand e_0
     assert np.array_equal(v, expected)
 
 
 def test_eigenvector_k_plus_minus_one():
     n = 4
     s = 1 / math.sqrt(2)
+    # first-summand e_0 is index 0, second-summand e_1 is index 3
     v = analytic_eigenvector(1, n)
     assert v[0] == pytest.approx(s)
-    assert v[n + 1] == pytest.approx(s)
+    assert v[3] == pytest.approx(s)
     w = analytic_eigenvector(-1, n)
     assert w[0] == pytest.approx(-s)
-    assert w[n + 1] == pytest.approx(s)
+    assert w[3] == pytest.approx(s)
 
 
 def test_eigenvectors_are_exact_eigenvectors():
     n = 16
-    h = dirac(n).assembled
+    h = dirac(n).dense()
     for k in range(-(n - 1), n):
         v = analytic_eigenvector(k, n)
         assert np.linalg.norm(h @ v - k * v) == 0.0
@@ -122,7 +166,7 @@ def test_eigenbasis_with_spurious_mode_is_orthonormal():
     n = 16
     columns = [analytic_eigenvector(k, n) for k in range(-(n - 1), n)]
     spurious = np.zeros(2 * n, dtype=complex)
-    spurious[n - 1] = 1.0  # first-summand e_{n-1}, the truncation artifact
+    spurious[2 * n - 2] = 1.0  # first-summand e_{n-1}, the truncation artifact
     basis = np.column_stack(columns + [spurious])
     gram = basis.conj().T @ basis
     assert np.abs(gram - np.eye(2 * n)).max() < 1e-12
@@ -143,13 +187,26 @@ def test_eigensystem_reads_components_off_the_matrix():
     h[0, 0], h[3, 3], h[5, 5] = 1.0, -1.5, 3.0
     h[1, 6], h[1, 1] = 2.0 - 1.0j, 0.75
     h = h + np.triu(h, 1).conj().T
-    evals, vecs = _eigensystem(h)
+    parts = _eigensystem(op.finite_rank(h, n))
+    assert [idx.tolist() for idx, _, _, _ in parts] == [[[2], [4]], [[1, 6]],
+                                                        [[0, 3, 5]]]
+    evals = np.zeros(n)
+    vecs = np.zeros((n, n), dtype=complex)
+    for idx, block, w, v in parts:
+        assert np.array_equal(block, h[idx[:, :, None], idx[:, None, :]])
+        evals[idx] = w
+        vecs[idx[:, :, None], idx[:, None, :]] = v
     assert np.abs(np.sort(evals) - np.linalg.eigvalsh(h)).max() < 1e-12
     assert np.abs(vecs.conj().T @ vecs - np.eye(n)).max() < 1e-12
     assert np.abs(h @ vecs - vecs * evals).max() < 1e-12
     # each eigenvector lives on its own component
     assert evals[2] == 0.5 and evals[4] == -2.0
     assert not vecs[[0, 2, 3, 4, 5]][:, [1, 6]].any()
+    # a tridiagonal path is one component whose far pairs lie off the band
+    path = op.TruncatedOperator(np.ones((3, 4)), -1)
+    [(idx, block, _, _)] = _eigensystem(path)
+    assert idx.tolist() == [[0, 1, 2, 3]]
+    assert np.array_equal(block[0], path.dense())
 
 
 @pytest.mark.parametrize("n", [2, 8, 64])
@@ -160,13 +217,23 @@ def test_spectrum_ladder(n):
     assert max(report.residuals) < 1e-10
     assert report.spurious == [n - 1]
     assert report.eigenvalues[n - 1] == 0.0
-    # the flagged mode, in the order spectrum sorts the eigensystem, is
-    # first-summand e_{n-1}
-    evals, vecs = _eigensystem(dirac(n).assembled)
-    flagged = vecs[:, np.argsort(evals, kind="stable")[n - 1]]
-    expected = np.zeros(2 * n)
-    expected[n - 1] = 1.0
-    assert np.array_equal(np.abs(flagged), expected)
+    # the two zero modes are the singleton components: second-summand e_0
+    # (index 1, the true mode) and first-summand e_{n-1} (index 2n-2, the
+    # flagged one), each its own basis vector
+    idx, block, w, v = _eigensystem(dirac(n))[0]
+    assert idx.tolist() == [[1], [2 * n - 2]]
+    assert not block.any() and not w.any()
+    assert np.array_equal(np.abs(v), np.ones((2, 1, 1)))
+
+
+def test_spectrum_flags_only_zero_modes_off_the_second_summand():
+    # diagonal operators with one zero mode: on second-summand e_0 (index 1)
+    # it is the true kernel; on first-summand e_1 (index 2) it is flagged
+    kept = spectrum(op.TruncatedOperator([[3.0, 0.0, -2.0, 1.0]], 0))
+    assert kept.eigenvalues == [-2.0, 0.0, 1.0, 3.0] and kept.spurious == []
+    flagged = spectrum(op.TruncatedOperator([[3.0, 1.0, 0.0, -2.0]], 0))
+    assert flagged.eigenvalues == [-2.0, 0.0, 1.0, 3.0]
+    assert flagged.spurious == [1]
 
 
 def test_spectrum_n2():
@@ -207,12 +274,12 @@ def test_spectrum_rejects_bad_tolerance():
 
 def test_abs_dirac_matches_number_blocks_interior():
     n = 32
-    _, a = polar_parts(n)
+    a = polar_parts(n)[1].dense()
     expected_tl = np.diag(np.arange(1, n + 1, dtype=float))
     expected_br = np.diag(np.arange(n, dtype=float))
     sl = slice(2, n - 2)
-    assert np.abs(a[:n, :n][sl, sl] - expected_tl[sl, sl]).max() < 1e-10
-    assert np.abs(a[n:, n:][sl, sl] - expected_br[sl, sl]).max() < 1e-10
+    assert np.abs(a[0::2, 0::2][sl, sl] - expected_tl[sl, sl]).max() < 1e-10
+    assert np.abs(a[1::2, 1::2][sl, sl] - expected_br[sl, sl]).max() < 1e-10
 
 
 def test_polar_check_passes_at_64():

@@ -51,6 +51,22 @@ def test_from_samples_rejects_bad_counts(count):
         FourierSeries.from_samples(np.ones(count))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(1.0, math.nan)])
+def test_non_finite_coefficients_are_rejected(bad):
+    # a non-finite coefficient used to set the drop cutoff to nan or inf and
+    # so turn the whole series, finite coefficients included, into zero
+    with pytest.raises(ValueError, match="finite"):
+        FourierSeries({0: bad, 1: 1.0})
+
+
+def test_from_samples_rejects_an_infinite_sample():
+    values = np.ones(16)
+    values[3] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        FourierSeries.from_samples(values)
+
+
 def test_from_samples_reproduces_samples():
     rng = np.random.default_rng(3)
     values = rng.standard_normal(32) + 1j * rng.standard_normal(32)
