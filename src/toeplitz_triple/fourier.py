@@ -41,8 +41,9 @@ class FourierSeries:
 
     Instances are immutable values: every operation returns a new series.
     Coefficients with magnitude below ``DROP_TOL`` times the largest magnitude
-    are dropped on construction; a coefficient that is not finite raises
-    ``ValueError``, since it would make that cutoff drop every coefficient.
+    are dropped on construction; a coefficient that is not finite, or whose
+    modulus is not, raises ``ValueError``, since it would make that cutoff
+    drop every coefficient.
     """
 
     __slots__ = ("_coeffs",)
@@ -54,9 +55,13 @@ class FourierSeries:
             if not all(math.isfinite(v.real) and math.isfinite(v.imag)
                        for _, v in items):
                 raise ValueError("Fourier coefficients must be finite")
-            top = max(abs(v) for _, v in items)
-            cutoff = DROP_TOL * top
-            cleaned = {k: v for k, v in items if abs(v) > cutoff}
+            # hypot is abs() without its OverflowError: a modulus past the
+            # float range comes back as inf
+            moduli = [math.hypot(v.real, v.imag) for _, v in items]
+            if not all(math.isfinite(r) for r in moduli):
+                raise ValueError("Fourier coefficient moduli must be finite")
+            cutoff = DROP_TOL * max(moduli)
+            cleaned = {k: v for (k, v), r in zip(items, moduli) if r > cutoff}
         self._coeffs = cleaned
 
     @property

@@ -1,4 +1,7 @@
-"""Banded operator storage: arithmetic against dense numpy, and O(n * b) size."""
+"""Banded operator storage: arithmetic and matrix-vector products against
+dense numpy, and O(n * b) size."""
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -54,9 +57,25 @@ def banded(draw, n):
     return op.TruncatedOperator(data, lo) + op.finite_rank(block, n), dense
 
 
+@st.composite
+def one_sided(draw, n):
+    """A band lying wholly below (lo > 0) or wholly above (hi < 0) the
+    diagonal, as an operator and as its dense matrix."""
+    side = draw(st.sampled_from((1, -1)))
+    near = draw(st.integers(1, n + 1))
+    count = draw(st.integers(1, n + 2))
+    lo = near if side == 1 else -near - count + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.uniform(-1, 1, (count, n)) + 1j * rng.uniform(-1, 1, (count, n))
+    return op.TruncatedOperator(data, lo), reference_dense(data, lo)
+
+
 sizes = st.integers(1, 40)
 single = sizes.flatmap(banded)
 pairs = sizes.flatmap(lambda n: st.tuples(banded(n), banded(n)))
+vector_cases = sizes.flatmap(
+    lambda n: st.tuples(st.one_of(banded(n), one_sided(n)),
+                        st.integers(0, 2**32 - 1)))
 scalars = st.complex_numbers(max_magnitude=4, allow_nan=False,
                              allow_infinity=False)
 
@@ -107,6 +126,16 @@ def test_interior_block_and_symbol_estimate_match_dense(ax, data):
     assert coefficient_distance(estimate, reference) == 0.0
 
 
+@settings(max_examples=100, deadline=None)
+@given(vector_cases)
+def test_apply_matches_dense_matvec(case):
+    (a, x), seed = case
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
+    assert np.abs(op._apply(a, v) - x @ v).max() <= 1e-13
+    assert np.abs(op._apply(a.adjoint(), v) - x.conj().T @ v).max() <= 1e-13
+
+
 def held_bytes(a):
     """Bytes of the arrays an operator holds in its slots."""
     values = (getattr(a, name) for name in type(a).__slots__)
@@ -129,3 +158,17 @@ def test_doubled_space_scales_with_the_band():
     # offsets -3..3 of 2n complex entries; a dense factor would take 16 GiB
     for factor in polar_parts(n):
         assert held_bytes(factor) <= 7 * 2 * n * 16
+
+
+def test_norm_scales_with_the_band():
+    n = 16384
+    s = op.shift(n)
+    tracemalloc.start()
+    try:
+        value = op.operator_norm(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 1.0
+    # a few vectors of n complex entries; the dense Gram matrix took 4 GiB
+    assert peak <= 16 * n * 16

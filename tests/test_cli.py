@@ -216,6 +216,19 @@ def test_non_finite_sample_file_is_a_config_error(tmp_path):
     assert report["checks"] == []
 
 
+def test_overflowing_coefficient_is_a_config_error(tmp_path):
+    # abs() of this constant used to raise OverflowError: exit 1, the code of
+    # a failed check, and no report.json
+    with pytest.raises(SystemExit) as exc:
+        main(["wedge", "--symbol", "const:1.5e308+1.5e308j",
+              "--output-dir", str(tmp_path)])
+    assert exc.value.code == EXIT_USAGE
+    report = read_report(tmp_path)
+    assert report["error"]["type"] == "config"
+    assert "finite" in report["error"]["message"]
+    assert report["checks"] == []
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     override = tmp_path / "elsewhere"
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(override))

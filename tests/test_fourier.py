@@ -60,6 +60,13 @@ def test_non_finite_coefficients_are_rejected(bad):
         FourierSeries({0: bad, 1: 1.0})
 
 
+def test_coefficient_with_overflowing_modulus_is_rejected():
+    # both parts are finite but the modulus is not; abs() used to raise
+    # OverflowError here instead of a ValueError
+    with pytest.raises(ValueError, match="moduli must be finite"):
+        FourierSeries({0: complex(1.5e308, 1.5e308), 1: 1.0})
+
+
 def test_from_samples_rejects_an_infinite_sample():
     values = np.ones(16)
     values[3] = np.inf

@@ -167,6 +167,55 @@ def test_power_iteration_matches_svd_on_random_matrix():
 def test_norm_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         op.operator_norm(op.shift(4), 0.0)
+    # a nan tolerance used to run all 10 000 steps and then raise
+    # PowerIterationError, which the sweep turned into a dense SVD
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            op.operator_norm(op.shift(128), tol)
+
+
+@pytest.mark.parametrize("max_iterations", [0, -1])
+def test_norm_rejects_an_empty_iteration_budget(max_iterations):
+    with pytest.raises(ValueError, match="max_iterations"):
+        op.operator_norm(op.shift(128), 1e-10, max_iterations)
+
+
+def dense_gram_norm(a, tol):
+    """The power iteration as it ran on the dense Gram matrix ``A* A``."""
+    m = a.dense()
+    gram = m.conj().T @ m
+    v = np.full(a.dim, 1.0 / math.sqrt(a.dim), dtype=complex)
+    previous = -1.0
+    for _ in range(op.POWER_ITERATION_CAP):
+        w = gram @ v
+        lam = float(np.real(np.vdot(v, w)))
+        v = w / float(np.linalg.norm(w))
+        sigma = math.sqrt(max(lam, 0.0))
+        if previous >= 0.0 and abs(sigma - previous) <= tol * sigma:
+            return sigma
+        previous = sigma
+    raise AssertionError("the dense iteration did not converge")
+
+
+@pytest.mark.parametrize("n", [128, 300])
+@pytest.mark.parametrize("make, freq", [(op.dz, 4), (op.number, 8)])
+def test_banded_norm_follows_the_dense_gram_iteration(n, make, freq):
+    # the sweep values of the benchmark references were taken with the dense
+    # iteration, and the gate holds them to 1e-9 relative
+    a = op.commutator(make(n), op.toeplitz(FourierSeries.cosine(freq), n))
+    assert op.operator_norm(a, 1e-9) == pytest.approx(dense_gram_norm(a, 1e-9),
+                                                      rel=1e-12)
+
+
+def test_norm_forms_no_dense_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense() called")
+
+    a = op.commutator(op.number(128), op.toeplitz(cos4(), 128))
+    monkeypatch.setattr(op.TruncatedOperator, "dense", refuse)
+    # the value README quotes for the power iteration at tol 1e-9
+    assert op.operator_norm(a, 1e-9) == pytest.approx(3.9818876203955815,
+                                                      rel=1e-12)
 
 
 def test_norm_of_zero_matrix():
