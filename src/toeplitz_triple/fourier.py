@@ -55,9 +55,7 @@ class FourierSeries:
             if not all(math.isfinite(v.real) and math.isfinite(v.imag)
                        for _, v in items):
                 raise ValueError("Fourier coefficients must be finite")
-            # hypot is abs() without its OverflowError: a modulus past the
-            # float range comes back as inf
-            moduli = [math.hypot(v.real, v.imag) for _, v in items]
+            moduli = [_modulus(v) for _, v in items]
             if not all(math.isfinite(r) for r in moduli):
                 raise ValueError("Fourier coefficient moduli must be finite")
             cutoff = DROP_TOL * max(moduli)
@@ -184,6 +182,25 @@ class FourierSeries:
         out = np.exp(1j * np.multiply.outer(theta_arr, ks)) @ cs
         return out if theta_arr.shape else complex(out)
 
+    def evaluate_grid(self, size: int) -> np.ndarray:
+        """Values at the ``size`` angles ``theta_j = 2*pi*j/size``.
+
+        One inverse FFT of the coefficients folded mod ``size``, so the cost
+        is O(K + size log size) for K coefficients and no size x K table is
+        formed.  The folding is exact for any frequency, because
+        ``exp(2*pi*i*k*j/size)`` has period ``size`` in k.
+        """
+        size = int(size)
+        if size < 1:
+            raise ValueError(f"grid size must be >= 1, got {size}")
+        folded = np.zeros(size, dtype=complex)
+        if self._coeffs:
+            ks = np.fromiter(self._coeffs, dtype=np.int64, count=len(self))
+            cs = np.fromiter(self._coeffs.values(), dtype=complex,
+                             count=len(self))
+            np.add.at(folded, ks % size, cs)
+        return np.fft.ifft(folded, norm="forward")
+
     def to_json_obj(self) -> list:
         """JSON form: array of {k, re, im}, sorted by k."""
         return [
@@ -196,12 +213,18 @@ class FourierSeries:
         return cls({int(e["k"]): complex(e["re"], e["im"]) for e in obj})
 
 
+def _modulus(z: complex) -> float:
+    """``abs(z)`` without its OverflowError: a modulus past the float range
+    comes back as inf."""
+    return math.hypot(z.real, z.imag)
+
+
 def coefficient_distance(a: FourierSeries, b: FourierSeries) -> float:
     """Max absolute coefficient difference over the union of supports."""
     keys = set(a.coeffs) | set(b.coeffs)
     if not keys:
         return 0.0
-    return max(abs(a.coefficient(k) - b.coefficient(k)) for k in keys)
+    return max(_modulus(a.coefficient(k) - b.coefficient(k)) for k in keys)
 
 
 # ----------------------------------------------------------------------
@@ -248,8 +271,8 @@ def wedge_check(f: FourierSeries, tolerance: float = 1e-9) -> WedgeReport:
         raise ValueError("tolerance must be positive")
     c = f.coefficient
     ks = sorted(set(f.coeffs) | {-k for k in f.coeffs})
-    v1 = float(sum(abs(c(k) - _I_POWERS[k % 4] * c(-k)) for k in ks))
-    v2 = float(sum(abs(c(-k) - _I_POWERS[k % 4] * c(k)) for k in ks))
+    v1 = float(sum(_modulus(c(k) - _I_POWERS[k % 4] * c(-k)) for k in ks))
+    v2 = float(sum(_modulus(c(-k) - _I_POWERS[k % 4] * c(k)) for k in ks))
     return WedgeReport(v1, v2, tolerance, passed=(v1 <= tolerance and v2 <= tolerance))
 
 

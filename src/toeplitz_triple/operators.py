@@ -11,7 +11,9 @@ a complex ``(num_diagonals, n)`` array whose row ``j`` holds the diagonal of
 offset ``lo + j``, indexed by column.  Construction, sums, products,
 adjoints, interior blocks and symbol recovery cost O(n * bandwidth), and so
 does each power-iteration step of ``operator_norm``, which applies the
-operator and its adjoint to a vector by diagonals; only
+operator and its adjoint to a vector by diagonals through matrix-vector
+plans built once per norm, skipping all-zero diagonals and in float64 when a
+band is real; only
 ``TruncatedOperator.dense`` forms an ``n x n`` array.
 
 Besides the concrete matrices, ``BandPattern`` describes single weighted
@@ -309,23 +311,49 @@ def commutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
     return a @ b - b @ a
 
 
-def _apply(a: TruncatedOperator, v: np.ndarray) -> np.ndarray:
-    """``A v`` from the diagonals in O(n * bandwidth), with no loop over them.
+class _MatvecPlan:
+    """``v -> A v`` from the diagonals in O(n * bandwidth), with no loop over
+    them and no allocation beyond the result.
 
-    Band entry ``[j, m]`` times ``v[m]`` belongs to row ``m + lo + j``.  The
+    The plan keeps the diagonals from the lowest to the highest nonzero one
+    in steps of g, the gcd of their offset gaps; the rest are zero, and
+    leaving them out drops only additions of zero.  Kept row j, of offset
+    ``lo + j*g``, times ``v[m]`` belongs to row ``m + lo + j*g``.  The
     products are written into the rows of a zero-padded ``(count, width)``
-    buffer, which is then read as ``(count, width - 1)``: that moves row j
-    by j places, so each column sums the terms of one output row.
+    buffer, which is then read as ``(count, width - g)``: that moves row j
+    by ``j*g`` places, so each column sums the terms of one output row.  The
+    buffer and both views are made once, and each call overwrites the
+    products in place; the padding stays zero.  A band whose imaginary part
+    is exactly zero is kept in float64, so a real vector stays real; such a
+    plan takes real vectors only.
     """
-    count, n = a.diagonals.shape
-    lead = max(a.lo, 0)
-    width = n + count + abs(a.lo)
-    buf = np.zeros((count, width), dtype=complex)
-    np.multiply(a.diagonals, v, out=buf[:, lead:lead + n])
-    moved = buf.reshape(-1)[:count * (width - 1)].reshape(count, width - 1)
-    sums = moved.sum(axis=0)
-    start = lead - a.lo
-    return sums[start:start + n]
+
+    __slots__ = ("band", "products", "rows", "dtype")
+
+    def __init__(self, a: TruncatedOperator):
+        band = a.diagonals
+        if not band.imag.any():
+            band = band.real
+        used = np.flatnonzero(band.any(axis=1))
+        if used.size == 0:
+            used = np.zeros(1, dtype=int)
+        step = int(np.gcd.reduce(used - used[0])) or 1
+        band = np.ascontiguousarray(band[used[0]:used[-1] + 1:step])
+        lo, hi = a.lo + int(used[0]), a.lo + int(used[-1])
+        count, n = band.shape
+        lead = max(hi, 0)
+        width = lead + n + max(-lo, 0) + step
+        buf = np.zeros((count, width), dtype=band.dtype)
+        moved = buf.reshape(-1)[:count * (width - step)].reshape(count, -1)
+        start = lead - lo
+        self.band = band
+        self.products = buf[:, lead:lead + n]
+        self.rows = moved[:, start:start + n]
+        self.dtype = band.dtype
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        np.multiply(self.band, v, out=self.products)
+        return np.add.reduce(self.rows, axis=0)
 
 
 def operator_norm(a: TruncatedOperator, tol: float = 1e-10,
@@ -334,10 +362,13 @@ def operator_norm(a: TruncatedOperator, tol: float = 1e-10,
 
     Uses a full decomposition for ``dim <= 64``, otherwise power iteration on
     ``A* A`` started from the normalized all-ones vector (deterministic, so
-    reports are reproducible).  Each step applies ``A`` and then ``A*`` to
-    the vector by diagonals, so it costs O(n * bandwidth) and no ``n x n``
-    array is formed.  The stop rule watches the value, not the vector: it
-    stops once the value moves by at most ``tol`` (relative) between steps,
+    reports are reproducible).  Matrix-vector plans for ``A`` and ``A*`` are
+    built once; each step applies them by diagonals, so it costs
+    O(n * bandwidth) and no ``n x n`` array is formed (nor the Gram matrix).
+    When both bands are real the iteration runs in float64: the iterates are
+    then real, so in exact arithmetic it is the same iteration as in complex.
+    The stop rule watches the value, not the vector: it stops once the value
+    moves by at most ``tol`` (relative) between steps,
     and the result can then fall short of the norm by far more than ``tol``;
     for ``[N, T_f]`` with ``f = cos(4 theta)`` at n = 128 and ``tol`` 1e-9
     it is 1.8e-8 relative below the dense SVD value.
@@ -352,13 +383,14 @@ def operator_norm(a: TruncatedOperator, tol: float = 1e-10,
     n = a.dim
     if n <= FULL_SVD_DIM:
         return float(np.linalg.svd(a.dense(), compute_uv=False)[0])
-    star = a.adjoint()
-    v = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
+    apply_a, apply_star = _MatvecPlan(a), _MatvecPlan(a.adjoint())
+    v = np.full(n, 1.0 / math.sqrt(n),
+                dtype=np.result_type(apply_a.dtype, apply_star.dtype))
     previous = -1.0
     for _ in range(max_iterations):
-        w = _apply(star, _apply(a, v))
-        lam = float(np.real(np.vdot(v, w)))
-        norm_w = float(np.linalg.norm(w))
+        w = apply_star(apply_a(v))
+        lam = float(np.vdot(v, w).real)
+        norm_w = math.sqrt(np.vdot(w, w).real)
         if norm_w == 0.0:
             return 0.0
         v = w / norm_w

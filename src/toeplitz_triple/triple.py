@@ -44,8 +44,10 @@ __all__ = [
     "rough_symbol",
 ]
 
-# Fixed angle grid for symbol suprema in sweeps; identical across truncation
-# sizes so that frozen diagonal data yields identical values.
+# Size of the angle grid ``2*pi*j/SUP_GRID`` on which sweeps take symbol
+# suprema; identical across truncation sizes so that frozen diagonal data
+# yields identical values.  The maximum is exact on that grid: the values come
+# from one inverse FFT of the coefficients folded mod SUP_GRID.
 SUP_GRID = 4096
 
 STABILIZATION_TOL = 1e-6
@@ -487,7 +489,7 @@ def _sweep_blocks(word: AlgebraElement, which: str, order: int,
 
 
 def _sweep_value(word: AlgebraElement, n: int, which: str, order: int,
-                 norm_tol: float, grid: np.ndarray) -> tuple[float, float]:
+                 norm_tol: float) -> tuple[float, float]:
     # compute at an inflated size and keep the leading block, so every entry
     # measured equals the semi-infinite model exactly
     collar = word.band_spread() + word.compact_support() + order + 4
@@ -515,7 +517,7 @@ def _sweep_value(word: AlgebraElement, n: int, which: str, order: int,
         if max_freq >= 0:
             est = op.symbol_estimate(lead, max_freq)
             if est.coeffs:
-                sup = float(np.abs(est.evaluate(grid)).max())
+                sup = float(np.abs(est.evaluate_grid(SUP_GRID)).max())
         value = max(value, section, sup)
     return value, raw
 
@@ -535,13 +537,12 @@ def boundedness_sweep(word, sizes, which: str = "dirac", order: int = 1,
     sizes = [int(s) for s in sizes]
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing, with >= 2 entries")
-    grid = np.linspace(0.0, 2.0 * np.pi, SUP_GRID, endpoint=False)
     values, raws = [], []
     label = ""
     for n in sizes:
         element = word(n) if callable(word) else word
         label = element.describe()
-        v, r = _sweep_value(element, n, which, order, norm_tol, grid)
+        v, r = _sweep_value(element, n, which, order, norm_tol)
         values.append(v)
         raws.append(r)
     last, prev = values[-1], values[-2]

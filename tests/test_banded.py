@@ -127,13 +127,31 @@ def test_interior_block_and_symbol_estimate_match_dense(ax, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(vector_cases)
-def test_apply_matches_dense_matvec(case):
+@given(vector_cases, st.booleans())
+def test_apply_matches_dense_matvec(case, real):
     (a, x), seed = case
+    if real:
+        # a real band runs the plan in float64
+        a, x = op.TruncatedOperator(a.diagonals.real, a.lo), x.real
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
-    assert np.abs(op._apply(a, v) - x @ v).max() <= 1e-13
-    assert np.abs(op._apply(a.adjoint(), v) - x.conj().T @ v).max() <= 1e-13
+    plan, star = op._MatvecPlan(a), op._MatvecPlan(a.adjoint())
+    assert plan.dtype.kind == "f" or not real
+    # a float64 plan takes real vectors, as in operator_norm
+    complex_plan = np.result_type(plan.dtype, star.dtype).kind == "c"
+
+    def vector():
+        v = rng.standard_normal(a.dim)
+        return v + 1j * rng.standard_normal(a.dim) if complex_plan else v
+
+    v, u = vector(), vector()
+    for w in (v, u):
+        assert np.abs(plan(w) - x @ w).max() <= 1e-13
+        assert np.abs(star(w) - x.conj().T @ w).max() <= 1e-13
+    # one plan applied to two vectors gives what two fresh plans give, so a
+    # call neither leaves state behind nor hands out a buffer the next reuses
+    first, second = plan(v), plan(u)
+    assert np.array_equal(first, op._MatvecPlan(a)(v))
+    assert np.array_equal(second, op._MatvecPlan(a)(u))
 
 
 def held_bytes(a):

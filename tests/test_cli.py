@@ -1,11 +1,16 @@
 """Tests for the command-line front end: reports, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import toeplitz_triple
 from toeplitz_triple.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -269,3 +274,19 @@ def test_main_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--n", "1", "--output-dir", str(tmp_path)])
     assert exc.value.code == EXIT_USAGE
+
+
+# loaded only on the paths that need them, so start-up stays light
+LAZY_MODULES = ("logging", "numpy.fft", "scipy", "cmath")
+
+
+def test_start_up_leaves_lazy_modules_unloaded():
+    code = ("import json, sys, toeplitz_triple.cli; "
+            f"print(json.dumps([m for m in {LAZY_MODULES!r} "
+            "if m in sys.modules]))")
+    src = str(Path(toeplitz_triple.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert json.loads(done.stdout) == []

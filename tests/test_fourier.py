@@ -1,6 +1,7 @@
 """Tests for Fourier coefficient arithmetic and the wedge gluing checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,19 @@ def test_wedge_rejects_sampling_alias():
     assert report.max_violation_second == 2.0
 
 
+def test_wedge_overflowing_difference_fails_instead_of_raising():
+    # the difference 1.7e308 + 1.7e308j is finite, but abs() of it overflows
+    report = wedge_check(FourierSeries({2: 1e308+1e308j, -2: 0.7e308+0.7e308j}))
+    assert not report.passed
+    assert report.max_violation_first == math.inf
+    assert report.max_violation_second == math.inf
+
+
+def test_coefficient_distance_of_overflowing_difference_is_inf():
+    big = FourierSeries({0: 1e308+1e308j})
+    assert coefficient_distance(big, -0.7 * big) == math.inf
+
+
 # ----------------------------------------------------------------------
 # profile assembly
 # ----------------------------------------------------------------------
@@ -289,3 +303,54 @@ def test_evaluate_scalar_and_vector():
     out = f.evaluate(np.array([0.0, math.pi / 4]))
     assert out.shape == (2,)
     assert abs(out[1] - math.cos(math.pi)) < 1e-14
+
+
+@st.composite
+def grid_cases(draw):
+    """A grid size and a series whose frequencies reach beyond +-size/2, so
+    the folding mod size is exercised; the empty series is included."""
+    size = draw(st.sampled_from((1, 2, 8, 16, 64, 128)))
+    coeffs = draw(st.dictionaries(
+        st.integers(-2 * size - 1, 2 * size + 1),
+        st.complex_numbers(max_magnitude=8.0, allow_nan=False,
+                           allow_infinity=False),
+        max_size=12))
+    return size, FourierSeries(coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_cases())
+def test_evaluate_grid_matches_evaluate(case):
+    size, f = case
+    values = f.evaluate_grid(size)
+    assert values.shape == (size,)
+    expected = f.evaluate(2 * np.pi * np.arange(size) / size)
+    l1 = sum(abs(v) for v in f.coeffs.values())
+    assert np.abs(values - expected).max() <= 1e-12 * l1
+
+
+def test_evaluate_grid_folds_frequencies_exactly():
+    # on 8 points u^8 = 1 and u^-3 = u^5, so these two series agree there
+    f = FourierSeries({8: 2.0, -3: 1j, 0: 0.5})
+    g = FourierSeries({0: 2.5, 5: 1j})
+    assert np.abs(f.evaluate_grid(8) - g.evaluate_grid(8)).max() <= 1e-15
+    assert np.array_equal(FourierSeries().evaluate_grid(4), np.zeros(4))
+    with pytest.raises(ValueError, match="grid size"):
+        f.evaluate_grid(0)
+
+
+def test_evaluate_grid_forms_no_table():
+    size, count = 4096, 4000
+    rng = np.random.default_rng(3)
+    f = FourierSeries(dict(zip(range(-count // 2, count // 2),
+                               rng.standard_normal(count))))
+    assert len(f) == count
+    tracemalloc.start()
+    try:
+        values = f.evaluate_grid(size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (size,)
+    # a size x count table of complex exponentials would take 250 MiB
+    assert peak <= 16 * size * 16

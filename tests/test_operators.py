@@ -197,12 +197,32 @@ def dense_gram_norm(a, tol):
     raise AssertionError("the dense iteration did not converge")
 
 
+def toeplitz_of(f):
+    return lambda n: op.toeplitz(f, n)
+
+
+def cos4_with_complex_corner(n):
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return op.toeplitz(cos4(), n) + op.finite_rank(block, n)
+
+
 @pytest.mark.parametrize("n", [128, 300])
-@pytest.mark.parametrize("make, freq", [(op.dz, 4), (op.number, 8)])
-def test_banded_norm_follows_the_dense_gram_iteration(n, make, freq):
+@pytest.mark.parametrize("make, operand, real", [
+    pytest.param(op.dz, toeplitz_of(FourierSeries.cosine(4)), True, id="dz-4"),
+    pytest.param(op.number, toeplitz_of(FourierSeries.cosine(8)), True,
+                 id="number-8"),
+    pytest.param(op.dz, toeplitz_of(FourierSeries({4: 0.5j, -4: -0.25 + 0.5j})),
+                 False, id="dz-complex_symbol"),
+    pytest.param(op.number, cos4_with_complex_corner, False,
+                 id="number-complex_corner"),
+])
+def test_banded_norm_follows_the_dense_gram_iteration(n, make, operand, real):
     # the sweep values of the benchmark references were taken with the dense
     # iteration, and the gate holds them to 1e-9 relative
-    a = op.commutator(make(n), op.toeplitz(FourierSeries.cosine(freq), n))
+    a = op.commutator(make(n), operand(n))
+    # real bands run the matrix-vector plan in float64, complex ones in complex
+    assert (op._MatvecPlan(a).dtype.kind == "f") == real
     assert op.operator_norm(a, 1e-9) == pytest.approx(dense_gram_norm(a, 1e-9),
                                                       rel=1e-12)
 
