@@ -109,6 +109,13 @@ def _from_report(report) -> dict:
                   margin=report.margin, details=report.details)
 
 
+def _from_wedge(report) -> dict:
+    return _check("wedge_gluing", report.passed,
+                  max_violation_first=report.max_violation_first,
+                  max_violation_second=report.max_violation_second,
+                  tolerance=report.tolerance)
+
+
 def _write_csv(outdir: Path, rows, header) -> str:
     path = outdir / "data.csv"
     with open(path, "w", newline="") as stream:
@@ -143,10 +150,11 @@ def cmd_spectrum(cfg: RunConfig, outdir: Path):
         _check("nonzero_multiplicities_one",
                all(m == 1 for m in nonzero_mults)),
     ]
-    artifacts = []
-    with open(outdir / "data.csv", "w", newline="") as stream:
-        report.to_csv(stream)
-    artifacts.append("data.csv")
+    flags = set(report.spurious)
+    rows = [(i, repr(ev), repr(res), int(i in flags)) for i, (ev, res) in
+            enumerate(zip(report.eigenvalues, report.residuals))]
+    artifacts = [_write_csv(outdir, rows,
+                            ["index", "eigenvalue", "residual", "spurious"])]
     if cfg.emit_svg:
         idx = list(range(len(report.eigenvalues)))
         artifacts.append(_write_svg(outdir, svg.chart(
@@ -162,11 +170,7 @@ def cmd_verify(cfg: RunConfig, outdir: Path):
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-12
     word = AlgebraElement.unchecked_toeplitz(f, label=cfg.symbol_spec)
 
-    wedge = wedge_check(f, 1e-9)
-    checks = [_check("wedge_gluing", wedge.passed,
-                     max_violation_first=wedge.max_violation_first,
-                     max_violation_second=wedge.max_violation_second,
-                     tolerance=wedge.tolerance)]
+    checks = [_from_wedge(wedge_check(f, 1e-9))]
     reports = [
         verify_commutator_number(f, n, cfg.margin, tol),
         verify_commutator_dz(f, n, cfg.margin, tol),
@@ -295,11 +299,7 @@ def cmd_sweep(cfg: RunConfig, outdir: Path):
 def cmd_wedge(cfg: RunConfig, outdir: Path):
     f = load_symbol(cfg.symbol_spec)
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-9
-    report = wedge_check(f, tol)
-    checks = [_check("wedge_gluing", report.passed,
-                     max_violation_first=report.max_violation_first,
-                     max_violation_second=report.max_violation_second,
-                     tolerance=tol)]
+    checks = [_from_wedge(wedge_check(f, tol))]
     # max_violation_* are l1 sums of the violations' Fourier coefficients,
     # which bound the curve below on the whole circle, so they may exceed its
     # sampled maximum; the curve is plot data, the verdict is exact
@@ -403,40 +403,49 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify the truncated Toeplitz spectral triple: spectrum, "
                     "identities, index, summability.")
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {
+        "--n": dict(type=int, default=DEFAULT_N,
+                    help="truncation size (default %(default)s)"),
+        "--svg": dict(action="store_true", help="emit plot.svg"),
+        "--tolerance": dict(type=float, default=None,
+                            help="override the default check tolerance"),
+        "--margin": dict(type=int, default=None,
+                         help="interior margin override (default: automatic)"),
+        "--symbol": dict(default="cos4k:1", dest="symbol_spec",
+                         help="builtin cos4k:K / const:C or a sample file path"),
+    }
 
-    def common(p, sizes_default=None):
-        p.add_argument("--n", type=int, default=DEFAULT_N,
-                       help="truncation size (default %(default)s)")
+    def command(name, summary, *flags, sizes_default=None):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--output-dir", default=".",
                        help=f"report directory (env {OUTPUT_DIR_ENV} overrides)")
-        p.add_argument("--svg", action="store_true", help="emit plot.svg")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="override the default check tolerance")
-        p.add_argument("--margin", type=int, default=None,
-                       help="interior margin override (default: automatic)")
-        p.add_argument("--symbol", default="cos4k:1", dest="symbol_spec",
-                       help="builtin cos4k:K / const:C or a sample file path")
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
         if sizes_default is not None:
             p.add_argument("--sizes", type=_parse_sizes,
                            default=list(sizes_default),
                            help="truncation sizes (default %(default)s)")
+        return p
 
-    common(sub.add_parser("spectrum", help="eigenvalue ladder and residuals"))
-    common(sub.add_parser("verify", help="commutator/grading/membership suite"))
-    common(sub.add_parser("index", help="Fredholm index, exact and numeric"),
-           sizes_default=DEFAULT_INDEX_SIZES)
-    p_sum = sub.add_parser("summability", help="resolvent-weight partial sums")
-    common(p_sum)
+    command("spectrum", "eigenvalue ladder and residuals",
+            "--n", "--svg", "--tolerance")
+    command("verify", "commutator/grading/membership suite",
+            "--n", "--tolerance", "--margin", "--symbol")
+    command("index", "Fredholm index, exact and numeric",
+            sizes_default=DEFAULT_INDEX_SIZES)
+    p_sum = command("summability", "resolvent-weight partial sums", "--svg")
     p_sum.add_argument("--epsilon", type=float, default=1.0,
                        help="summability exponent offset (default %(default)s)")
     p_sum.add_argument("--K", type=int, default=100_000, dest="partial_sum_terms",
                        help="partial sum cutoff (default %(default)s)")
-    p_sweep = sub.add_parser("sweep", help="commutator norm sweeps")
-    common(p_sweep, sizes_default=DEFAULT_SWEEP_SIZES)
+    p_sweep = command("sweep", "commutator norm sweeps", "--svg", "--symbol",
+                      sizes_default=DEFAULT_SWEEP_SIZES)
     p_sweep.add_argument("--rough", action="store_true", dest="rough_control",
                          help="run the slowly-decaying negative control instead")
-    common(sub.add_parser("wedge", help="wedge gluing check of a symbol"))
-    common(sub.add_parser("polar", help="polar decomposition check"))
+    command("wedge", "wedge gluing check of a symbol",
+            "--svg", "--tolerance", "--symbol")
+    command("polar", "polar decomposition check",
+            "--n", "--tolerance", "--margin")
     return parser
 
 
@@ -449,8 +458,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg.emit_svg = getattr(args, "svg", False)
     if cfg.n < 2:
         raise ValueError("n must be >= 2")
-    if cfg.epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+    if cfg.tolerance is not None and \
+            not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
+        raise ValueError("tolerance must be finite and > 0")
+    if not (math.isfinite(cfg.epsilon) and cfg.epsilon >= 0):
+        raise ValueError("epsilon must be finite and >= 0")
+    if len(cfg.sizes) < 2 or min(cfg.sizes) < 2:
+        raise ValueError("sizes must have >= 2 entries, each >= 2")
     if any(b <= a for a, b in zip(cfg.sizes, cfg.sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
     return cfg

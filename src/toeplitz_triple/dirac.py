@@ -20,9 +20,8 @@ the order; others compare through ``block_interior_deviation``.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,24 +133,6 @@ class SpectrumReport:
     spurious: list         # indices into the sorted list
     distinct_values: list  # one entry per eigenvalue cluster
     multiplicities: list   # cluster sizes; sums to 2n
-    dim: int = field(default=0)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "dim": self.dim,
-            "eigenvalues": self.eigenvalues,
-            "residuals": self.residuals,
-            "spurious": self.spurious,
-            "distinct_values": self.distinct_values,
-            "multiplicities": self.multiplicities,
-        }
-
-    def to_csv(self, stream) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["index", "eigenvalue", "residual", "spurious"])
-        flags = set(self.spurious)
-        for i, (ev, res) in enumerate(zip(self.eigenvalues, self.residuals)):
-            writer.writerow([i, repr(ev), repr(res), int(i in flags)])
 
 
 def _eigensystem(h: op.TruncatedOperator) -> list:
@@ -231,7 +212,6 @@ def spectrum(d: op.TruncatedOperator, tol: float = 1e-10) -> SpectrumReport:
         spurious=[int(i) for i in np.where(flags)[0]],
         distinct_values=distinct,
         multiplicities=mults,
-        dim=d.dim,
     )
 
 

@@ -201,17 +201,6 @@ class FourierSeries:
             np.add.at(folded, ks % size, cs)
         return np.fft.ifft(folded, norm="forward")
 
-    def to_json_obj(self) -> list:
-        """JSON form: array of {k, re, im}, sorted by k."""
-        return [
-            {"k": k, "re": float(v.real), "im": float(v.imag)}
-            for k, v in sorted(self._coeffs.items())
-        ]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "FourierSeries":
-        return cls({int(e["k"]): complex(e["re"], e["im"]) for e in obj})
-
 
 def _modulus(z: complex) -> float:
     """``abs(z)`` without its OverflowError: a modulus past the float range
@@ -244,14 +233,6 @@ class WedgeReport:
     max_violation_second: float
     tolerance: float
     passed: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "max_violation_first": self.max_violation_first,
-            "max_violation_second": self.max_violation_second,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
 
 
 def wedge_check(f: FourierSeries, tolerance: float = 1e-9) -> WedgeReport:

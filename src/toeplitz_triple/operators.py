@@ -24,7 +24,6 @@ truncation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -219,26 +218,6 @@ class TruncatedOperator:
     def _check_dim(self, other):
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        """Sparse JSON form {dim, band, entries: [[r, c, re, im], ...]}."""
-        m = self.dense()
-        rows, cols = np.nonzero(m)
-        entries = [
-            [int(r), int(c), float(m[r, c].real), float(m[r, c].imag)]
-            for r, c in zip(rows, cols)
-        ]
-        return {"dim": self.dim, "band": list(self.band), "entries": entries}
-
-    def to_csv(self, stream) -> None:
-        """Row-major dump with entries formatted as ``re+imi``."""
-        writer = csv.writer(stream, lineterminator="\n")
-        for row in self.dense():
-            writer.writerow([f"{z.real:.17g}{z.imag:+.17g}i" for z in row])
 
 
 # ----------------------------------------------------------------------

@@ -21,14 +21,3 @@ class VerificationReport:
     n: int
     margin: int | None = None
     details: dict = field(default_factory=dict)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "n": self.n,
-            "margin": self.margin,
-            "details": {k: v for k, v in sorted(self.details.items())},
-        }

@@ -18,7 +18,6 @@ growing when the commutator is genuinely unbounded.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,13 +59,10 @@ class AlgebraElement:
     Generators are Toeplitz operators whose symbols pass the wedge gluing
     check (membership in the boundary function algebra) and finite-rank
     corner blocks.  Realization is a *-homomorphic evaluation: the realization
-    of a product is the product of the realizations.  Realizations are cached
-    per size; the cache is only ever written once per key, so concurrent reads
-    of distinct sizes are safe.
+    of a product is the product of the realizations.
     """
 
-    __slots__ = ("kind", "children", "series", "block", "scalar", "label",
-                 "_realized", "_symbol")
+    __slots__ = ("kind", "children", "series", "block", "scalar", "label")
 
     def __init__(self, kind, children=(), series=None, block=None,
                  scalar=None, label=None):
@@ -76,8 +72,6 @@ class AlgebraElement:
         self.block = block
         self.scalar = scalar
         self.label = label
-        self._realized = {}
-        self._symbol = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -179,40 +173,11 @@ class AlgebraElement:
                     + left.band_spread() + right.band_spread())
         return self.children[0].compact_support()
 
-    def word_depth(self) -> int:
-        """Generator count along the deepest multiplicative chain."""
-        if self.kind in ("toeplitz", "finite"):
-            return 1
-        if self.kind == "add":
-            return max(c.word_depth() for c in self.children)
-        if self.kind == "mul":
-            return sum(c.word_depth() for c in self.children)
-        return self.children[0].word_depth()
-
-    def max_generator_bandwidth(self) -> int:
-        if self.kind == "toeplitz":
-            return self.series.bandwidth
-        if self.kind == "finite":
-            return 0
-        return max(c.max_generator_bandwidth() for c in self.children)
-
-    def auto_margin(self, extra: int = 0) -> int:
-        """Interior margin: each multiplication widens the corrupted collar
-        by one generator bandwidth."""
-        return self.word_depth() * self.max_generator_bandwidth() + extra
-
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
 
     def realize(self, n: int) -> op.TruncatedOperator:
-        got = self._realized.get(n)
-        if got is None:
-            got = self._build(n)
-            self._realized[n] = got
-        return got
-
-    def _build(self, n: int) -> op.TruncatedOperator:
         if self.kind == "toeplitz":
             return op.toeplitz(self.series, n)
         if self.kind == "finite":
@@ -231,11 +196,6 @@ class AlgebraElement:
         Multiplicative on products, kills finite-rank parts, conjugates under
         the adjoint.
         """
-        if self._symbol is None:
-            self._symbol = self._symbol_of()
-        return self._symbol
-
-    def _symbol_of(self) -> FourierSeries:
         if self.kind == "toeplitz":
             return self.series
         if self.kind == "finite":
@@ -447,25 +407,6 @@ class SweepReport:
     trend: str
     which: str
     stabilization_tol: float = STABILIZATION_TOL
-    word: str = ""
-
-    def to_json_obj(self) -> dict:
-        return {
-            "which": self.which,
-            "word": self.word,
-            "sizes": self.sizes,
-            "values": self.values,
-            "raw_values": self.raw_values,
-            "stabilized": self.stabilized,
-            "trend": self.trend,
-            "stabilization_tol": self.stabilization_tol,
-        }
-
-    def to_csv(self, stream) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["size", "value", "raw_section_norm"])
-        for size, v, r in zip(self.sizes, self.values, self.raw_values):
-            writer.writerow([size, repr(v), repr(r)])
 
 
 def _sweep_blocks(word: AlgebraElement, which: str, order: int,
@@ -538,10 +479,8 @@ def boundedness_sweep(word, sizes, which: str = "dirac", order: int = 1,
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing, with >= 2 entries")
     values, raws = [], []
-    label = ""
     for n in sizes:
         element = word(n) if callable(word) else word
-        label = element.describe()
         v, r = _sweep_value(element, n, which, order, norm_tol)
         values.append(v)
         raws.append(r)
@@ -552,7 +491,7 @@ def boundedness_sweep(word, sizes, which: str = "dirac", order: int = 1,
     name = which if which == "dirac" else f"{which}:{order}"
     return SweepReport(sizes=sizes, values=values, raw_values=raws,
                        stabilized=stabilized, trend=trend, which=name,
-                       stabilization_tol=stabilization_tol, word=label)
+                       stabilization_tol=stabilization_tol)
 
 
 # ----------------------------------------------------------------------

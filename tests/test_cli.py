@@ -1,5 +1,6 @@
 """Tests for the command-line front end: reports, artifacts, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -274,6 +275,75 @@ def test_main_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--n", "1", "--output-dir", str(tmp_path)])
     assert exc.value.code == EXIT_USAGE
+
+
+def exit_code(argv, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--output-dir", str(tmp_path)])
+    return exc.value.code
+
+
+@pytest.mark.parametrize("argv", [
+    # an infinite tolerance used to pass any deviation, and a nan one or a
+    # nan epsilon to fail every comparison with exit 1
+    ["polar", "--n", "64", "--tolerance", "inf"],
+    ["verify", "--n", "64", "--tolerance", "nan"],
+    ["summability", "--epsilon", "nan", "--K", "100"],
+    ["spectrum", "--n", "16", "--tolerance", "0"],
+    ["wedge", "--tolerance=-1e-9"],
+    ["wedge", "--tolerance=-inf"],
+    ["summability", "--epsilon", "inf", "--K", "100"],
+    ["summability", "--epsilon=-inf", "--K", "100"],
+])
+def test_bad_tolerance_or_epsilon_is_a_usage_error(argv, tmp_path):
+    assert exit_code(argv, tmp_path) == EXIT_USAGE
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["index", "sweep"])
+def test_single_size_is_a_usage_error(command, tmp_path):
+    # index --sizes 4 used to pass with no index_pair_* check run at all
+    assert exit_code([command, "--sizes", "4"], tmp_path) == EXIT_USAGE
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["index", "sweep"])
+def test_size_below_two_is_a_usage_error(command, tmp_path):
+    # sweep --sizes 0,8 used to fail inside the operator core
+    assert exit_code([command, "--sizes", "0,8"], tmp_path) == EXIT_USAGE
+    assert exit_code([command, "--sizes", "1,8"], tmp_path) == EXIT_USAGE
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_smallest_sizes_run(tmp_path):
+    assert exit_code(["index", "--sizes", "2,3"], tmp_path) == EXIT_OK
+    assert exit_code(["sweep", "--sizes", "2,3"], tmp_path) == EXIT_OK
+
+
+# the options each command reads, and no others
+SUBCOMMAND_OPTIONS = {
+    "spectrum": {"--n", "--output-dir", "--svg", "--tolerance"},
+    "verify": {"--n", "--output-dir", "--tolerance", "--margin", "--symbol"},
+    "index": {"--output-dir", "--sizes"},
+    "summability": {"--output-dir", "--svg", "--epsilon", "--K"},
+    "sweep": {"--output-dir", "--svg", "--symbol", "--sizes", "--rough"},
+    "wedge": {"--output-dir", "--svg", "--tolerance", "--symbol"},
+    "polar": {"--n", "--output-dir", "--tolerance", "--margin"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    parser = build_parser()
+    [sub] = [a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    found = {name: {s for a in p._actions for s in a.option_strings}
+             - {"-h", "--help"} for name, p in sub.choices.items()}
+    assert found == SUBCOMMAND_OPTIONS
+
+
+def test_option_a_command_ignores_is_a_usage_error(tmp_path):
+    # index --n 4096 used to be accepted and do nothing
+    assert exit_code(["index", "--n", "64"], tmp_path) == EXIT_USAGE
 
 
 # loaded only on the paths that need them, so start-up stays light

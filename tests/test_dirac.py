@@ -1,12 +1,12 @@
 """Tests for the block Dirac operator: spectrum, polar form, index, sums."""
 
-import io
 import math
 
 import numpy as np
 import pytest
 
 from toeplitz_triple import operators as op
+from toeplitz_triple.cli import RunConfig, run
 from toeplitz_triple.dirac import (
     PINV_CUTOFF,
     _eigensystem,
@@ -251,14 +251,9 @@ def test_spectrum_nonzero_multiplicities_one():
     assert sum(report.multiplicities) == 64
 
 
-def test_spectrum_serialization():
-    report = spectrum(dirac(4))
-    obj = report.to_json_obj()
-    assert set(obj) == {"dim", "eigenvalues", "residuals", "spurious",
-                        "distinct_values", "multiplicities"}
-    stream = io.StringIO()
-    report.to_csv(stream)
-    lines = stream.getvalue().splitlines()
+def test_spectrum_serialization(tmp_path):
+    assert run(RunConfig("spectrum", n=4, output_dir=str(tmp_path))) == 0
+    lines = (tmp_path / "data.csv").read_text().splitlines()
     assert lines[0] == "index,eigenvalue,residual,spurious"
     assert len(lines) == 9
 

@@ -286,17 +286,6 @@ def test_profile_output_always_passes_wedge():
     assert wedge_check(f, 1e-8).passed
 
 
-# ----------------------------------------------------------------------
-# serialization
-# ----------------------------------------------------------------------
-
-def test_json_roundtrip_sorted():
-    f = FourierSeries({3: 1.0 + 2.0j, -5: 0.25})
-    obj = f.to_json_obj()
-    assert [e["k"] for e in obj] == [-5, 3]
-    assert coefficient_distance(FourierSeries.from_json_obj(obj), f) == 0.0
-
-
 def test_evaluate_scalar_and_vector():
     f = FourierSeries.cosine(4)
     assert abs(f.evaluate(0.0) - 1.0) < 1e-15

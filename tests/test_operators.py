@@ -1,6 +1,5 @@
 """Tests for truncated operators, norms, symbols and exact band patterns."""
 
-import io
 import math
 
 import numpy as np
@@ -369,24 +368,6 @@ def test_pattern_zero_finding_uses_exact_arithmetic():
     ker, coker = op.pattern_kernel_dims(p)
     assert ker == 3   # zeros {3, 17} plus the m + d < 0 column {0}
     assert coker == 2  # rows 2 and 16 are never hit
-
-
-# ----------------------------------------------------------------------
-# serialization
-# ----------------------------------------------------------------------
-
-def test_json_dump_sparse():
-    obj = op.shift(3).to_json_obj()
-    assert obj["dim"] == 3
-    assert obj["band"] == [1, 1]
-    assert sorted(obj["entries"]) == [[1, 0, 1.0, 0.0], [2, 1, 1.0, 0.0]]
-
-
-def test_csv_dump_format():
-    stream = io.StringIO()
-    op.identity(2).to_csv(stream)
-    text = stream.getvalue()
-    assert text == "1+0i,0+0i\n0+0i,1+0i\n"
 
 
 def test_matrix_validation():
