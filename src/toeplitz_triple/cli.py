@@ -40,6 +40,10 @@ OUTPUT_DIR_ENV = "TOEPLITZ_TRIPLE_OUTPUT_DIR"
 DEFAULT_N = 256
 DEFAULT_SWEEP_SIZES = [64, 128, 256, 512]
 DEFAULT_INDEX_SIZES = [16, 32, 64, 128]
+# the tolerance of each command that reads --tolerance, when it is absent
+DEFAULT_TOLERANCE = {"spectrum": 1e-10, "verify": 1e-12, "wedge": 1e-9,
+                     "polar": 1e-10}
+DEFAULT_POLAR_MARGIN = 2
 
 
 @dataclass
@@ -125,13 +129,19 @@ def _write_csv(outdir: Path, rows, header) -> str:
     return "data.csv"
 
 
+def _tolerance(cfg: RunConfig) -> float:
+    if cfg.tolerance is not None:
+        return cfg.tolerance
+    return DEFAULT_TOLERANCE[cfg.command]
+
+
 def _write_svg(outdir: Path, content: str) -> str:
     (outdir / "plot.svg").write_text(content)
     return "plot.svg"
 
 
 def cmd_spectrum(cfg: RunConfig, outdir: Path):
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-10
+    tol = _tolerance(cfg)
     report = spectrum(dirac(cfg.n), tol)
     n = cfg.n
     expected = sorted(list(range(-(n - 1), n)) + [0])
@@ -167,7 +177,7 @@ def cmd_spectrum(cfg: RunConfig, outdir: Path):
 def cmd_verify(cfg: RunConfig, outdir: Path):
     f = load_symbol(cfg.symbol_spec)
     n = cfg.n
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-12
+    tol = _tolerance(cfg)
     word = AlgebraElement.unchecked_toeplitz(f, label=cfg.symbol_spec)
 
     checks = [_from_wedge(wedge_check(f, 1e-9))]
@@ -298,7 +308,7 @@ def cmd_sweep(cfg: RunConfig, outdir: Path):
 
 def cmd_wedge(cfg: RunConfig, outdir: Path):
     f = load_symbol(cfg.symbol_spec)
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-9
+    tol = _tolerance(cfg)
     checks = [_from_wedge(wedge_check(f, tol))]
     # max_violation_* are l1 sums of the violations' Fourier coefficients,
     # which bound the curve below on the whole circle, so they may exceed its
@@ -320,8 +330,8 @@ def cmd_wedge(cfg: RunConfig, outdir: Path):
 
 
 def cmd_polar(cfg: RunConfig, outdir: Path):
-    margin = cfg.margin if cfg.margin is not None else 2
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-10
+    margin = cfg.margin if cfg.margin is not None else DEFAULT_POLAR_MARGIN
+    tol = _tolerance(cfg)
     report = polar_check(cfg.n, margin, tol)
     checks = [_from_report(report)]
     rows = [(k, repr(v)) for k, v in sorted(report.details.items())]
@@ -404,48 +414,74 @@ def build_parser() -> argparse.ArgumentParser:
                     "identities, index, summability.")
     sub = parser.add_subparsers(dest="command", required=True)
     options = {
-        "--n": dict(type=int, default=DEFAULT_N,
-                    help="truncation size (default %(default)s)"),
-        "--svg": dict(action="store_true", help="emit plot.svg"),
-        "--tolerance": dict(type=float, default=None,
-                            help="override the default check tolerance"),
-        "--margin": dict(type=int, default=None,
-                         help="interior margin override (default: automatic)"),
-        "--symbol": dict(default="cos4k:1", dest="symbol_spec",
-                         help="builtin cos4k:K / const:C or a sample file path"),
+        "--n": dict(type=int, default=DEFAULT_N),
+        "--svg": dict(action="store_true"),
+        "--tolerance": dict(type=float, default=None),
+        "--margin": dict(type=int, default=None),
+        "--symbol": dict(default="cos4k:1", dest="symbol_spec"),
     }
+    size_help = "truncation size (default %(default)s)"
+    svg_help = "emit plot.svg"
+    symbol_help = ("builtin cos4k:K / const:C or a sample file path "
+                   "(default %(default)s)")
 
-    def command(name, summary, *flags, sizes_default=None):
+    def command(name, summary, helps, sizes_default=None):
+        """A subcommand with ``--output-dir`` and, for each option in
+        ``helps``, that option with this command's help text."""
         p = sub.add_parser(name, help=summary)
         p.add_argument("--output-dir", default=".",
                        help=f"report directory (env {OUTPUT_DIR_ENV} overrides)")
-        for flag in flags:
-            p.add_argument(flag, **options[flag])
+        for flag, text in helps.items():
+            p.add_argument(flag, help=text, **options[flag])
         if sizes_default is not None:
             p.add_argument("--sizes", type=_parse_sizes,
                            default=list(sizes_default),
                            help="truncation sizes (default %(default)s)")
         return p
 
-    command("spectrum", "eigenvalue ladder and residuals",
-            "--n", "--svg", "--tolerance")
-    command("verify", "commutator/grading/membership suite",
-            "--n", "--tolerance", "--margin", "--symbol")
-    command("index", "Fredholm index, exact and numeric",
+    def tolerance_help(name, what):
+        return f"tolerance of {what} (default {DEFAULT_TOLERANCE[name]:g})"
+
+    command("spectrum", "eigenvalue ladder and residuals", {
+        "--n": size_help, "--svg": svg_help,
+        "--tolerance": tolerance_help(
+            "spectrum", "the eigenvalue ladder and the eigenpair residuals")})
+    command("verify", "commutator/grading/membership suite", {
+        "--n": size_help,
+        "--tolerance": tolerance_help(
+            "verify", "commutator_number, commutator_dz, delta_1, delta_2, "
+                      "delta_3 and dzstar_via_adjoint; wedge_gluing (1e-9), "
+                      "delta_absdirac_spot_check (1e-10), evenness (0) and "
+                      "membership (1e-8) keep fixed tolerances"),
+        "--margin": "interior margin of the commutator and delta checks "
+                    "(default: automatic, from the symbol's band)",
+        "--symbol": symbol_help})
+    command("index", "Fredholm index, exact and numeric", {},
             sizes_default=DEFAULT_INDEX_SIZES)
-    p_sum = command("summability", "resolvent-weight partial sums", "--svg")
+    p_sum = command("summability", "resolvent-weight partial sums",
+                    {"--svg": svg_help})
     p_sum.add_argument("--epsilon", type=float, default=1.0,
                        help="summability exponent offset (default %(default)s)")
     p_sum.add_argument("--K", type=int, default=100_000, dest="partial_sum_terms",
                        help="partial sum cutoff (default %(default)s)")
-    p_sweep = command("sweep", "commutator norm sweeps", "--svg", "--symbol",
+    p_sweep = command("sweep", "commutator norm sweeps", {"--svg": svg_help},
                       sizes_default=DEFAULT_SWEEP_SIZES)
-    p_sweep.add_argument("--rough", action="store_true", dest="rough_control",
-                         help="run the slowly-decaying negative control instead")
-    command("wedge", "wedge gluing check of a symbol",
-            "--svg", "--tolerance", "--symbol")
-    command("polar", "polar decomposition check",
-            "--n", "--tolerance", "--margin")
+    # the rough control builds its own symbol, so it takes no --symbol
+    control = p_sweep.add_mutually_exclusive_group()
+    control.add_argument("--symbol", help=symbol_help, **options["--symbol"])
+    control.add_argument("--rough", action="store_true", dest="rough_control",
+                         help="run the slowly-decaying negative control "
+                              "instead of a symbol's sweeps")
+    command("wedge", "wedge gluing check of a symbol", {
+        "--svg": svg_help,
+        "--tolerance": tolerance_help("wedge", "the wedge gluing check"),
+        "--symbol": symbol_help})
+    command("polar", "polar decomposition check", {
+        "--n": size_help,
+        "--tolerance": tolerance_help(
+            "polar", "the interior deviations of F, |D| and F |D| from "
+                     "their closed forms"),
+        "--margin": f"interior margin (default {DEFAULT_POLAR_MARGIN})"})
     return parser
 
 

@@ -158,11 +158,15 @@ def _eigensystem(h: op.TruncatedOperator) -> list:
             break
         labels = new
     order = np.argsort(labels, kind="stable")
-    _, starts, sizes = np.unique(labels[order], return_index=True,
-                                 return_counts=True)
+    # a component starts where the sorted labels change (np.unique would do,
+    # but in numpy >= 2 it imports numpy.ma, which costs start-up time)
+    ordered = labels[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    sizes = np.diff(np.append(starts, h.dim))
     lo, hi = h.band
     parts = []
-    for size in np.unique(sizes):
+    for size in np.flatnonzero(np.bincount(sizes)):
         idx = order[starts[sizes == size][:, None] + np.arange(size)]
         j = idx[:, :, None] - idx[:, None, :] - lo
         picked = h.diagonals[j.clip(0, hi - lo), idx[:, None, :]]

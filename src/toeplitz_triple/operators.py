@@ -11,10 +11,10 @@ a complex ``(num_diagonals, n)`` array whose row ``j`` holds the diagonal of
 offset ``lo + j``, indexed by column.  Construction, sums, products,
 adjoints, interior blocks and symbol recovery cost O(n * bandwidth), and so
 does each power-iteration step of ``operator_norm``, which applies the
-operator and its adjoint to a vector by diagonals through matrix-vector
-plans built once per norm, skipping all-zero diagonals and in float64 when a
-band is real; only
-``TruncatedOperator.dense`` forms an ``n x n`` array.
+banded Gram operator ``A* A`` (or A and then A*, for wide bands) by diagonals
+through matrix-vector plans built once per norm, skipping all-zero diagonals
+and in float64 when a band is real, and checks its stop rule once per block
+of steps; only ``TruncatedOperator.dense`` forms an ``n x n`` array.
 
 Besides the concrete matrices, ``BandPattern`` describes single weighted
 shifts of the semi-infinite model exactly (integer/rational weights), which is
@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -61,6 +62,10 @@ __all__ = [
 # Below this dimension operator_norm uses a full singular value decomposition.
 FULL_SVD_DIM = 64
 POWER_ITERATION_CAP = 10_000
+# operator_norm runs its power steps in blocks of at most NORM_BLOCK steps
+# and about NORM_BLOCK_WORK multiply-adds
+NORM_BLOCK = 16
+NORM_BLOCK_WORK = 2 ** 18
 
 
 class PowerIterationError(RuntimeError):
@@ -191,8 +196,10 @@ class TruncatedOperator:
         """Product by diagonals: offset p of self times offset q of other adds
         ``a_p[c + q] * b_q[c]`` to offset p + q at column c.
 
-        The Python loop runs over the diagonals of the narrower factor; each
-        step is vectorised across all diagonals of the other.
+        The Python loop runs over the nonzero diagonals of the narrower
+        factor; each step is vectorised across all diagonals of the other.
+        Skipping an all-zero diagonal drops only additions of zero, which
+        leave every entry as it is.
         """
         if not isinstance(other, TruncatedOperator):
             return NotImplemented
@@ -202,6 +209,8 @@ class TruncatedOperator:
         out = np.zeros((a.shape[0] + b.shape[0] - 1, n), dtype=complex)
         if b.shape[0] <= a.shape[0]:
             for j, b_q in enumerate(b):
+                if not b_q.any():
+                    continue
                 q = other.lo + j
                 rows = out[j:j + a.shape[0]]
                 if q >= 0:
@@ -211,6 +220,8 @@ class TruncatedOperator:
         else:
             q = np.arange(other.lo, other.lo + b.shape[0])
             for i, a_p in enumerate(a):
+                if not a_p.any():
+                    continue
                 shifted = _shift_columns(np.broadcast_to(a_p, b.shape), q)
                 out[i:i + b.shape[0]] += shifted * b
         return TruncatedOperator(out, self.lo + other.lo)
@@ -291,25 +302,31 @@ def commutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
 
 
 class _MatvecPlan:
-    """``v -> A v`` from the diagonals in O(n * bandwidth), with no loop over
-    them and no allocation beyond the result.
+    """``v -> 2**-exponent * A v`` from the diagonals of A, in
+    O(n * bandwidth); with ``adjoint``, the same for ``A*``.
 
     The plan keeps the diagonals from the lowest to the highest nonzero one
     in steps of g, the gcd of their offset gaps; the rest are zero, and
-    leaving them out drops only additions of zero.  Kept row j, of offset
-    ``lo + j*g``, times ``v[m]`` belongs to row ``m + lo + j*g``.  The
-    products are written into the rows of a zero-padded ``(count, width)``
-    buffer, which is then read as ``(count, width - g)``: that moves row j
-    by ``j*g`` places, so each column sums the terms of one output row.  The
-    buffer and both views are made once, and each call overwrites the
-    products in place; the padding stays zero.  A band whose imaginary part
+    leaving them out drops only additions of zero.  It stores them by rows:
+    ``rows[i, r]`` is the entry ``[r, r - d_i]`` of offset ``d_i = hi - i*g``,
+    0 where that column is outside ``0..n-1``.  So ``(A v)[r]`` is
+    ``sum_i rows[i, r] * v[r - d_i]``, and the terms ``v[r - d_i]`` for all i
+    form one strided view of a zero-padded row holding v: ``bind`` makes the
+    view once, and each call is one ``einsum``.  Row r of ``A*`` is the
+    conjugate of column r of A, so the rows of the adjoint are the conjugated
+    diagonals as stored, with no shift.  The rows are scaled by
+    ``2**-exponent``, the least even power of two above their largest
+    absolute row sum.  The scaling is exact, and it keeps a step of
+    ``operator_norm`` from lengthening the vector: a Hermitian G has 2-norm
+    at most its largest row sum, and ``||A||^2 <= ||A||_1 ||A||_inf``, the
+    row sums of A* being the column sums of A.  A band whose imaginary part
     is exactly zero is kept in float64, so a real vector stays real; such a
     plan takes real vectors only.
     """
 
-    __slots__ = ("band", "products", "rows", "dtype")
+    __slots__ = ("rows", "hi", "step", "lead", "trail", "exponent")
 
-    def __init__(self, a: TruncatedOperator):
+    def __init__(self, a: TruncatedOperator, adjoint: bool = False):
         band = a.diagonals
         if not band.imag.any():
             band = band.real
@@ -317,22 +334,38 @@ class _MatvecPlan:
         if used.size == 0:
             used = np.zeros(1, dtype=int)
         step = int(np.gcd.reduce(used - used[0])) or 1
-        band = np.ascontiguousarray(band[used[0]:used[-1] + 1:step])
-        lo, hi = a.lo + int(used[0]), a.lo + int(used[-1])
-        count, n = band.shape
-        lead = max(hi, 0)
-        width = lead + n + max(-lo, 0) + step
-        buf = np.zeros((count, width), dtype=band.dtype)
-        moved = buf.reshape(-1)[:count * (width - step)].reshape(count, -1)
-        start = lead - lo
-        self.band = band
-        self.products = buf[:, lead:lead + n]
-        self.rows = moved[:, start:start + n]
-        self.dtype = band.dtype
+        kept = band[used[0]:used[-1] + 1:step]
+        if adjoint:
+            hi = -(a.lo + int(used[0]))
+            rows = kept.conj()
+        else:
+            hi = a.lo + int(used[-1])
+            rows = _shift_columns(kept[::-1],
+                                  np.arange(kept.shape[0]) * step - hi)
+        exponent = math.frexp(float(np.abs(rows).sum(axis=0).max()))[1]
+        exponent += exponent % 2
+        self.rows = rows * 2.0 ** -exponent
+        self.hi, self.step = hi, step
+        self.lead = max(hi, 0)
+        self.trail = max((kept.shape[0] - 1) * step - hi, 0)
+        self.exponent = exponent
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        np.multiply(self.band, v, out=self.products)
-        return np.add.reduce(self.rows, axis=0)
+    def bind(self, source: np.ndarray, lead: int, target: np.ndarray):
+        """A call that writes ``2**-exponent * A v`` into ``target``, for the
+        v held at ``source[lead:lead + n]``.  ``source`` is one contiguous
+        row, with at least ``self.lead`` zeros before v and ``self.trail``
+        after it."""
+        count, n = self.rows.shape
+        size = source.itemsize
+        # the view below reads memory unchecked, so the row must cover it
+        if source.ndim != 1 or source.strides[0] != size or \
+                lead < self.lead or source.size < lead + n + self.trail:
+            raise ValueError("source must be a contiguous row holding the "
+                             "vector and the plan's zero padding")
+        window = np.lib.stride_tricks.as_strided(
+            source[lead - self.hi:], shape=(count, n),
+            strides=(self.step * size, size), writeable=False)
+        return partial(np.einsum, "ij,ij->j", self.rows, window, out=target)
 
 
 def operator_norm(a: TruncatedOperator, tol: float = 1e-10,
@@ -341,19 +374,36 @@ def operator_norm(a: TruncatedOperator, tol: float = 1e-10,
 
     Uses a full decomposition for ``dim <= 64``, otherwise power iteration on
     ``A* A`` started from the normalized all-ones vector (deterministic, so
-    reports are reproducible).  Matrix-vector plans for ``A`` and ``A*`` are
-    built once; each step applies them by diagonals, so it costs
-    O(n * bandwidth) and no ``n x n`` array is formed (nor the Gram matrix).
-    When both bands are real the iteration runs in float64: the iterates are
+    reports are reproducible).  Each step applies matrix-vector plans by
+    diagonals, so it costs O(n * bandwidth) and no ``n x n`` array is formed.
+    The Gram operator ``G = A* A`` is formed once, as a banded product, when
+    that costs no more than one block of steps through A and then A*: the
+    product loops over the k nonzero diagonals of A, each pass over all b
+    stored ones, so it costs b * k length-n products against
+    ``2 * NORM_BLOCK * k`` for the block, and G is formed when
+    ``b <= 2 * NORM_BLOCK``.  Otherwise each step applies A and then A*.
+    When the bands are real the iteration runs in float64: the iterates are
     then real, so in exact arithmetic it is the same iteration as in complex.
+
+    Steps run in blocks of up to NORM_BLOCK, written into one array without
+    normalisation; each plan is scaled by a power of two, so the iterates
+    cannot grow.  A block holds about NORM_BLOCK_WORK multiply-adds, so a
+    step whose arithmetic outweighs the call overhead runs in a block of its
+    own, and the steps a block runs past the stop cost little.  After a
+    block, the Rayleigh quotients ``(u_j, u_j+1) / (u_j, u_j)`` and the stop
+    rule are evaluated for all its steps at once, the value is that of the
+    first step meeting the rule, and the last iterate is normalised to start
+    the next block.
+
     The stop rule watches the value, not the vector: it stops once the value
     moves by at most ``tol`` (relative) between steps,
     and the result can then fall short of the norm by far more than ``tol``;
     for ``[N, T_f]`` with ``f = cos(4 theta)`` at n = 128 and ``tol`` 1e-9
     it is 1.8e-8 relative below the dense SVD value.
     Nearly degenerate top singular values slow the iteration down;
-    when the cap is hit, a PowerIterationError signals the caller to fall back
-    to a full decomposition.
+    when ``max_iterations`` steps do not meet the rule, a PowerIterationError
+    signals the caller to fall back to a full decomposition.  A step whose
+    product is exactly zero ends the iteration with the value 0.
     """
     if not math.isfinite(tol) or tol <= 0:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -362,21 +412,56 @@ def operator_norm(a: TruncatedOperator, tol: float = 1e-10,
     n = a.dim
     if n <= FULL_SVD_DIM:
         return float(np.linalg.svd(a.dense(), compute_uv=False)[0])
-    apply_a, apply_star = _MatvecPlan(a), _MatvecPlan(a.adjoint())
-    v = np.full(n, 1.0 / math.sqrt(n),
-                dtype=np.result_type(apply_a.dtype, apply_star.dtype))
+    if a.diagonals.shape[0] <= 2 * NORM_BLOCK:
+        # G is self-adjoint, and the adjoint plan skips the column shift
+        plans = [_MatvecPlan(a.adjoint() @ a, adjoint=True)]
+    else:
+        plans = [_MatvecPlan(a), _MatvecPlan(a, adjoint=True)]
+    size = max(1, min(NORM_BLOCK,
+                      NORM_BLOCK_WORK // sum(p.rows.size for p in plans)))
+    lead = max(p.lead for p in plans)
+    width = lead + n + max(p.trail for p in plans)
+    dtype = np.result_type(*(p.rows.dtype for p in plans))
+    # u_j lives in iterates[j, lead:lead + n]; the padding stays zero
+    iterates = np.zeros((size + 1, width), dtype=dtype)
+    middle = np.zeros(width, dtype=dtype)
+    body = slice(lead, lead + n)
+    steps = []
+    for j in range(size):
+        # with two plans, A writes into ``middle`` and A* reads from it
+        targets = [middle] * (len(plans) - 1) + [iterates[j + 1]]
+        source = iterates[j]
+        for plan, target in zip(plans, targets):
+            steps.append(plan.bind(source, lead, target[body]))
+            source = target
+    # complex entries read as (real, imaginary) pairs, so the dot product of
+    # two rows is the real part of their inner product
+    flat = iterates.view(np.float64)
+    unscale = 2.0 ** (sum(p.exponent for p in plans) // 2)
+    iterates[0, body] = 1.0 / math.sqrt(n)
     previous = -1.0
-    for _ in range(max_iterations):
-        w = apply_star(apply_a(v))
-        lam = float(np.vdot(v, w).real)
-        norm_w = math.sqrt(np.vdot(w, w).real)
-        if norm_w == 0.0:
+    done = 0
+    while done < max_iterations:
+        count = min(size, max_iterations - done)
+        for step in steps[:count * len(plans)]:
+            step()
+        squares = np.einsum("ij,ij->i", flat[:count + 1], flat[:count + 1])
+        # a zero product ends the iteration after the steps before it
+        zero = np.flatnonzero(squares[1:] == 0.0)
+        if zero.size:
+            count = int(zero[0])
+        dots = np.einsum("ij,ij->i", flat[:count], flat[1:count + 1])
+        sigma = np.sqrt(np.maximum(dots / squares[:count], 0.0)) * unscale
+        before = np.concatenate(([previous], sigma))[:-1]
+        met = np.flatnonzero((before >= 0.0) & (
+            np.abs(sigma - before) <= tol * np.maximum(sigma, 1e-300)))
+        if met.size:
+            return float(sigma[met[0]])
+        if zero.size:
             return 0.0
-        v = w / norm_w
-        sigma = math.sqrt(max(lam, 0.0))
-        if previous >= 0.0 and abs(sigma - previous) <= tol * max(sigma, 1e-300):
-            return sigma
-        previous = sigma
+        done += count
+        previous = float(sigma[-1])
+        np.divide(iterates[count], math.sqrt(squares[count]), out=iterates[0])
     raise PowerIterationError(
         f"operator norm did not converge within {max_iterations} iterations "
         f"(dim {n}); consider a full decomposition")

@@ -4,6 +4,7 @@ dense numpy, and O(n * b) size."""
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,6 +127,25 @@ def test_interior_block_and_symbol_estimate_match_dense(ax, data):
     assert coefficient_distance(estimate, reference) == 0.0
 
 
+def bound_plan(plan, dtype, pad=3):
+    """A plan bound to a fresh row with ``pad`` zeros more than it needs on
+    each side: the call, the row and the slice of it that holds v."""
+    n = plan.rows.shape[1]
+    lead = plan.lead + pad
+    source = np.zeros(lead + n + plan.trail + pad, dtype=dtype)
+    target = np.empty(n, dtype=dtype)
+    return plan.bind(source, lead, target), source, slice(lead, lead + n), \
+        target
+
+
+def applied(plan, v):
+    """``A v`` through a plan: its scaled product times ``2**exponent``."""
+    call, source, body, target = bound_plan(plan, v.dtype)
+    source[body] = v
+    call()
+    return target * 2.0 ** plan.exponent
+
+
 @settings(max_examples=100, deadline=None)
 @given(vector_cases, st.booleans())
 def test_apply_matches_dense_matvec(case, real):
@@ -134,10 +154,10 @@ def test_apply_matches_dense_matvec(case, real):
         # a real band runs the plan in float64
         a, x = op.TruncatedOperator(a.diagonals.real, a.lo), x.real
     rng = np.random.default_rng(seed)
-    plan, star = op._MatvecPlan(a), op._MatvecPlan(a.adjoint())
-    assert plan.dtype.kind == "f" or not real
+    plan, star = op._MatvecPlan(a), op._MatvecPlan(a, adjoint=True)
+    assert plan.rows.dtype.kind == "f" or not real
     # a float64 plan takes real vectors, as in operator_norm
-    complex_plan = np.result_type(plan.dtype, star.dtype).kind == "c"
+    complex_plan = np.result_type(plan.rows.dtype, star.rows.dtype).kind == "c"
 
     def vector():
         v = rng.standard_normal(a.dim)
@@ -145,13 +165,27 @@ def test_apply_matches_dense_matvec(case, real):
 
     v, u = vector(), vector()
     for w in (v, u):
-        assert np.abs(plan(w) - x @ w).max() <= 1e-13
-        assert np.abs(star(w) - x.conj().T @ w).max() <= 1e-13
-    # one plan applied to two vectors gives what two fresh plans give, so a
-    # call neither leaves state behind nor hands out a buffer the next reuses
-    first, second = plan(v), plan(u)
-    assert np.array_equal(first, op._MatvecPlan(a)(v))
-    assert np.array_equal(second, op._MatvecPlan(a)(u))
+        assert np.abs(applied(plan, w) - x @ w).max() <= 1e-13
+        assert np.abs(applied(star, w) - x.conj().T @ w).max() <= 1e-13
+    # one bound call run on two vectors gives what two fresh plans give, so a
+    # call reads its row anew, leaves no state behind and writes only its
+    # target, which the next call overwrites
+    call, source, body, target = bound_plan(plan, v.dtype)
+    source[body] = v
+    call()
+    first = target * 2.0 ** plan.exponent
+    source[body] = u
+    call()
+    second = target * 2.0 ** plan.exponent
+    assert np.array_equal(first, applied(op._MatvecPlan(a), v))
+    assert np.array_equal(second, applied(op._MatvecPlan(a), u))
+    assert not np.delete(source, np.r_[body]).any()
+    # the scaled rows have absolute row sums at most 1, by an even power of 2
+    assert np.abs(plan.rows).sum(axis=0).max() <= 1.0
+    assert plan.exponent % 2 == 0
+    # a row too short for the padding is refused, not read past its end
+    with pytest.raises(ValueError, match="padding"):
+        plan.bind(source[:-plan.trail - 4], body.start, target)
 
 
 def held_bytes(a):

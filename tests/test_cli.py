@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -346,17 +347,97 @@ def test_option_a_command_ignores_is_a_usage_error(tmp_path):
     assert exit_code(["index", "--n", "64"], tmp_path) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("symbol", ["nonsense:1", "cos4k:1"])
+def test_rough_sweep_takes_no_symbol(symbol, tmp_path):
+    # the rough control builds its own symbol; --symbol nonsense:1 used to
+    # pass silently
+    argv = ["sweep", "--rough", "--sizes", "8,16", "--symbol", symbol]
+    assert exit_code(argv, tmp_path) == EXIT_USAGE
+    assert not (tmp_path / "report.json").exists()
+    assert exit_code(argv[:-2], tmp_path) == EXIT_OK
+
+
+def option_help(command, option):
+    """The help text ``build_parser`` gives ``option`` of ``command``."""
+    [sub] = [a for a in build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    [action] = [a for a in sub.choices[command]._actions
+                if option in a.option_strings]
+    return action.help
+
+
+def test_margin_help_names_the_default_each_command_uses(tmp_path):
+    # polar --help used to call its margin "automatic", the text of verify
+    assert option_help("polar", "--margin") == "interior margin (default 2)"
+    assert run(make_config("polar", tmp_path, n=16)) == EXIT_OK
+    [check] = read_report(tmp_path)["checks"]
+    assert check["margin"] == 2
+    assert "automatic" in option_help("verify", "--margin")
+
+
+@pytest.mark.parametrize("command, name", [
+    ("spectrum", "eigenpair_residuals"),
+    ("polar", "polar_decomposition"),
+    ("wedge", "wedge_gluing"),
+])
+def test_tolerance_help_names_the_default_each_command_uses(command, name,
+                                                            tmp_path):
+    assert run(make_config(command, tmp_path, n=16)) == EXIT_OK
+    [check] = [c for c in read_report(tmp_path)["checks"] if c["name"] == name]
+    assert option_help(command, "--tolerance").endswith(
+        f"(default {check['tolerance']:g})")
+
+
+def test_verify_tolerance_reaches_the_six_checks_its_help_names(tmp_path):
+    cfg = make_config("verify", tmp_path, n=64, tolerance=1e-3)
+    assert run(cfg) == EXIT_OK
+    tolerances = {c["name"]: c["tolerance"]
+                  for c in read_report(tmp_path)["checks"]}
+    reached = {name for name, tol in tolerances.items() if tol == 1e-3}
+    assert reached == {"commutator_number", "commutator_dz", "delta_1",
+                       "delta_2", "delta_3", "dzstar_via_adjoint"}
+    # the other four keep their fixed tolerances whatever --tolerance says
+    assert {k: v for k, v in tolerances.items() if k not in reached} == {
+        "wedge_gluing": 1e-9, "delta_absdirac_spot_check": 1e-10,
+        "evenness": 0.0, "membership": 1e-8}
+    text = option_help("verify", "--tolerance")
+    head, fixed = text.split(";")
+    assert all(name in head for name in reached)
+    assert {name: float(tol) for name, tol in
+            re.findall(r"(\w+) \(([-+.\w]+)\)", fixed)} == {
+        k: v for k, v in tolerances.items() if k not in reached}
+
+
 # loaded only on the paths that need them, so start-up stays light
 LAZY_MODULES = ("logging", "numpy.fft", "scipy", "cmath")
 
 
-def test_start_up_leaves_lazy_modules_unloaded():
-    code = ("import json, sys, toeplitz_triple.cli; "
-            f"print(json.dumps([m for m in {LAZY_MODULES!r} "
-            "if m in sys.modules]))")
+def loaded_in_child(modules, code):
+    """Which of ``modules`` a new interpreter holds after running ``code``."""
+    code += (f"\nimport json, sys\nprint(json.dumps([m for m in {modules!r} "
+             "if m in sys.modules]))")
     src = str(Path(toeplitz_triple.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=path))
-    assert json.loads(done.stdout) == []
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_start_up_leaves_lazy_modules_unloaded():
+    assert loaded_in_child(LAZY_MODULES, "import toeplitz_triple.cli") == []
+
+
+def test_spectrum_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy >= 2 imports numpy.ma from np.unique; the Dirac eigensolve finds
+    # its components without it.  numpy 1.x loads numpy.ma with numpy.
+    if loaded_in_child(("numpy.ma",), "import numpy"):
+        pytest.skip("this numpy loads numpy.ma when it is imported")
+    argv = ["spectrum", "--n", "8", "--output-dir", str(tmp_path)]
+    code = ("from toeplitz_triple.cli import main\n"
+            "try:\n"
+            f"    main({argv!r})\n"
+            "except SystemExit as exit:\n"
+            "    assert exit.code == 0")
+    assert loaded_in_child(("numpy.ma",), code) == []
+    assert (tmp_path / "report.json").is_file()

@@ -1,9 +1,12 @@
 """Tests for truncated operators, norms, symbols and exact band patterns."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toeplitz_triple.fourier import FourierSeries, coefficient_distance
 from toeplitz_triple import operators as op
@@ -179,21 +182,25 @@ def test_norm_rejects_an_empty_iteration_budget(max_iterations):
         op.operator_norm(op.shift(128), 1e-10, max_iterations)
 
 
-def dense_gram_norm(a, tol):
-    """The power iteration as it ran on the dense Gram matrix ``A* A``."""
+def dense_gram_norm(a, tol, cap=op.POWER_ITERATION_CAP):
+    """The power iteration as it ran on the dense Gram matrix ``A* A``: its
+    value and the number of steps it took, or ``(None, cap)`` when ``cap``
+    steps do not meet the stop rule.  A zero product gives the value 0."""
     m = a.dense()
     gram = m.conj().T @ m
     v = np.full(a.dim, 1.0 / math.sqrt(a.dim), dtype=complex)
     previous = -1.0
-    for _ in range(op.POWER_ITERATION_CAP):
+    for step in range(1, cap + 1):
         w = gram @ v
         lam = float(np.real(np.vdot(v, w)))
+        if not w.any():
+            return 0.0, step
         v = w / float(np.linalg.norm(w))
         sigma = math.sqrt(max(lam, 0.0))
         if previous >= 0.0 and abs(sigma - previous) <= tol * sigma:
-            return sigma
+            return sigma, step
         previous = sigma
-    raise AssertionError("the dense iteration did not converge")
+    return None, cap
 
 
 def toeplitz_of(f):
@@ -221,9 +228,18 @@ def test_banded_norm_follows_the_dense_gram_iteration(n, make, operand, real):
     # iteration, and the gate holds them to 1e-9 relative
     a = op.commutator(make(n), operand(n))
     # real bands run the matrix-vector plan in float64, complex ones in complex
-    assert (op._MatvecPlan(a).dtype.kind == "f") == real
-    assert op.operator_norm(a, 1e-9) == pytest.approx(dense_gram_norm(a, 1e-9),
-                                                      rel=1e-12)
+    assert (op._MatvecPlan(a).rows.dtype.kind == "f") == real
+    expected, steps = dense_gram_norm(a, 1e-9)
+    assert expected is not None
+    assert op.operator_norm(a, 1e-9) == pytest.approx(expected, rel=1e-12)
+    # the banded iteration stops at the same step: a cap of exactly that many
+    # steps (rarely a multiple of the block) suffices, and one fewer does not
+    for cap in (steps, steps + 1, steps + op.NORM_BLOCK + 3):
+        assert op.operator_norm(a, 1e-9, cap) == pytest.approx(expected,
+                                                               rel=1e-12)
+    for cap in (steps - 1, steps // 2 + 1, 1):
+        with pytest.raises(op.PowerIterationError):
+            op.operator_norm(a, 1e-9, cap)
 
 
 def test_norm_forms_no_dense_matrix(monkeypatch):
@@ -240,6 +256,64 @@ def test_norm_forms_no_dense_matrix(monkeypatch):
 def test_norm_of_zero_matrix():
     z = op.finite_rank(np.zeros((80, 80)), 80)
     assert op.operator_norm(z) == 0.0
+    # the first product is zero, so one step decides
+    assert op.operator_norm(z, 1e-10, 1) == 0.0
+
+
+@pytest.mark.parametrize("k", [2, 20])
+def test_start_vector_in_the_kernel_gives_zero(k):
+    # every row of the block sums to exactly 0, so the first product is zero
+    # and the iteration stops there with 0, as the unblocked loop did; k = 2
+    # runs the Gram plan, k = 20 (39 diagonals) the plans of A and A*
+    block = np.tile([1.0, -1.0], (k, k // 2))
+    a = op.finite_rank(block, 80)
+    assert op.operator_norm(a, 1e-10, 1) == 0.0
+    assert op.operator_norm(3.0 * a) == 0.0
+
+
+@st.composite
+def banded_with_corner(draw):
+    """A band of up to 40 stored diagonals plus a corner block, real or
+    complex, with n from 65 to 200: both the Gram plan and the plans of A
+    and A* run."""
+    n = draw(st.integers(65, 200))
+    count = draw(st.integers(1, 40))
+    lo = draw(st.integers(-count - 4, 4))
+    k = draw(st.integers(0, 8))
+    real = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def entries(*shape):
+        x = rng.uniform(-1, 1, shape)
+        return x if real else x + 1j * rng.uniform(-1, 1, shape)
+
+    data = entries(count, n)
+    data[rng.random(count) < 0.3] = 0.0
+    return op.TruncatedOperator(data, lo) + op.finite_rank(entries(k, k), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(banded_with_corner(), st.sampled_from([300, -300]))
+def test_blocked_norm_follows_the_dense_gram_iteration(a, power):
+    cap = 2000
+    expected, steps = dense_gram_norm(a, 1e-9, cap)
+    scaled = a * 2.0 ** power
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if expected is None:
+            for x in (a, scaled):
+                with pytest.raises(op.PowerIterationError):
+                    op.operator_norm(x, 1e-9, cap)
+            return
+        value = op.operator_norm(a, 1e-9, steps)
+        # entries near 2**300 or 2**-300 neither overflow nor underflow: the
+        # plans are scaled by powers of two, so the iteration is the same
+        assert op.operator_norm(scaled, 1e-9, steps) == \
+            math.ldexp(value, power)
+        if steps > 1:
+            with pytest.raises(op.PowerIterationError):
+                op.operator_norm(scaled, 1e-9, steps - 1)
+    assert value == pytest.approx(expected, rel=1e-12)
 
 
 # ----------------------------------------------------------------------
