@@ -16,6 +16,13 @@ through matrix-vector plans built once per norm, skipping all-zero diagonals
 and in float64 when a band is real, and checks its stop rule once per block
 of steps; only ``TruncatedOperator.dense`` forms an ``n x n`` array.
 
+Transient memory is bounded by the band too: an operation allocates its
+result band once and the new operator adopts it without a copy, column
+shifts are strided views (of the band itself, or of a zero-padded copy of it
+or of one diagonal), and no integer index array of the band's shape is ever
+formed.  So besides its operands an operation holds its result, at most one
+band of partial products and boolean masks of a sixteenth of a band.
+
 Besides the concrete matrices, ``BandPattern`` describes single weighted
 shifts of the semi-infinite model exactly (integer/rational weights), which is
 what makes kernel/cokernel dimensions and the index computable without any
@@ -72,31 +79,47 @@ class PowerIterationError(RuntimeError):
     """Norm estimation failed to converge within the iteration cap."""
 
 
-def _rows(lo: int, count: int, n: int) -> np.ndarray:
-    """Row index ``m + lo + j`` of band entry ``[j, m]``, shape (count, n)."""
-    return np.arange(n) + np.arange(lo, lo + count)[:, None]
+def _outside(lo: int, count: int, n: int) -> np.ndarray:
+    """Mask of the band entries ``[j, m]`` whose row ``m + lo + j`` is
+    outside ``0..n-1``, broadcast from a column of offsets and a row of
+    column indices."""
+    offsets = np.arange(lo, lo + count)[:, None]
+    columns = np.arange(n)
+    mask = columns < -offsets
+    mask |= columns >= n - offsets
+    return mask
 
 
-def _gather(matrix: np.ndarray, lo: int, hi: int, n: int) -> np.ndarray:
-    """Diagonals ``lo..hi`` of a square matrix of size <= n as a band array
-    of width n; entries outside the matrix are 0."""
-    k = matrix.shape[0]
-    rows = _rows(lo, hi - lo + 1, n)
-    cols = np.broadcast_to(np.arange(n), rows.shape)
-    inside = (rows >= 0) & (rows < k) & (cols < k)
-    out = np.zeros(rows.shape, dtype=complex)
-    out[inside] = matrix[rows[inside], cols[inside]]
-    return out
+def _shift_columns(data: np.ndarray, shifts: range) -> np.ndarray:
+    """Read-only view ``out[j, m] = data[j, m + shifts[j]]``, 0 where that
+    column is outside ``0..n-1``; a 1-D ``data`` stands for the same row in
+    each of the ``len(shifts)`` rows.
+
+    The shifts rise in equal steps, so the view is one strided window over
+    a copy of ``data`` with zeros padded to each row: row j of the window
+    starts ``shifts[j]`` columns into its padded row.  A 1-D row is padded
+    once, whatever the number of rows.
+    """
+    n = data.shape[-1]
+    before, after = max(0, -shifts[0]), max(0, shifts[-1])
+    padded = np.zeros(data.shape[:-1] + (before + n + after,),
+                      dtype=data.dtype)
+    padded[..., before:before + n] = data
+    size = padded.itemsize
+    row = padded.strides[0] if padded.ndim == 2 else 0
+    return np.lib.stride_tricks.as_strided(
+        padded[..., before + shifts[0]:], shape=(len(shifts), n),
+        strides=(row + shifts.step * size, size), writeable=False)
 
 
-def _shift_columns(data: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """``out[j, m] = data[j, m + shifts[j]]``, and 0 where that column is
-    outside ``0..n-1``."""
-    count, n = data.shape
-    cols = np.arange(n) + shifts[:, None]
-    inside = (cols >= 0) & (cols < n)
-    picked = data[np.arange(count)[:, None], np.clip(cols, 0, n - 1)]
-    return np.where(inside, picked, 0)
+class _Fresh:
+    """A complex band array that its caller has just allocated and holds
+    no other reference to: ``TruncatedOperator`` adopts it without a copy."""
+
+    __slots__ = ("band",)
+
+    def __init__(self, band: np.ndarray):
+        self.band = band
 
 
 class TruncatedOperator:
@@ -108,29 +131,36 @@ class TruncatedOperator:
     columns ``s..e-1`` of a band array make the compression to
     ``span{e_s, ..., e_{e-1}}``.
 
-    ``TruncatedOperator(diagonals, lo)`` takes a band array; a dense block
-    enters through ``finite_rank``.  Operators are immutable values;
-    arithmetic returns new instances.
+    ``TruncatedOperator(diagonals, lo)`` takes a band array and copies it; a
+    dense block enters through ``finite_rank``.  Operators are immutable
+    values: arithmetic returns new instances.  A sum, difference, scalar
+    multiple, product or adjoint hands the band it has just computed to the
+    new instance, which adopts it without a second copy and still zeroes it
+    outside the matrix, checks it finite and makes it read-only.  So an
+    operation holds, besides its operands, its result band, at most one band
+    of partial products, and the boolean masks of those checks.
     """
 
     __slots__ = ("lo", "diagonals")
 
     def __init__(self, diagonals, lo: int):
-        band = np.asarray(diagonals)
+        fresh = isinstance(diagonals, _Fresh)
+        band = np.asarray(diagonals.band if fresh else diagonals)
         if band.ndim != 2 or band.shape[1] < 1:
             raise ValueError(
                 f"expected a (diagonals, n) band array, got shape {band.shape}")
-        n = band.shape[1]
+        count, n = band.shape
         lo = int(lo)
-        first, last = max(lo, 1 - n), min(lo + band.shape[0] - 1, n - 1)
+        first, last = max(lo, 1 - n), min(lo + count - 1, n - 1)
         if first > last:
             lo, band = 0, np.zeros((1, n), dtype=complex)
         else:
-            band = np.array(band[first - lo:last - lo + 1], dtype=complex)
+            trimmed = last - first < count - 1
+            if not fresh or trimmed or band.dtype != complex:
+                band = np.array(band[first - lo:last - lo + 1], dtype=complex)
             lo = first
-            rows = _rows(lo, band.shape[0], n)
-            band[(rows < 0) | (rows >= n)] = 0
-        if not np.all(np.isfinite(band)):
+            band[_outside(lo, band.shape[0], n)] = 0
+        if not np.isfinite(band).all():
             raise ValueError("matrix entries must be finite")
         band.setflags(write=False)
         self.lo = lo
@@ -150,22 +180,53 @@ class TruncatedOperator:
 
     def dense(self) -> np.ndarray:
         """The ``n x n`` matrix, for callers that need one."""
-        count, n = self.diagonals.shape
-        rows = _rows(self.lo, count, n)
-        cols = np.broadcast_to(np.arange(n), rows.shape)
-        inside = (rows >= 0) & (rows < n)
+        n = self.dim
         out = np.zeros((n, n), dtype=complex)
-        out[rows[inside], cols[inside]] = self.diagonals[inside]
+        flat = out.reshape(-1)
+        for j, diagonal in enumerate(self.diagonals):
+            # entry [m + d, m] is flat entry (m + d) * n + m, for the columns
+            # m in first..stop-1 whose row is inside the matrix
+            d = self.lo + j
+            first, stop = max(0, -d), n - max(0, d)
+            start = (first + d) * n + first
+            flat[start:start + (stop - first - 1) * (n + 1) + 1:n + 1] = \
+                diagonal[first:stop]
         return out
 
     def adjoint(self) -> "TruncatedOperator":
-        # A*[c + d, c] = conj(A[c, c + d]): offset -d of A, read at column c + d
+        """``A*[c + d, c] = conj(A[c, c + d])``, read by one strided view.
+
+        Row j of the result (offset ``j - hi``) takes row ``count-1-j`` of A
+        at column ``m + j - hi``: entry ``(count-1)*n - hi + m - j*(n-1)`` of
+        the flat band, so one view of stride ``-(n-1)`` reads every row and
+        the conjugates go straight into the result.  Where ``m + j - hi``
+        leaves ``0..n-1`` the view reads a neighbouring diagonal instead;
+        those entries are outside the matrix and the constructor zeroes them.
+        The columns before ``max(lo, 0)`` and from ``n + min(hi, 0)`` on are
+        outside the matrix in every row, so the view leaves them out and
+        never reads past the band.
+        """
         lo, hi = self.band
-        offsets = np.arange(-hi, -lo + 1)
-        flipped = self.diagonals[::-1].conj()
-        return TruncatedOperator(_shift_columns(flipped, offsets), -hi)
+        count, n = self.diagonals.shape
+        flat = self.diagonals.ravel()
+        first, stop = max(lo, 0), n + min(hi, 0)
+        view = np.lib.stride_tricks.as_strided(
+            flat[(count - 1) * n - hi + first:], shape=(count, stop - first),
+            strides=(-(n - 1) * flat.itemsize, flat.itemsize),
+            writeable=False)
+        out = np.zeros((count, n), dtype=complex)
+        np.conjugate(view, out=out[:, first:stop])
+        return TruncatedOperator(_Fresh(out), -hi)
 
     def __add__(self, other):
+        return self._combine(other, np.add)
+
+    def __sub__(self, other):
+        return self._combine(other, np.subtract)
+
+    def _combine(self, other, ufunc):
+        """``ufunc(self, other)`` entrywise: self's band is copied into the
+        result's rows, and other's band is combined into them in place."""
         if not isinstance(other, TruncatedOperator):
             return NotImplemented
         self._check_dim(other)
@@ -174,18 +235,14 @@ class TruncatedOperator:
         out = np.zeros((hi - lo + 1, self.dim), dtype=complex)
         a, b = self.diagonals, other.diagonals
         out[self.lo - lo:self.lo - lo + a.shape[0]] = a
-        out[other.lo - lo:other.lo - lo + b.shape[0]] += b
-        return TruncatedOperator(out, lo)
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedOperator):
-            return NotImplemented
-        return self + (-1.0) * other
+        rows = out[other.lo - lo:other.lo - lo + b.shape[0]]
+        ufunc(rows, b, out=rows)
+        return TruncatedOperator(_Fresh(out), lo)
 
     def __mul__(self, scalar):
         if isinstance(scalar, TruncatedOperator):
             return NotImplemented
-        return TruncatedOperator(scalar * self.diagonals, self.lo)
+        return TruncatedOperator(_Fresh(scalar * self.diagonals), self.lo)
 
     __rmul__ = __mul__
 
@@ -199,7 +256,11 @@ class TruncatedOperator:
         The Python loop runs over the nonzero diagonals of the narrower
         factor; each step is vectorised across all diagonals of the other.
         Skipping an all-zero diagonal drops only additions of zero, which
-        leave every entry as it is.
+        leave every entry as it is.  Each step holds one band of partial
+        products beside the result; when the loop runs over self, diagonal
+        ``a_p`` read at every shift q of other is a strided view of one
+        zero-padded copy of that row.  The result adopts the accumulated band
+        as it is.
         """
         if not isinstance(other, TruncatedOperator):
             return NotImplemented
@@ -218,13 +279,12 @@ class TruncatedOperator:
                 else:
                     rows[:, -q:] += a[:, :n + q] * b_q[-q:]
         else:
-            q = np.arange(other.lo, other.lo + b.shape[0])
+            q = range(other.lo, other.lo + b.shape[0])
             for i, a_p in enumerate(a):
                 if not a_p.any():
                     continue
-                shifted = _shift_columns(np.broadcast_to(a_p, b.shape), q)
-                out[i:i + b.shape[0]] += shifted * b
-        return TruncatedOperator(out, self.lo + other.lo)
+                out[i:i + b.shape[0]] += _shift_columns(a_p, q) * b
+        return TruncatedOperator(_Fresh(out), self.lo + other.lo)
 
     def _check_dim(self, other):
         if self.dim != other.dim:
@@ -246,7 +306,7 @@ def toeplitz(f: FourierSeries, n: int) -> TruncatedOperator:
     band = np.zeros((max(coeffs) - lo + 1, n), dtype=complex)
     for k, v in coeffs.items():
         band[k - lo] = v
-    return TruncatedOperator(band, lo)
+    return TruncatedOperator(_Fresh(band), lo)
 
 
 def identity(n: int) -> TruncatedOperator:
@@ -289,7 +349,12 @@ def finite_rank(block, n: int) -> TruncatedOperator:
         raise ValueError(f"block size {k} exceeds truncation size {n}")
     if k == 0:
         return TruncatedOperator(np.zeros((1, n)), 0)
-    return TruncatedOperator(_gather(b, 1 - k, k - 1, n), 1 - k)
+    band = np.zeros((2 * k - 1, n), dtype=complex)
+    for d in range(1 - k, k):
+        # np.diagonal(b, -d) holds b[m + d, m] from column max(0, -d) on
+        first = max(0, -d)
+        band[d + k - 1, first:first + k - abs(d)] = np.diagonal(b, -d)
+    return TruncatedOperator(_Fresh(band), 1 - k)
 
 
 # ----------------------------------------------------------------------
@@ -312,9 +377,11 @@ class _MatvecPlan:
     0 where that column is outside ``0..n-1``.  So ``(A v)[r]`` is
     ``sum_i rows[i, r] * v[r - d_i]``, and the terms ``v[r - d_i]`` for all i
     form one strided view of a zero-padded row holding v: ``bind`` makes the
-    view once, and each call is one ``einsum``.  Row r of ``A*`` is the
-    conjugate of column r of A, so the rows of the adjoint are the conjugated
-    diagonals as stored, with no shift.  The rows are scaled by
+    view once, and each call is one ``einsum``.  The rows of A come the same
+    way, as a strided view of a zero-padded copy of the kept diagonals.  Row
+    r of ``A*`` is the conjugate of column r of A, so the rows of the adjoint
+    are the conjugated diagonals as stored, with no shift.  The scaled copy
+    of the rows is the only band a plan keeps.  The rows are scaled by
     ``2**-exponent``, the least even power of two above their largest
     absolute row sum.  The scaling is exact, and it keeps a step of
     ``operator_norm`` from lengthening the vector: a Hermitian G has 2-norm
@@ -340,8 +407,8 @@ class _MatvecPlan:
             rows = kept.conj()
         else:
             hi = a.lo + int(used[-1])
-            rows = _shift_columns(kept[::-1],
-                                  np.arange(kept.shape[0]) * step - hi)
+            rows = _shift_columns(
+                kept[::-1], range(-hi, kept.shape[0] * step - hi, step))
         exponent = math.frexp(float(np.abs(rows).sum(axis=0).max()))[1]
         exponent += exponent % 2
         self.rows = rows * 2.0 ** -exponent
@@ -566,7 +633,7 @@ class BandPattern:
         band = np.zeros((max(self.offsets) - lo + 1, n), dtype=complex)
         for i, d in enumerate(self.offsets):
             band[d - lo] = [float(self.weight(i, col)) for col in range(n)]
-        return TruncatedOperator(band, lo)
+        return TruncatedOperator(_Fresh(band), lo)
 
     def nonnegative_zeros(self, i: int) -> list[int]:
         """All integers m >= 0 with ``weights[i](m) == 0``, found exactly."""

@@ -12,7 +12,8 @@ from toeplitz_triple import operators as op
 from toeplitz_triple.dirac import dirac, polar_check, polar_parts, represent, \
     spectrum
 from toeplitz_triple.fourier import FourierSeries, coefficient_distance
-from toeplitz_triple.triple import verify_commutator_dz, verify_delta_k
+from toeplitz_triple.triple import rough_symbol, verify_commutator_dz, \
+    verify_delta_k
 
 # one nonzero diagonal of real entries: every entry of a product with one of
 # these is a single product, so banded and dense results agree bit for bit
@@ -28,6 +29,13 @@ def reference_dense(diagonals, lo):
             if 0 <= c + lo + j < n:
                 m[c + lo + j, c] = diagonals[j, c]
     return m
+
+
+def stored_outside(a):
+    """Stored entries whose row falls outside the matrix; all must be 0."""
+    count, n = a.diagonals.shape
+    rows = np.arange(n) + np.arange(a.lo, a.lo + count)[:, None]
+    return a.diagonals[(rows < 0) | (rows >= n)]
 
 
 def reference_symbol_estimate(m, max_freq):
@@ -91,6 +99,8 @@ def test_linear_operations_match_dense(pair, scalar):
     assert np.array_equal((scalar * a).dense(), scalar * x)
     assert np.array_equal(a.adjoint().dense(), x.conj().T)
     assert np.array_equal(represent(a).dense(), np.kron(x, np.eye(2)))
+    for result in (a + b, a - b, scalar * a, a.adjoint()):
+        assert not stored_outside(result).any()
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,6 +109,7 @@ def test_products_match_dense(pair):
     (a, x), (b, y) = pair
     assert np.abs((a @ b).dense() - x @ y).max() <= 1e-13
     assert np.abs(op.commutator(a, b).dense() - (x @ y - y @ x)).max() <= 1e-13
+    assert not stored_outside(a @ b).any()
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,3 +235,32 @@ def test_norm_scales_with_the_band():
     assert value == 1.0
     # a few vectors of n complex entries; the dense Gram matrix took 4 GiB
     assert peak <= 16 * n * 16
+
+
+@pytest.fixture(scope="module")
+def rough_band():
+    """The rough control's band at the largest size of the benchmark's
+    sweep: 385 diagonals of 965 complex entries, 5.7 MiB."""
+    a = op.toeplitz(rough_symbol(768), 965)
+    assert a.diagonals.shape == (385, 965)
+    return a
+
+
+@pytest.mark.parametrize("make, bound", [
+    # two products and their difference are alive together
+    (lambda a: op.commutator(op.number(a.dim), a), 3.5),
+    (lambda a: a - a, 1.5),
+    (lambda a: op.TruncatedOperator(a.diagonals, a.lo), 1.5),
+    (lambda a: a.adjoint(), 2.0),
+], ids=["commutator", "difference", "constructor", "adjoint"])
+def test_band_operations_hold_about_one_extra_band(rough_band, make, bound):
+    # the result band, masks of a sixteenth of a band and, in a product, one
+    # band of partial products; no shifted or gathered copies, no int64
+    # index arrays and no second copy of the result
+    tracemalloc.start()
+    try:
+        make(rough_band)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * rough_band.diagonals.nbytes

@@ -453,3 +453,37 @@ def test_matrix_validation():
         op.TruncatedOperator(np.ones(3), 0)
     with pytest.raises(ValueError):
         op.TruncatedOperator(np.array([[np.nan, 1.0]]), 0)
+
+
+# each operation whose result adopts the band it has just computed
+@pytest.mark.parametrize("operation", [
+    lambda a, b: a + b, lambda a, b: a - b, lambda a, b: (2.0 - 1j) * a,
+    lambda a, b: a @ b, lambda a, b: a.adjoint(),
+], ids=["sum", "difference", "scalar", "product", "adjoint"])
+def test_arithmetic_results_are_values(operation):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
+    y = rng.standard_normal((3, 12)) + 1j * rng.standard_normal((3, 12))
+    a, b = op.TruncatedOperator(x, -2), op.TruncatedOperator(y, 1)
+    result = operation(a, b)
+    assert not result.diagonals.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        result.diagonals[0, 0] = 1.0
+    # the public constructor copied x and y: writing to them afterwards
+    # changes neither the operands nor the result
+    dense = [a.dense(), b.dense(), result.dense()]
+    x[...] = 7.0
+    y[...] = 7.0
+    assert all(np.array_equal(m, t.dense())
+               for m, t in zip(dense, (a, b, result)))
+
+
+def test_arithmetic_results_are_checked_finite():
+    big = op.TruncatedOperator(np.full((3, 8), 1e200), -1)
+    huge = op.TruncatedOperator(np.full((3, 8), 1e308), -1)
+    # sum, difference, scalar multiple, product
+    for operation in (lambda: huge + huge, lambda: huge - -huge,
+                      lambda: 1e200 * big, lambda: big @ big):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="finite"):
+            operation()
