@@ -24,8 +24,8 @@ from . import svg
 from .dirac import FredholmIndexError, dirac, fredholm_index, polar_check, \
     spectrum, summability_partial_sum, summability_report
 from .fourier import FourierSeries, wedge_check
-from .operators import PowerIterationError, pattern_kernel_dims, \
-    rectangular_kernel_dims, shift_adjoint_pattern, shift_pattern
+from .operators import pattern_kernel_dims, rectangular_kernel_dims, \
+    shift_adjoint_pattern, shift_pattern
 from .triple import AlgebraElement, boundedness_sweep, delta_absdirac_spot_check, \
     evenness_check, membership_check, rough_symbol, verify_commutator_dz, \
     verify_commutator_number, verify_delta_k, verify_dzstar_via_adjoint
@@ -188,7 +188,8 @@ def cmd_verify(cfg: RunConfig, outdir: Path):
         verify_delta_k(f, 2, n, cfg.margin, tol),
         verify_delta_k(f, 3, n, cfg.margin, tol),
         verify_dzstar_via_adjoint(word, n, tolerance=tol),
-        delta_absdirac_spot_check(f, min(n, 128)),
+        # capped at 128, but large enough for the margin rule n > 4(b + 1)
+        delta_absdirac_spot_check(f, min(n, max(128, 4 * f.bandwidth + 5))),
         evenness_check(word, min(n, 128)),
         membership_check(word, n),
     ]
@@ -384,8 +385,7 @@ def run(cfg: RunConfig) -> int:
                       error={"type": "config", "message": str(exc)})
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PowerIterationError, FredholmIndexError,
-            np.linalg.LinAlgError) as exc:
+    except (FredholmIndexError, np.linalg.LinAlgError) as exc:
         _write_report(outdir, cfg, [], [],
                       error={"type": "numerical", "message": str(exc)})
         print(f"numerical failure: {exc}", file=sys.stderr)

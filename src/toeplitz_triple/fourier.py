@@ -24,6 +24,9 @@ import numpy as np
 # bandwidth (and hence the stored band of Toeplitz matrices) stays honest.
 DROP_TOL = 1e-14
 
+# how far wedge_from_profiles lets a corner sample lie from the corner value
+CORNER_TOL = 1e-9
+
 # i**k for k mod 4, exact
 _I_POWERS = (1, 1j, -1, -1j)
 
@@ -257,15 +260,15 @@ def wedge_check(f: FourierSeries, tolerance: float = 1e-9) -> WedgeReport:
     return WedgeReport(v1, v2, tolerance, passed=(v1 <= tolerance and v2 <= tolerance))
 
 
-def wedge_from_profiles(h1, h2, corner_value, corner_tol: float = 1e-9) -> FourierSeries:
+def wedge_from_profiles(h1, h2, corner_value) -> FourierSeries:
     """Assemble a circle function from two quadrant profiles and return its series.
 
     ``h1`` and ``h2`` are uniform samples of profiles on ``[0, pi/2]``
     (endpoints included).  ``h1`` fills the quadrant-I arc, ``h2`` the
     quadrant-II arc, and quadrants III/IV are filled by the two gluing
-    relations.  The four corner samples must agree with ``corner_value``:
-    the corner points +-1, +-i are identified on the wedge, so mismatched
-    profiles would produce a discontinuous function.
+    relations.  The four corner samples must agree with ``corner_value`` to
+    within CORNER_TOL: the corner points +-1, +-i are identified on the
+    wedge, so mismatched profiles would produce a discontinuous function.
 
     Both profiles must have ``2**j + 1`` samples (same j >= 2) so that the
     assembled circle grid is a power-of-two FFT grid; no interpolation is
@@ -282,7 +285,7 @@ def wedge_from_profiles(h1, h2, corner_value, corner_tol: float = 1e-9) -> Fouri
     corner = complex(corner_value)
     for name, val in (("h1(0)", h1[0]), ("h1(pi/2)", h1[-1]),
                       ("h2(0)", h2[0]), ("h2(pi/2)", h2[-1])):
-        if abs(val - corner) > corner_tol:
+        if abs(val - corner) > CORNER_TOL:
             raise ValueError(
                 f"corner mismatch: {name} = {val} differs from corner value "
                 f"{corner} by {abs(val - corner):.3e}")

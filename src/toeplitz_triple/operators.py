@@ -90,26 +90,22 @@ def _outside(lo: int, count: int, n: int) -> np.ndarray:
     return mask
 
 
-def _shift_columns(data: np.ndarray, shifts: range) -> np.ndarray:
-    """Read-only view ``out[j, m] = data[j, m + shifts[j]]``, 0 where that
-    column is outside ``0..n-1``; a 1-D ``data`` stands for the same row in
-    each of the ``len(shifts)`` rows.
+def _shift_columns(row: np.ndarray, shifts: range) -> np.ndarray:
+    """Read-only view ``out[j, m] = row[m + shifts[j]]``, 0 where that
+    column is outside ``0..n-1``.
 
     The shifts rise in equal steps, so the view is one strided window over
-    a copy of ``data`` with zeros padded to each row: row j of the window
-    starts ``shifts[j]`` columns into its padded row.  A 1-D row is padded
-    once, whatever the number of rows.
+    a copy of the row padded with zeros once: row j of the window starts
+    ``shifts[j]`` columns into the padded row.
     """
-    n = data.shape[-1]
+    n = row.shape[0]
     before, after = max(0, -shifts[0]), max(0, shifts[-1])
-    padded = np.zeros(data.shape[:-1] + (before + n + after,),
-                      dtype=data.dtype)
-    padded[..., before:before + n] = data
+    padded = np.zeros(before + n + after, dtype=row.dtype)
+    padded[before:before + n] = row
     size = padded.itemsize
-    row = padded.strides[0] if padded.ndim == 2 else 0
     return np.lib.stride_tricks.as_strided(
-        padded[..., before + shifts[0]:], shape=(len(shifts), n),
-        strides=(row + shifts.step * size, size), writeable=False)
+        padded[before + shifts[0]:], shape=(len(shifts), n),
+        strides=(shifts.step * size, size), writeable=False)
 
 
 class _Fresh:
@@ -367,34 +363,34 @@ def commutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
 
 
 class _MatvecPlan:
-    """``v -> 2**-exponent * A v`` from the diagonals of A, in
-    O(n * bandwidth); with ``adjoint``, the same for ``A*``.
+    """``v -> 2**-exponent * X* v`` from the diagonals of X, in
+    O(n * bandwidth); a plan for ``A v`` is built from ``A.adjoint()``.
 
-    The plan keeps the diagonals from the lowest to the highest nonzero one
-    in steps of g, the gcd of their offset gaps; the rest are zero, and
-    leaving them out drops only additions of zero.  It stores them by rows:
-    ``rows[i, r]`` is the entry ``[r, r - d_i]`` of offset ``d_i = hi - i*g``,
-    0 where that column is outside ``0..n-1``.  So ``(A v)[r]`` is
-    ``sum_i rows[i, r] * v[r - d_i]``, and the terms ``v[r - d_i]`` for all i
-    form one strided view of a zero-padded row holding v: ``bind`` makes the
-    view once, and each call is one ``einsum``.  The rows of A come the same
-    way, as a strided view of a zero-padded copy of the kept diagonals.  Row
-    r of ``A*`` is the conjugate of column r of A, so the rows of the adjoint
-    are the conjugated diagonals as stored, with no shift.  The scaled copy
-    of the rows is the only band a plan keeps.  The rows are scaled by
-    ``2**-exponent``, the least even power of two above their largest
-    absolute row sum.  The scaling is exact, and it keeps a step of
-    ``operator_norm`` from lengthening the vector: a Hermitian G has 2-norm
-    at most its largest row sum, and ``||A||^2 <= ||A||_1 ||A||_inf``, the
-    row sums of A* being the column sums of A.  A band whose imaginary part
-    is exactly zero is kept in float64, so a real vector stays real; such a
-    plan takes real vectors only.
+    Row r of ``X*`` is the conjugate of column r of X, which the band stores
+    as it is: the rows of the plan are the conjugated diagonals, with no
+    shift.  The plan keeps the diagonals from the lowest to the highest
+    nonzero one in steps of g, the gcd of their offset gaps; the rest are
+    zero, and leaving them out drops only additions of zero.  So
+    ``rows[i, r]`` is the entry ``[r, r - d_i]`` of ``X*`` at offset
+    ``d_i = hi - i*g``, 0 where that column is outside ``0..n-1``, and
+    ``(X* v)[r]`` is ``sum_i rows[i, r] * v[r - d_i]``.  The terms
+    ``v[r - d_i]`` for all i form one strided view of a zero-padded row
+    holding v: ``bind`` makes the view once, and each call is one
+    ``einsum``.  The scaled copy of the rows is the only band a plan keeps.
+    The rows are scaled by ``2**-exponent``, the least even power of two
+    above their largest absolute row sum.  The scaling is exact, and it
+    keeps a step of ``operator_norm`` from lengthening the vector: a
+    Hermitian G has 2-norm at most its largest row sum, and
+    ``||A||^2 <= ||A||_1 ||A||_inf``, the row sums of A* being the column
+    sums of A.  A band whose imaginary part is exactly zero is kept in
+    float64, so a real vector stays real; such a plan takes real vectors
+    only.
     """
 
     __slots__ = ("rows", "hi", "step", "lead", "trail", "exponent")
 
-    def __init__(self, a: TruncatedOperator, adjoint: bool = False):
-        band = a.diagonals
+    def __init__(self, x: TruncatedOperator):
+        band = x.diagonals
         if not band.imag.any():
             band = band.real
         used = np.flatnonzero(band.any(axis=1))
@@ -402,13 +398,8 @@ class _MatvecPlan:
             used = np.zeros(1, dtype=int)
         step = int(np.gcd.reduce(used - used[0])) or 1
         kept = band[used[0]:used[-1] + 1:step]
-        if adjoint:
-            hi = -(a.lo + int(used[0]))
-            rows = kept.conj()
-        else:
-            hi = a.lo + int(used[-1])
-            rows = _shift_columns(
-                kept[::-1], range(-hi, kept.shape[0] * step - hi, step))
+        hi = -(x.lo + int(used[0]))
+        rows = kept.conj()
         exponent = math.frexp(float(np.abs(rows).sum(axis=0).max()))[1]
         exponent += exponent % 2
         self.rows = rows * 2.0 ** -exponent
@@ -418,7 +409,7 @@ class _MatvecPlan:
         self.exponent = exponent
 
     def bind(self, source: np.ndarray, lead: int, target: np.ndarray):
-        """A call that writes ``2**-exponent * A v`` into ``target``, for the
+        """A call that writes ``2**-exponent * X* v`` into ``target``, for the
         v held at ``source[lead:lead + n]``.  ``source`` is one contiguous
         row, with at least ``self.lead`` zeros before v and ``self.trail``
         after it."""
@@ -480,10 +471,10 @@ def operator_norm(a: TruncatedOperator, tol: float = 1e-10,
     if n <= FULL_SVD_DIM:
         return float(np.linalg.svd(a.dense(), compute_uv=False)[0])
     if a.diagonals.shape[0] <= 2 * NORM_BLOCK:
-        # G is self-adjoint, and the adjoint plan skips the column shift
-        plans = [_MatvecPlan(a.adjoint() @ a, adjoint=True)]
+        # G is self-adjoint, so its plan applies G
+        plans = [_MatvecPlan(a.adjoint() @ a)]
     else:
-        plans = [_MatvecPlan(a), _MatvecPlan(a, adjoint=True)]
+        plans = [_MatvecPlan(a.adjoint()), _MatvecPlan(a)]
     size = max(1, min(NORM_BLOCK,
                       NORM_BLOCK_WORK // sum(p.rows.size for p in plans)))
     lead = max(p.lead for p in plans)
@@ -687,14 +678,13 @@ def pattern_kernel_dims(p: BandPattern) -> tuple[int, int]:
     return ker, coker
 
 
-def rectangular_kernel_dims(p: BandPattern, n: int,
-                            rank_tol: float | None = None) -> tuple[int, int]:
+def rectangular_kernel_dims(p: BandPattern, n: int) -> tuple[int, int]:
     """Numeric (kernel, cokernel) dimensions from a rectangular truncation.
 
     The domain is the first n columns; the codomain is every row from 0 up to
     the largest row reachable from the domain.  Square truncations always have
     index zero and cannot see the Fredholm index, which is why the codomain
-    must follow the band.
+    must follow the band.  The rank is numpy's, at its default tolerance.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -711,5 +701,5 @@ def rectangular_kernel_dims(p: BandPattern, n: int,
             row = col + d
             if 0 <= row <= top:
                 m[row, col] = float(p.weight(i, col))
-    rank = int(np.linalg.matrix_rank(m, tol=rank_tol))
+    rank = int(np.linalg.matrix_rank(m))
     return n - rank, (top + 1) - rank

@@ -97,7 +97,7 @@ def test_criterion_05_commutator_identities():
 def test_criterion_06_boundedness_sweeps():
     sizes = [64, 128, 256, 512]
     rng = np.random.default_rng(WORD_SEED)
-    words = random_words(rng, 10, max_depth=3)
+    words = random_words(rng, 10)
     ok = True
     for word in words:
         for which, order in [("dirac", 1), ("delta", 1), ("delta", 2)]:

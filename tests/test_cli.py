@@ -129,6 +129,16 @@ def test_verify_command_fails_for_bad_symbol(tmp_path):
     assert not wedge["passed"]
 
 
+def test_verify_runs_wide_symbols_at_large_n(tmp_path):
+    # verify --n 1024 --symbol cos4k:8 used to exit 2: the |D| spot check
+    # ran at n = 128, below its margin rule n > 4 * (bandwidth + 1) = 132
+    argv = ["verify", "--n", "1024", "--symbol", "cos4k:8"]
+    assert exit_code(argv, tmp_path) == EXIT_OK
+    [check] = [c for c in read_report(tmp_path)["checks"]
+               if c["name"] == "delta_absdirac_spot_check"]
+    assert check["n"] == 133
+
+
 def test_index_command(tmp_path):
     cfg = make_config("index", tmp_path, sizes=[16, 32, 64])
     assert run(cfg) == EXIT_OK

@@ -164,6 +164,20 @@ def test_delta_k_constant_vanishes():
     assert report.max_deviation == 0.0
 
 
+@pytest.mark.parametrize("n", [256, 1024])
+def test_delta_k_rounding_is_relative_to_the_largest_expected_entry(n):
+    # 64 samples of cos 16t + 0.5 cos 8t: delta_3 deviates by 2.7e-12 at
+    # n = 256 and 1.4e-11 at n = 1024, above the default absolute tolerance
+    # 1e-12, but the expected entries reach 16**3 * 0.5 = 2048, so it is
+    # rounding; the tolerance has to scale with n and bandwidth**k
+    theta = 2 * np.pi * np.arange(64) / 64
+    f = FourierSeries.from_samples(np.cos(16 * theta) + 0.5 * np.cos(8 * theta))
+    largest = max(abs(k) ** 3 * abs(c) for k, c in f.coeffs.items())
+    assert largest == pytest.approx(2048)
+    report = verify_delta_k(f, 3, n)
+    assert report.max_deviation / largest < 1e-13
+
+
 def test_margin_preconditions():
     f = FourierSeries.cosine(4)
     with pytest.raises(ValueError, match="margin"):
@@ -284,7 +298,7 @@ def test_sweep_delta_targets():
 
 def test_sweep_delta_of_dz_commutator_for_random_words():
     # iterated [N, .] applied to [dz, a] stays bounded for algebra words
-    words = random_words(np.random.default_rng(4), 3, max_depth=3)
+    words = random_words(np.random.default_rng(4), 3)
     for word in words:
         for order in (1, 2):
             report = boundedness_sweep(word, [128, 256, 512], "delta_dz",
@@ -337,7 +351,7 @@ def test_sweep_marginal_compact_gap_is_slow():
     # slowly and section norms keep creeping at these sizes.  The value is
     # still bounded and settles at the 1e-2 scale, just not at 1e-6.
     rng = np.random.default_rng(20260809)
-    word = random_words(rng, 1, max_depth=3)[0]
+    word = random_words(rng, 1)[0]
     report = boundedness_sweep(word, [64, 128, 256, 512], "dirac",
                                stabilization_tol=1e-2)
     assert report.stabilized
@@ -374,7 +388,7 @@ def word_depth(word):
 
 
 def test_random_words_depth_bound():
-    words = random_words(np.random.default_rng(1), 20, max_depth=3)
+    words = random_words(np.random.default_rng(1), 20)
     assert max(word_depth(w) for w in words) > 1
     for word in words:
         assert word_depth(word) <= 3
