@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,7 +28,7 @@ from .operators import pattern_kernel_dims, rectangular_kernel_dims, \
     shift_adjoint_pattern, shift_pattern
 from .triple import AlgebraElement, boundedness_sweep, delta_absdirac_spot_check, \
     evenness_check, membership_check, rough_symbol, verify_commutator_dz, \
-    verify_commutator_number, verify_delta_k, verify_dzstar_via_adjoint
+    verify_delta_k, verify_dzstar_via_adjoint
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -181,10 +181,12 @@ def cmd_verify(cfg: RunConfig, outdir: Path):
     word = AlgebraElement.unchecked_toeplitz(f, label=cfg.symbol_spec)
 
     checks = [_from_wedge(wedge_check(f, 1e-9))]
+    # commutator_number is delta_1 under its own name, so [N, T_f] is built once
+    delta_1 = verify_delta_k(f, 1, n, cfg.margin, tol)
     reports = [
-        verify_commutator_number(f, n, cfg.margin, tol),
+        replace(delta_1, name="commutator_number"),
         verify_commutator_dz(f, n, cfg.margin, tol),
-        verify_delta_k(f, 1, n, cfg.margin, tol),
+        delta_1,
         verify_delta_k(f, 2, n, cfg.margin, tol),
         verify_delta_k(f, 3, n, cfg.margin, tol),
         verify_dzstar_via_adjoint(word, n, tolerance=tol),

@@ -299,8 +299,8 @@ def fredholm_index(n_small: int, n_large: int) -> int:
     is matched, all four blocks, against ``[[0, S*], [S, 0]]``, whose
     top-right block maps the negative graded summand to the positive one
     with the adjoint-shift band pattern.  The index of that pattern is then
-    computed (a) exactly on the semi-infinite pattern and (b) numerically
-    from rectangular truncations at both sizes; all three must agree.
+    computed (a) on the semi-infinite pattern and (b) from rectangular
+    truncations at both sizes, both exactly; all three must agree.
     """
     if not (2 <= n_small < n_large):
         raise ValueError("need 2 <= n_small < n_large")

@@ -23,10 +23,12 @@ or of one diagonal), and no integer index array of the band's shape is ever
 formed.  So besides its operands an operation holds its result, at most one
 band of partial products and boolean masks of a sixteenth of a band.
 
-Besides the concrete matrices, ``BandPattern`` describes single weighted
-shifts of the semi-infinite model exactly (integer/rational weights), which is
-what makes kernel/cokernel dimensions and the index computable without any
-truncation.
+Besides the concrete matrices, ``BandPattern`` describes a weighted shift
+``e_m -> w(m) e_{m+offset}`` of the semi-infinite model exactly (a polynomial
+weight with rational coefficients), which makes kernel/cokernel dimensions
+and the index computable without any truncation.  Its rectangular truncations
+have one entry per column, so their kernel and cokernel are counted exactly
+in O(n) and no matrix is formed.
 """
 
 from __future__ import annotations
@@ -596,39 +598,37 @@ def cauchy_riemann_weight_gap(n: int) -> tuple[float, int]:
 
 @dataclass(frozen=True)
 class BandPattern:
-    """Exact structural description of banded shift-type operators.
-
-    ``offsets[i]`` places an entry at row ``m + offsets[i]``, column ``m``,
-    with weight ``weights[i](m)`` given by exact rational polynomial
-    coefficients in ascending order.  The semi-infinite kernel and cokernel
-    are computable exactly when the pattern is a single weighted shift.
+    """Weighted shift ``e_m -> w(m) e_{m+offset}`` of the semi-infinite model,
+    with ``coeffs`` the exact (``Fraction``) coefficients of the polynomial
+    ``w`` in ascending order; there must be at least one.
     """
 
-    offsets: tuple
-    weights: tuple  # one tuple of Fraction coefficients per offset
+    offset: int
+    coeffs: tuple
+
+    def __post_init__(self):
+        if not self.coeffs:
+            raise ValueError("a weight needs at least one coefficient")
 
     @classmethod
     def weighted_shift(cls, offset: int, poly_coeffs) -> "BandPattern":
-        coeffs = tuple(Fraction(c) for c in poly_coeffs)
-        return cls((int(offset),), (coeffs,))
+        return cls(int(offset), tuple(Fraction(c) for c in poly_coeffs))
 
-    def weight(self, i: int, m: int) -> Fraction:
+    def weight(self, m: int) -> Fraction:
+        """``w(m)``, by Horner's rule in exact arithmetic."""
         acc = Fraction(0)
-        for c in reversed(self.weights[i]):
+        for c in reversed(self.coeffs):
             acc = acc * m + c
         return acc
 
     def realize(self, n: int) -> TruncatedOperator:
         """Float truncation, for cross-checks against the exact computations."""
-        lo = min(self.offsets)
-        band = np.zeros((max(self.offsets) - lo + 1, n), dtype=complex)
-        for i, d in enumerate(self.offsets):
-            band[d - lo] = [float(self.weight(i, col)) for col in range(n)]
-        return TruncatedOperator(_Fresh(band), lo)
+        weights = [float(self.weight(m)) for m in range(n)]
+        return TruncatedOperator(np.array([weights]), self.offset)
 
-    def nonnegative_zeros(self, i: int) -> list[int]:
-        """All integers m >= 0 with ``weights[i](m) == 0``, found exactly."""
-        coeffs = self.weights[i]
+    def nonnegative_zeros(self) -> list[int]:
+        """All integers m >= 0 with ``w(m) == 0``, found exactly."""
+        coeffs = self.coeffs
         # strip leading (high-order) zeros
         top = len(coeffs) - 1
         while top > 0 and coeffs[top] == 0:
@@ -640,7 +640,7 @@ class BandPattern:
             return []
         lead = coeffs[-1]
         bound = 1 + max(abs(c / lead) for c in coeffs[:-1])
-        return [m for m in range(0, math.ceil(bound) + 1) if self.weight(i, m) == 0]
+        return [m for m in range(0, math.ceil(bound) + 1) if self.weight(m) == 0]
 
 
 def shift_pattern() -> BandPattern:
@@ -660,46 +660,36 @@ def dz_star_pattern() -> BandPattern:
 
 
 def pattern_kernel_dims(p: BandPattern) -> tuple[int, int]:
-    """Exact (kernel, cokernel) dimensions of a single weighted shift.
+    """Exact (kernel, cokernel) dimensions of a weighted shift.
 
     Computed on the semi-infinite model, never from a truncation: for offset d
     and weight w, the kernel collects the columns m with ``w(m) == 0`` or
     ``m + d < 0``, and the cokernel the rows ``r >= 0`` that are not of the
     form ``m + d`` with ``w(m) != 0``.
     """
-    if len(p.offsets) != 1:
-        raise ValueError(
-            "kernel/cokernel dimensions are exact only for single weighted "
-            "shifts; use a rectangular truncation for multi-offset patterns")
-    d = p.offsets[0]
-    zeros = p.nonnegative_zeros(0)
+    d = p.offset
+    zeros = p.nonnegative_zeros()
     ker = len(set(zeros) | set(range(0, max(0, -d))))
     coker = max(d, 0) + sum(1 for m in zeros if m >= max(-d, 0))
     return ker, coker
 
 
 def rectangular_kernel_dims(p: BandPattern, n: int) -> tuple[int, int]:
-    """Numeric (kernel, cokernel) dimensions from a rectangular truncation.
+    """Exact (kernel, cokernel) dimensions of a rectangular truncation.
 
     The domain is the first n columns; the codomain is every row from 0 up to
     the largest row reachable from the domain.  Square truncations always have
     index zero and cannot see the Fredholm index, which is why the codomain
-    must follow the band.  The rank is numpy's, at its default tolerance.
+    must follow the band.  Each column ``m >= max(0, -offset)`` with
+    ``w(m) != 0`` holds one entry, in a row of its own, so the rank is the
+    count of those columns: O(n) exact weights, no matrix, and independent
+    of the zeros ``pattern_kernel_dims`` finds.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    reachable = [m + d
-                 for i, d in enumerate(p.offsets)
-                 for m in range(n)
-                 if m + d >= 0 and p.weight(i, m) != 0]
-    if not reachable:
-        return n, 0
-    top = max(reachable)
-    m = np.zeros((top + 1, n), dtype=float)
-    for i, d in enumerate(p.offsets):
-        for col in range(n):
-            row = col + d
-            if 0 <= row <= top:
-                m[row, col] = float(p.weight(i, col))
-    rank = int(np.linalg.matrix_rank(m))
+    rank, top = 0, -1
+    for m in range(max(0, -p.offset), n):
+        if p.weight(m) != 0:
+            rank += 1
+            top = m + p.offset
     return n - rank, (top + 1) - rank

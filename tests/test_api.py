@@ -25,11 +25,11 @@ SIGNATURES = {
     "AlgebraElement.compact_support": "(self)",
     "AlgebraElement.realize": "(self, n)",
     "AlgebraElement.symbol": "(self)",
-    "BandPattern": "(offsets, weights)",
+    "BandPattern": "(offset, coeffs)",
     "BandPattern.weighted_shift": "(offset, poly_coeffs)",
-    "BandPattern.weight": "(self, i, m)",
+    "BandPattern.weight": "(self, m)",
     "BandPattern.realize": "(self, n)",
-    "BandPattern.nonnegative_zeros": "(self, i)",
+    "BandPattern.nonnegative_zeros": "(self)",
     "FourierSeries": "(coeffs=None)",
     "FourierSeries.coefficient": "(self, k)",
     "FourierSeries.constant": "(c)",

@@ -1,11 +1,12 @@
 """Tests for truncated operators, norms, symbols and exact band patterns."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toeplitz_triple.fourier import FourierSeries, coefficient_distance
@@ -407,10 +408,12 @@ def test_pattern_kernel_dims():
     assert op.pattern_kernel_dims(op.dz_star_pattern()) == (0, 1)
 
 
-def test_pattern_kernel_dims_rejects_multi_offset():
-    p = op.BandPattern(offsets=(1, -1), weights=((1,), (1,)))
-    with pytest.raises(ValueError):
-        op.pattern_kernel_dims(p)
+def test_pattern_rejects_an_empty_weight():
+    # w would have no coefficient to evaluate or find the zeros of
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        op.BandPattern.weighted_shift(1, [])
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        op.BandPattern(offset=-1, coeffs=())
 
 
 def test_pattern_realization_matches_matrices():
@@ -438,10 +441,77 @@ def test_rectangular_dims_match_exact_and_are_stable():
 def test_pattern_zero_finding_uses_exact_arithmetic():
     # weight (m - 3)(m - 17) has zeros exactly at 3 and 17
     p = op.BandPattern.weighted_shift(-1, [51, -20, 1])
-    assert p.nonnegative_zeros(0) == [3, 17]
+    assert p.nonnegative_zeros() == [3, 17]
     ker, coker = op.pattern_kernel_dims(p)
     assert ker == 3   # zeros {3, 17} plus the m + d < 0 column {0}
     assert coker == 2  # rows 2 and 16 are never hit
+
+
+NAMED_PATTERNS = [op.shift_pattern(), op.shift_adjoint_pattern(),
+                  op.dz_pattern(), op.dz_star_pattern()]
+
+
+def dense_rectangular_dims(p, n):
+    """Reference for ``rectangular_kernel_dims``: ``n - rank`` and
+    ``(top + 1) - rank`` of the dense ``(top + 1) x n`` truncation, where
+    ``top`` is the last row a nonzero entry reaches and the rank is numpy's."""
+    weights = [float(p.weight(m)) for m in range(n)]
+    reached = [m + p.offset for m in range(n)
+               if m + p.offset >= 0 and weights[m] != 0]
+    if not reached:
+        return n, 0
+    top = max(reached)
+    a = np.zeros((top + 1, n))
+    for m in range(n):
+        if 0 <= m + p.offset <= top:
+            a[m + p.offset, m] = weights[m]
+    rank = int(np.linalg.matrix_rank(a))
+    return n - rank, (top + 1) - rank
+
+
+def weight_from_roots(scale, roots):
+    """Ascending integer coefficients of ``scale * prod (m - r)``."""
+    coeffs = [scale]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
+
+
+@st.composite
+def patterns(draw):
+    """The named patterns, and weighted shifts at offsets -3..3 whose
+    integer weights have degree at most 2: drawn coefficients, or drawn
+    roots, so that many weights vanish at some m >= 0."""
+    kind = draw(st.sampled_from(["named", "coefficients", "roots"]))
+    if kind == "named":
+        return draw(st.sampled_from(NAMED_PATTERNS))
+    offset = draw(st.integers(-3, 3))
+    if kind == "coefficients":
+        coeffs = draw(st.lists(st.integers(-60, 60), min_size=1, max_size=3))
+    else:
+        scale = draw(st.integers(-3, 3).filter(bool))
+        coeffs = weight_from_roots(
+            scale, draw(st.lists(st.integers(-5, 40), max_size=2)))
+    return op.BandPattern.weighted_shift(offset, coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterns(), st.integers(1, 64))
+@example(op.BandPattern.weighted_shift(-1, [51, -20, 1]), 64)
+def test_rectangular_dims_match_the_dense_rank(p, n):
+    assert op.rectangular_kernel_dims(p, n) == dense_rectangular_dims(p, n)
+
+
+def test_rectangular_dims_form_no_matrix():
+    tracemalloc.start()
+    try:
+        dims = op.rectangular_kernel_dims(op.dz_pattern(), 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dims == (1, 0)
+    # a dense (top + 1) x n float matrix would take 128 MiB
+    assert peak < 2 ** 20
 
 
 def test_matrix_validation():
