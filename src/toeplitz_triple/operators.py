@@ -18,10 +18,13 @@ of steps; only ``TruncatedOperator.dense`` forms an ``n x n`` array.
 
 Transient memory is bounded by the band too: an operation allocates its
 result band once and the new operator adopts it without a copy, column
-shifts are strided views (of the band itself, or of a zero-padded copy of it
-or of one diagonal), and no integer index array of the band's shape is ever
-formed.  So besides its operands an operation holds its result, at most one
-band of partial products and boolean masks of a sixteenth of a band.
+shifts are slices of the band, and no integer index array of the band's
+shape is ever formed.  A product loops over the nonzero diagonals of its
+right factor, each step vectorised across the whole left band, and a
+commutator adds its two products into one result band through that loop.
+So besides its operands an operation holds its result, the partial
+products of one step (at most one band of the left factor's size) and
+boolean masks of a sixteenth of a band.
 
 Besides the concrete matrices, ``BandPattern`` describes a weighted shift
 ``e_m -> w(m) e_{m+offset}`` of the semi-infinite model exactly (a polynomial
@@ -92,24 +95,6 @@ def _outside(lo: int, count: int, n: int) -> np.ndarray:
     return mask
 
 
-def _shift_columns(row: np.ndarray, shifts: range) -> np.ndarray:
-    """Read-only view ``out[j, m] = row[m + shifts[j]]``, 0 where that
-    column is outside ``0..n-1``.
-
-    The shifts rise in equal steps, so the view is one strided window over
-    a copy of the row padded with zeros once: row j of the window starts
-    ``shifts[j]`` columns into the padded row.
-    """
-    n = row.shape[0]
-    before, after = max(0, -shifts[0]), max(0, shifts[-1])
-    padded = np.zeros(before + n + after, dtype=row.dtype)
-    padded[before:before + n] = row
-    size = padded.itemsize
-    return np.lib.stride_tricks.as_strided(
-        padded[before + shifts[0]:], shape=(len(shifts), n),
-        strides=(shifts.step * size, size), writeable=False)
-
-
 class _Fresh:
     """A complex band array that its caller has just allocated and holds
     no other reference to: ``TruncatedOperator`` adopts it without a copy."""
@@ -135,8 +120,9 @@ class TruncatedOperator:
     multiple, product or adjoint hands the band it has just computed to the
     new instance, which adopts it without a second copy and still zeroes it
     outside the matrix, checks it finite and makes it read-only.  So an
-    operation holds, besides its operands, its result band, at most one band
-    of partial products, and the boolean masks of those checks.
+    operation holds, besides its operands, its result band, in a product or
+    commutator the partial products of one step (at most one band of the
+    left factor's size), and the boolean masks of those checks.
     """
 
     __slots__ = ("lo", "diagonals")
@@ -192,28 +178,23 @@ class TruncatedOperator:
         return out
 
     def adjoint(self) -> "TruncatedOperator":
-        """``A*[c + d, c] = conj(A[c, c + d])``, read by one strided view.
+        """``A*[c - d, c] = conj(A[c, c - d])``, one conjugating slice per
+        diagonal.
 
-        Row j of the result (offset ``j - hi``) takes row ``count-1-j`` of A
-        at column ``m + j - hi``: entry ``(count-1)*n - hi + m - j*(n-1)`` of
-        the flat band, so one view of stride ``-(n-1)`` reads every row and
-        the conjugates go straight into the result.  Where ``m + j - hi``
-        leaves ``0..n-1`` the view reads a neighbouring diagonal instead;
-        those entries are outside the matrix and the constructor zeroes them.
-        The columns before ``max(lo, 0)`` and from ``n + min(hi, 0)`` on are
-        outside the matrix in every row, so the view leaves them out and
-        never reads past the band.
+        The diagonal of offset d holds ``A[m + d, m]`` at column m, so it
+        becomes the diagonal of offset -d read ``d`` columns later: column c
+        of the result takes the conjugate of column ``c - d``, for the
+        columns c where both lie inside ``0..n-1``.  The conjugates go
+        straight into the result band.
         """
         lo, hi = self.band
         count, n = self.diagonals.shape
-        flat = self.diagonals.ravel()
-        first, stop = max(lo, 0), n + min(hi, 0)
-        view = np.lib.stride_tricks.as_strided(
-            flat[(count - 1) * n - hi + first:], shape=(count, stop - first),
-            strides=(-(n - 1) * flat.itemsize, flat.itemsize),
-            writeable=False)
         out = np.zeros((count, n), dtype=complex)
-        np.conjugate(view, out=out[:, first:stop])
+        for j, diagonal in enumerate(self.diagonals):
+            d = lo + j
+            first, stop = max(d, 0), n + min(d, 0)
+            np.conjugate(diagonal[first - d:stop - d],
+                         out=out[count - 1 - j, first:stop])
         return TruncatedOperator(_Fresh(out), -hi)
 
     def __add__(self, other):
@@ -248,41 +229,12 @@ class TruncatedOperator:
         return (-1.0) * self
 
     def __matmul__(self, other):
-        """Product by diagonals: offset p of self times offset q of other adds
-        ``a_p[c + q] * b_q[c]`` to offset p + q at column c.
-
-        The Python loop runs over the nonzero diagonals of the narrower
-        factor; each step is vectorised across all diagonals of the other.
-        Skipping an all-zero diagonal drops only additions of zero, which
-        leave every entry as it is.  Each step holds one band of partial
-        products beside the result; when the loop runs over self, diagonal
-        ``a_p`` read at every shift q of other is a strided view of one
-        zero-padded copy of that row.  The result adopts the accumulated band
-        as it is.
-        """
+        """Product by diagonals: one loop step per nonzero diagonal of
+        ``other``, each vectorised across all diagonals of self (see
+        ``_products``)."""
         if not isinstance(other, TruncatedOperator):
             return NotImplemented
-        self._check_dim(other)
-        a, b = self.diagonals, other.diagonals
-        n = self.dim
-        out = np.zeros((a.shape[0] + b.shape[0] - 1, n), dtype=complex)
-        if b.shape[0] <= a.shape[0]:
-            for j, b_q in enumerate(b):
-                if not b_q.any():
-                    continue
-                q = other.lo + j
-                rows = out[j:j + a.shape[0]]
-                if q >= 0:
-                    rows[:, :n - q] += a[:, q:] * b_q[:n - q]
-                else:
-                    rows[:, -q:] += a[:, :n + q] * b_q[-q:]
-        else:
-            q = range(other.lo, other.lo + b.shape[0])
-            for i, a_p in enumerate(a):
-                if not a_p.any():
-                    continue
-                out[i:i + b.shape[0]] += _shift_columns(a_p, q) * b
-        return TruncatedOperator(_Fresh(out), self.lo + other.lo)
+        return _products(self, other, commute=False)
 
     def _check_dim(self, other):
         if self.dim != other.dim:
@@ -359,9 +311,47 @@ def finite_rank(block, n: int) -> TruncatedOperator:
 # algebra and numerics
 # ----------------------------------------------------------------------
 
+def _products(a: TruncatedOperator, b: TruncatedOperator,
+              commute: bool) -> TruncatedOperator:
+    """``a @ b``, or ``a @ b - b @ a`` when ``commute``, in one result band.
+
+    Offset p of the left factor times offset q of the right one adds
+    ``l_p[c + q] * r_q[c]`` to offset p + q at column c.  Both products
+    cover the offsets ``a.lo + b.lo`` up to the sum of the highest ones, so
+    the band is allocated once and each product is added (or subtracted)
+    into it in place.  The Python loop runs over the nonzero diagonals of
+    the right factor; each step is vectorised across all diagonals of the
+    left one, and holds their partial products, one band of the left
+    factor's size, beside the result.  Skipping an all-zero diagonal drops
+    only additions of zero, which leave every entry as it is.
+    """
+    a._check_dim(b)
+    n = a.dim
+    out = np.zeros((a.diagonals.shape[0] + b.diagonals.shape[0] - 1, n),
+                   dtype=complex)
+    terms = [(a, b, np.add)]
+    if commute:
+        terms.append((b, a, np.subtract))
+    for left, right, ufunc in terms:
+        band = left.diagonals
+        for j, r_q in enumerate(right.diagonals):
+            if not r_q.any():
+                continue
+            q = right.lo + j
+            first, stop = max(0, -q), n - max(0, q)
+            rows = out[j:j + band.shape[0], first:stop]
+            ufunc(rows, band[:, first + q:stop + q] * r_q[first:stop],
+                  out=rows)
+    return TruncatedOperator(_Fresh(out), a.lo + b.lo)
+
+
 def commutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
-    """[a, b] = ab - ba."""
-    return a @ b - b @ a
+    """[a, b] = ab - ba, with both products accumulated into one band."""
+    if not isinstance(a, TruncatedOperator) or \
+            not isinstance(b, TruncatedOperator):
+        raise TypeError("commutator takes two TruncatedOperator values, got "
+                        f"{type(a).__name__} and {type(b).__name__}")
+    return _products(a, b, commute=True)
 
 
 class _MatvecPlan:

@@ -63,7 +63,10 @@ def chart(series, title="", xlabel="", ylabel="", logx=False, logy=False,
         if pts:
             cleaned.append((label, pts))
     if not cleaned:
-        cleaned = [("empty", [(0.0, 0.0), (1.0, 1.0)])]
+        # an empty frame over one unit of each axis: 0..1, or 1..10 when log
+        (x0, x1), (y0, y1) = ((1.0, 10.0) if log else (0.0, 1.0)
+                              for log in (logx, logy))
+        cleaned = [("empty", [(x0, y0), (x1, y1)])]
 
     all_x = [p[0] for _, pts in cleaned for p in pts]
     all_y = [p[1] for _, pts in cleaned for p in pts]

@@ -49,7 +49,7 @@ __all__ = [
 # from one inverse FFT of the coefficients folded mod SUP_GRID.
 SUP_GRID = 4096
 
-STABILIZATION_TOL = 1e-6
+STABILIZATION_TOL = 1e-6  # relative change of the last two sweep values
 GROWTH_TOL = 1e-2
 NORM_TOL = 1e-9  # relative stop rule of the section norms
 WEDGE_TOLERANCE = 1e-9  # of the guarded Toeplitz generator
@@ -458,9 +458,8 @@ def _sweep_value(word: AlgebraElement, n: int, which: str,
     return value, raw
 
 
-def boundedness_sweep(word, sizes, which: str = "dirac", order: int = 1,
-                      stabilization_tol: float = STABILIZATION_TOL
-                      ) -> SweepReport:
+def boundedness_sweep(word, sizes, which: str = "dirac",
+                      order: int = 1) -> SweepReport:
     """Norm sweep of a commutator target over increasing truncation sizes.
 
     ``which`` selects the target: "dirac" for the off-diagonal blocks of
@@ -480,12 +479,11 @@ def boundedness_sweep(word, sizes, which: str = "dirac", order: int = 1,
         raws.append(r)
     last, prev = values[-1], values[-2]
     scale = max(abs(last), 1e-300)
-    stabilized = abs(last - prev) <= stabilization_tol * scale
+    stabilized = abs(last - prev) <= STABILIZATION_TOL * scale
     trend = "growing" if last > prev * (1.0 + GROWTH_TOL) else "bounded"
     name = which if which == "dirac" else f"{which}:{order}"
     return SweepReport(sizes=sizes, values=values, raw_values=raws,
-                       stabilized=stabilized, trend=trend, which=name,
-                       stabilization_tol=stabilization_tol)
+                       stabilized=stabilized, trend=trend, which=name)
 
 
 # ----------------------------------------------------------------------

@@ -101,8 +101,7 @@ def test_criterion_06_boundedness_sweeps():
     ok = True
     for word in words:
         for which, order in [("dirac", 1), ("delta", 1), ("delta", 2)]:
-            sweep = boundedness_sweep(word, sizes, which, order=order,
-                                      stabilization_tol=1e-6)
+            sweep = boundedness_sweep(word, sizes, which, order=order)
             ok &= sweep.stabilized and sweep.trend == "bounded"
     control = boundedness_sweep(
         lambda n: AlgebraElement.unchecked_toeplitz(rough_symbol(n)),

@@ -54,7 +54,7 @@ SIGNATURES = {
     "analytic_eigenvector": "(k, n)",
     "block_interior_deviation": "(a, b, margin)",
     "boundedness_sweep":
-        "(word, sizes, which='dirac', order=1, stabilization_tol=1e-06)",
+        "(word, sizes, which='dirac', order=1)",
     "cauchy_riemann_weight_gap": "(n)",
     "coefficient_distance": "(a, b)",
     "commutator": "(a, b)",

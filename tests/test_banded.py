@@ -121,6 +121,17 @@ def test_products_with_elementary_factors_are_exact(ax, make):
     assert np.array_equal((e @ a).dense(), d @ x)
     assert np.array_equal((a @ e).dense(), x @ d)
     assert np.array_equal(op.commutator(e, a).dense(), d @ x - x @ d)
+    assert np.array_equal(op.commutator(a, e).dense(), x @ d - d @ x)
+
+
+def test_commutator_rejects_non_operators_and_mismatched_dimensions():
+    a = op.number(4)
+    with pytest.raises(TypeError):
+        op.commutator(a, a.dense())
+    with pytest.raises(TypeError):
+        op.commutator(2.0, a)
+    with pytest.raises(ValueError):
+        op.commutator(a, op.number(5))
 
 
 @settings(max_examples=60, deadline=None)
@@ -250,16 +261,23 @@ def rough_band():
 
 
 @pytest.mark.parametrize("make, bound", [
-    # two products and their difference are alive together
-    (lambda a: op.commutator(op.number(a.dim), a), 3.5),
+    # both products accumulate into one result band; the step of a @ N
+    # holds one band of partial products beside it
+    (lambda a: op.commutator(op.number(a.dim), a), 2.5),
+    # one step per diagonal of a, each holding one diagonal of products
+    (lambda a: op.number(a.dim) @ a, 1.5),
+    # one step, holding one band of partial products
+    (lambda a: a @ op.number(a.dim), 2.5),
     (lambda a: a - a, 1.5),
     (lambda a: op.TruncatedOperator(a.diagonals, a.lo), 1.5),
     (lambda a: a.adjoint(), 2.0),
-], ids=["commutator", "difference", "constructor", "adjoint"])
+], ids=["commutator", "number_times_band", "band_times_number", "difference",
+        "constructor", "adjoint"])
 def test_band_operations_hold_about_one_extra_band(rough_band, make, bound):
-    # the result band, masks of a sixteenth of a band and, in a product, one
-    # band of partial products; no shifted or gathered copies, no int64
-    # index arrays and no second copy of the result
+    # the result band, masks of a sixteenth of a band and, in a product, the
+    # partial products of one step, at most one band of the left factor's
+    # size; no shifted or gathered copies, no int64 index arrays, no second
+    # product and no second copy of the result
     tracemalloc.start()
     try:
         make(rough_band)

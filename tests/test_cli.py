@@ -186,6 +186,30 @@ def test_sweep_rough_control(tmp_path):
     assert control["trend"] == "growing"
 
 
+@pytest.mark.parametrize("symbol", ["const:2", "cos4k:0"])
+def test_sweep_plot_of_all_zero_values(tmp_path, symbol):
+    # a constant symbol commutes with N and dz, so every sweep value is 0 and
+    # the log axes drop every point: the plot is an empty frame
+    reports = {}
+    for name, extra in (("plain", []), ("plotted", ["--svg"])):
+        out = tmp_path / name
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--sizes", "32,64", "--symbol", symbol,
+                  "--output-dir", str(out), *extra])
+        assert exc.value.code == EXIT_OK
+        reports[name] = read_report(out)
+    plain, plotted = reports["plain"], reports["plotted"]
+    assert plotted["error"] is None
+    assert plotted["checks"] == plain["checks"]
+    assert all(c["passed"] and c["values"] == [0.0, 0.0]
+               for c in plotted["checks"])
+    assert plotted["artifacts"] == ["data.csv", "plot.svg"]
+    assert (tmp_path / "plotted" / "data.csv").read_bytes() == \
+        (tmp_path / "plain" / "data.csv").read_bytes()
+    root = ET.fromstring((tmp_path / "plotted" / "plot.svg").read_text())
+    assert root.tag.endswith("svg")
+
+
 def test_wedge_command_pass_and_fail(tmp_path):
     assert run(make_config("wedge", tmp_path, symbol_spec="cos4k:2")) == EXIT_OK
 

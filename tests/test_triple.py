@@ -352,9 +352,9 @@ def test_sweep_marginal_compact_gap_is_slow():
     # still bounded and settles at the 1e-2 scale, just not at 1e-6.
     rng = np.random.default_rng(20260809)
     word = random_words(rng, 1)[0]
-    report = boundedness_sweep(word, [64, 128, 256, 512], "dirac",
-                               stabilization_tol=1e-2)
-    assert report.stabilized
+    report = boundedness_sweep(word, [64, 128, 256, 512], "dirac")
+    last, prev = report.values[-1], report.values[-2]
+    assert abs(last - prev) <= 1e-2 * abs(last)
     assert report.trend == "bounded"
 
 
