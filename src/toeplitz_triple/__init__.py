@@ -10,7 +10,7 @@ integer spectrum, Fredholm index and summability of the resolvent weights.
 from .fourier import FourierSeries, WedgeReport, coefficient_distance, \
     wedge_check, wedge_from_profiles
 from .operators import BandPattern, PowerIterationError, TruncatedOperator, \
-    cauchy_riemann_weight_gap, commutator, dz, dz_pattern, dz_star, \
+    cauchy_riemann_weight_gap, commutator, delta, dz, dz_pattern, dz_star, \
     dz_star_pattern, finite_rank, identity, interior_block, \
     interior_deviation, number, operator_norm, pattern_kernel_dims, \
     rectangular_kernel_dims, shift, shift_adjoint, shift_adjoint_pattern, \
@@ -22,8 +22,8 @@ from .dirac import FredholmIndexError, SpectrumReport, analytic_eigenvector, \
 from .reports import VerificationReport
 from .triple import AlgebraElement, SweepReport, boundedness_sweep, \
     delta_absdirac_spot_check, evenness_check, membership_check, random_words, \
-    rough_symbol, verify_commutator_dz, verify_commutator_number, \
-    verify_delta_k, verify_dzstar_via_adjoint
+    rough_symbol, verify_commutator_dz, verify_delta_k, \
+    verify_dzstar_via_adjoint
 
 __version__ = "0.1.0"
 
@@ -44,6 +44,7 @@ __all__ = [
     "cauchy_riemann_weight_gap",
     "coefficient_distance",
     "commutator",
+    "delta",
     "delta_absdirac_spot_check",
     "dirac",
     "dz",
@@ -77,7 +78,6 @@ __all__ = [
     "symbol_estimate",
     "toeplitz",
     "verify_commutator_dz",
-    "verify_commutator_number",
     "verify_delta_k",
     "verify_dzstar_via_adjoint",
     "wedge_check",

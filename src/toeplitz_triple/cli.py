@@ -62,9 +62,6 @@ class RunConfig:
     tolerance: float | None = None
     rough_control: bool = False
 
-    def to_json_obj(self) -> dict:
-        return asdict(self)
-
 
 def load_symbol(spec: str) -> FourierSeries:
     """Builtins ``cos4k:k`` and ``const:c``, or a path to a sample file.
@@ -270,35 +267,31 @@ def cmd_summability(cfg: RunConfig, outdir: Path):
 
 
 def cmd_sweep(cfg: RunConfig, outdir: Path):
-    sizes = cfg.sizes
-    checks = []
-    rows = []
-    plot_series = []
     if cfg.rough_control:
-        factory = lambda n: AlgebraElement.unchecked_toeplitz(  # noqa: E731
+        word = lambda n: AlgebraElement.unchecked_toeplitz(  # noqa: E731
             rough_symbol(n), label="rough")
-        report = boundedness_sweep(factory, sizes, "delta", order=1)
-        checks.append(_check("negative_control_grows",
-                             report.trend == "growing",
-                             trend=report.trend, values=report.values))
-        rows.extend((report.which, s, repr(v), repr(r)) for s, v, r in
-                    zip(report.sizes, report.values, report.raw_values))
-        plot_series.append((report.which, report.sizes, report.values))
+        targets = [("delta", 1)]
     else:
-        f = load_symbol(cfg.symbol_spec)
-        word = AlgebraElement.unchecked_toeplitz(f, label=cfg.symbol_spec)
+        word = AlgebraElement.unchecked_toeplitz(
+            load_symbol(cfg.symbol_spec), label=cfg.symbol_spec)
         targets = [("dirac", 1), ("delta", 1), ("delta", 2)]
-        for which, order in targets:
-            report = boundedness_sweep(word, sizes, which, order=order)
+    checks, rows, plot_series = [], [], []
+    for which, order in targets:
+        report = boundedness_sweep(word, cfg.sizes, which, order=order)
+        if cfg.rough_control:
+            checks.append(_check("negative_control_grows",
+                                 report.trend == "growing",
+                                 trend=report.trend, values=report.values))
+        else:
             checks.append(_check(
                 f"stabilized_{report.which}",
                 report.stabilized and report.trend == "bounded",
                 values=report.values, raw_values=report.raw_values,
                 trend=report.trend,
                 stabilization_tol=report.stabilization_tol))
-            rows.extend((report.which, s, repr(v), repr(r)) for s, v, r in
-                        zip(report.sizes, report.values, report.raw_values))
-            plot_series.append((report.which, report.sizes, report.values))
+        rows.extend((report.which, s, repr(v), repr(r)) for s, v, r in
+                    zip(report.sizes, report.values, report.raw_values))
+        plot_series.append((report.which, report.sizes, report.values))
     artifacts = [_write_csv(outdir, rows, ["target", "size", "value",
                                            "raw_section_norm"])]
     if cfg.emit_svg:
@@ -325,8 +318,8 @@ def cmd_wedge(cfg: RunConfig, outdir: Path):
                             ["t", "violation_first", "violation_second"])]
     if cfg.emit_svg:
         artifacts.append(_write_svg(outdir, svg.chart(
-            [("first relation", t.tolist(), np.maximum(v1, 1e-18).tolist()),
-             ("second relation", t.tolist(), np.maximum(v2, 1e-18).tolist())],
+            [("first relation", t.tolist(), v1.tolist()),
+             ("second relation", t.tolist(), v2.tolist())],
             title=f"Wedge gluing violations: {cfg.symbol_spec}",
             xlabel="t", ylabel="violation", logy=True)))
     return checks, artifacts
@@ -360,7 +353,7 @@ COMMANDS = {
 def _write_report(outdir: Path, cfg: RunConfig, checks, artifacts, error=None):
     report = {
         "command": cfg.command,
-        "config": cfg.to_json_obj(),
+        "config": asdict(cfg),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "checks": checks,
         "artifacts": artifacts,

@@ -358,7 +358,7 @@ def summability_report(epsilon: float, big_k: int) -> dict:
     divergence, so the resolvent-weight sequence is not summable).  For
     epsilon > 0 the tail beyond K is bounded by ``2 K^{-eps}/eps`` by the
     integral test, giving a bracket around the limit and an extrapolated
-    value.
+    value; ValueError when that bound overflows, as it brackets nothing.
     """
     s = summability_partial_sum(epsilon, big_k)
     s2 = summability_partial_sum(epsilon, 2 * big_k)
@@ -373,6 +373,9 @@ def summability_report(epsilon: float, big_k: int) -> dict:
     }
     if epsilon > 0:
         tail_upper = 2.0 * big_k ** (-epsilon) / epsilon
+        if not math.isfinite(tail_upper):
+            raise ValueError(f"epsilon {epsilon!r} is too small: the tail "
+                             "bound 2 K^-eps/eps overflows")
         tail_lower = 2.0 * (big_k + 2.0) ** (-epsilon) / epsilon
         out["tail_bound"] = tail_upper
         out["extrapolated_limit"] = s + (tail_lower + tail_upper) / 2.0

@@ -24,7 +24,8 @@ right factor, each step vectorised across the whole left band, and a
 commutator adds its two products into one result band through that loop.
 So besides its operands an operation holds its result, the partial
 products of one step (at most one band of the left factor's size) and
-boolean masks of a sixteenth of a band.
+boolean masks of a sixteenth of a band.  ``delta``, the iterated
+commutator with N, takes no product: it scales each diagonal.
 
 Besides the concrete matrices, ``BandPattern`` describes a weighted shift
 ``e_m -> w(m) e_{m+offset}`` of the semi-infinite model exactly (a polynomial
@@ -58,6 +59,7 @@ __all__ = [
     "dz_star",
     "finite_rank",
     "commutator",
+    "delta",
     "operator_norm",
     "interior_block",
     "interior_deviation",
@@ -352,6 +354,20 @@ def commutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
         raise TypeError("commutator takes two TruncatedOperator values, got "
                         f"{type(a).__name__} and {type(b).__name__}")
     return _products(a, b, commute=True)
+
+
+def delta(x: TruncatedOperator, k: int) -> TruncatedOperator:
+    """The k-fold commutator ``[N, [N, ... [N, x]]]`` with ``number(n)``.
+
+    N is diagonal, so it commutes with the truncation and diagonal d of
+    ``[N, x]`` is ``d * x_d``: each diagonal is scaled by its offset to the
+    k-th power, one rounding per entry, with no cancellation against N's
+    entries, which grow with n.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    scale = np.arange(x.lo, x.band[1] + 1, dtype=float)[:, None] ** k
+    return TruncatedOperator(_Fresh(x.diagonals * scale), x.lo)
 
 
 class _MatvecPlan:

@@ -38,7 +38,7 @@ def _transforms(xs, ys, logx, logy):
         py = HEIGHT - MARGIN_BOTTOM - (fy(y) - y0) / (y1 - y0) * (HEIGHT - MARGIN_TOP - MARGIN_BOTTOM)
         return px, py
 
-    return to_px, (x0, x1, y0, y1), (fx, fy)
+    return to_px, (x0, x1, y0, y1)
 
 
 def _ticks(lo, hi, count=5):
@@ -53,24 +53,23 @@ def chart(series, title="", xlabel="", ylabel="", logx=False, logy=False,
           scatter=False) -> str:
     """Render named (x, y) series to an SVG string.
 
-    ``series`` is a list of (label, xs, ys).  Log axes drop nonpositive
-    points.  Deterministic output: same input, same bytes.
+    ``series`` is a list of (label, xs, ys).  A log axis cannot draw
+    nonpositive points: every series keeps its legend entry, and a line
+    below it says how many of its points were not drawn.  Deterministic
+    output: same input, same bytes.
     """
     cleaned = []
     for label, xs, ys in series:
         pts = [(float(x), float(y)) for x, y in zip(xs, ys)
                if (not logx or x > 0) and (not logy or y > 0)]
-        if pts:
-            cleaned.append((label, pts))
-    if not cleaned:
+        cleaned.append((label, pts, len(ys) - len(pts), len(ys)))
+    all_x = [p[0] for _, pts, _, _ in cleaned for p in pts]
+    all_y = [p[1] for _, pts, _, _ in cleaned for p in pts]
+    if not all_x:
         # an empty frame over one unit of each axis: 0..1, or 1..10 when log
-        (x0, x1), (y0, y1) = ((1.0, 10.0) if log else (0.0, 1.0)
-                              for log in (logx, logy))
-        cleaned = [("empty", [(x0, y0), (x1, y1)])]
-
-    all_x = [p[0] for _, pts in cleaned for p in pts]
-    all_y = [p[1] for _, pts in cleaned for p in pts]
-    to_px, (x0, x1, y0, y1), (fx, fy) = _transforms(all_x, all_y, logx, logy)
+        all_x, all_y = ([1.0, 10.0] if log else [0.0, 1.0]
+                        for log in (logx, logy))
+    to_px, (x0, x1, y0, y1) = _transforms(all_x, all_y, logx, logy)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -111,23 +110,29 @@ def chart(series, title="", xlabel="", ylabel="", logx=False, logy=False,
                  f'transform="rotate(-90 16 {(MARGIN_TOP + HEIGHT - MARGIN_BOTTOM) / 2:.1f})"'
                  f'>{ylabel}</text>')
 
-    for i, (label, pts) in enumerate(cleaned):
+    ly = MARGIN_TOP + 16
+    for i, (label, pts, dropped, total) in enumerate(cleaned):
         color = COLORS[i % len(COLORS)]
         pixels = [to_px(x, y) for x, y in pts]
         if scatter or len(pixels) == 1:
             for px, py in pixels:
                 parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.5" '
                              f'fill="{color}"/>')
-        else:
+        elif pixels:
             path = " ".join(f"{px:.2f},{py:.2f}" for px, py in pixels)
             parts.append(f'<polyline points="{path}" fill="none" '
                          f'stroke="{color}" stroke-width="1.5"/>')
         # legend
-        ly = MARGIN_TOP + 16 + 16 * i
         parts.append(f'<rect x="{WIDTH - 170}" y="{ly - 9}" width="10" height="10" '
                      f'fill="{color}"/>')
         parts.append(f'<text x="{WIDTH - 155}" y="{ly}" font-family="sans-serif" '
                      f'font-size="11">{label}</text>')
+        if dropped:
+            ly += 14
+            parts.append(f'<text x="{WIDTH - MARGIN_RIGHT - 6}" y="{ly}" text-anchor="end" '
+                         f'font-family="sans-serif" font-size="10">{dropped} of {total} '
+                         f'points not drawn: a log axis needs values &gt; 0</text>')
+        ly += 16
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

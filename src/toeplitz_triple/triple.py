@@ -18,7 +18,7 @@ growing when the commutator is genuinely unbounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .reports import VerificationReport
 __all__ = [
     "AlgebraElement",
     "SweepReport",
-    "verify_commutator_number",
     "verify_commutator_dz",
     "verify_delta_k",
     "verify_dzstar_via_adjoint",
@@ -239,22 +238,6 @@ def _report(name: str, lhs: op.TruncatedOperator, rhs: op.TruncatedOperator,
                               details=details)
 
 
-def _delta(x: op.TruncatedOperator, k: int) -> op.TruncatedOperator:
-    """The k-fold iterated commutator ``[N, [N, ... [N, x]]]``."""
-    num = op.number(x.dim)
-    for _ in range(k):
-        x = op.commutator(num, x)
-    return x
-
-
-def verify_commutator_number(f: FourierSeries, n: int, margin: int | None = None,
-                             tolerance: float = 1e-12) -> VerificationReport:
-    """[N, T_f] equals -i T_{f'} on interior blocks: ``verify_delta_k`` with
-    k = 1, reported under its own name."""
-    return replace(verify_delta_k(f, 1, n, margin, tolerance),
-                   name="commutator_number")
-
-
 def verify_commutator_dz(f: FourierSeries, n: int, margin: int | None = None,
                          tolerance: float = 1e-12) -> VerificationReport:
     """[dz, T_f] equals -i T_{conj(u) f'} on interior blocks."""
@@ -268,21 +251,18 @@ def verify_delta_k(f: FourierSeries, k: int, n: int, margin: int | None = None,
                    tolerance: float = 1e-12) -> VerificationReport:
     """Iterated [N, .] applied k times to T_f equals (-i)^k T_{f^(k)}.
 
-    The verdict is absolute: the largest entry of the difference on the
-    interior must stay below ``tolerance``.  Rounding is relative to the
-    entries, up to ``max_j |j**k fhat(j)| <= bandwidth**k * max |fhat|``, and
-    grows with n by cancellation against N, so ``tolerance`` must scale with
-    n and ``bandwidth**k``: 64 samples of ``cos 16 theta + 0.5 cos 8 theta``
-    (entries up to 2048) fail ``delta_3`` by 2.7e-12 at n = 256 and 1.4e-11
-    at n = 1024, under 1e-13 of 2048.
+    ``op.delta`` scales diagonal j of T_f by ``j**k``, one rounding per
+    entry whatever n is, so the deviation does not grow with n.  The verdict
+    is absolute, so ``tolerance`` must still cover the rounding of entries
+    up to ``max_j |j**k fhat(j)| <= bandwidth**k * max |fhat|``.  The
+    identity holds on the whole truncation, yet the least margin stays
+    ``k * bandwidth``, so the ``margin`` that reports record does not move.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     margin = _margin(margin, k * f.bandwidth, n, "k*bandwidth")
     g = f
     for _ in range(k):
         g = g.derivative()
-    return _report(f"delta_{k}", _delta(op.toeplitz(f, n), k),
+    return _report(f"delta_{k}", op.delta(op.toeplitz(f, n), k),
                    (-1j) ** k * op.toeplitz(g, n), n, margin, tolerance)
 
 
@@ -418,9 +398,9 @@ def _sweep_blocks(word: AlgebraElement, which: str, order: int,
         return [op.commutator(op.dz(m), a),
                 op.commutator(op.dz_star(m), a)]
     if which == "delta":
-        return [_delta(a, order)]
+        return [op.delta(a, order)]
     if which == "delta_dz":
-        return [_delta(op.commutator(op.dz(m), a), order)]
+        return [op.delta(op.commutator(op.dz(m), a), order)]
     raise ValueError(f"unknown sweep target {which!r}")
 
 

@@ -58,6 +58,7 @@ SIGNATURES = {
     "cauchy_riemann_weight_gap": "(n)",
     "coefficient_distance": "(a, b)",
     "commutator": "(a, b)",
+    "delta": "(x, k)",
     "delta_absdirac_spot_check": "(f, n)",
     "dirac": "(n)",
     "dz": "(n)",
@@ -91,7 +92,6 @@ SIGNATURES = {
     "symbol_estimate": "(a, max_freq)",
     "toeplitz": "(f, n)",
     "verify_commutator_dz": "(f, n, margin=None, tolerance=1e-12)",
-    "verify_commutator_number": "(f, n, margin=None, tolerance=1e-12)",
     "verify_delta_k": "(f, k, n, margin=None, tolerance=1e-12)",
     "verify_dzstar_via_adjoint": "(a, n, tolerance=1e-12)",
     "wedge_check": "(f, tolerance=1e-09)",

@@ -124,6 +124,31 @@ def test_products_with_elementary_factors_are_exact(ax, make):
     assert np.array_equal(op.commutator(a, e).dense(), x @ d - d @ x)
 
 
+def iterated_commutator(x, k):
+    """``[N, [N, ... [N, x]]]`` through the product loop, k times."""
+    num = op.number(x.dim)
+    for _ in range(k):
+        x = op.commutator(num, x)
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(single, st.integers(1, 3))
+def test_delta_is_the_iterated_commutator_with_number(ax, k):
+    a, _ = ax
+    # small complex integers: every entry of either route is exact
+    whole = op.TruncatedOperator(np.round(4 * a.diagonals), a.lo)
+    assert np.array_equal(op.delta(whole, k).dense(),
+                          iterated_commutator(whole, k).dense())
+    # on general entries the routes differ by rounding only
+    result = op.delta(a, k)
+    reference = iterated_commutator(a, k).dense()
+    scale = np.abs(reference).max()
+    assert np.abs(result.dense() - reference).max() <= 1e-13 * scale
+    assert not stored_outside(result).any()
+    assert not result.diagonals.flags.writeable
+
+
 def test_commutator_rejects_non_operators_and_mismatched_dimensions():
     a = op.number(4)
     with pytest.raises(TypeError):
@@ -268,11 +293,13 @@ def rough_band():
     (lambda a: op.number(a.dim) @ a, 1.5),
     # one step, holding one band of partial products
     (lambda a: a @ op.number(a.dim), 2.5),
+    # each diagonal scaled by its offset squared, straight into the result
+    (lambda a: op.delta(a, 2), 1.5),
     (lambda a: a - a, 1.5),
     (lambda a: op.TruncatedOperator(a.diagonals, a.lo), 1.5),
     (lambda a: a.adjoint(), 2.0),
-], ids=["commutator", "number_times_band", "band_times_number", "difference",
-        "constructor", "adjoint"])
+], ids=["commutator", "number_times_band", "band_times_number", "delta_2",
+        "difference", "constructor", "adjoint"])
 def test_band_operations_hold_about_one_extra_band(rough_band, make, bound):
     # the result band, masks of a sixteenth of a band and, in a product, the
     # partial products of one step, at most one band of the left factor's

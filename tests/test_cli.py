@@ -139,6 +139,17 @@ def test_verify_runs_wide_symbols_at_large_n(tmp_path):
     assert check["n"] == 133
 
 
+def test_verify_passes_a_sample_file_symbol_at_large_n(tmp_path):
+    # delta_3 of 64 samples of cos 16t + 0.5 cos 8t used to deviate by
+    # 1.4e-11 at n = 1024, from cancellation against N's entries
+    theta = 2 * np.pi * np.arange(64) / 64
+    path = tmp_path / "cos16.txt"
+    path.write_text("\n".join(repr(complex(v)) for v in
+                              np.cos(16 * theta) + 0.5 * np.cos(8 * theta)))
+    argv = ["verify", "--n", "1024", "--symbol", str(path)]
+    assert exit_code(argv, tmp_path) == EXIT_OK
+
+
 def test_index_command(tmp_path):
     cfg = make_config("index", tmp_path, sizes=[16, 32, 64])
     assert run(cfg) == EXIT_OK
@@ -166,6 +177,18 @@ def test_summability_command(tmp_path):
     assert "not trace class" in classification["note"]
 
 
+def test_summability_rejects_an_overflowing_tail_bound(tmp_path):
+    # 2 K^-eps / eps is infinite here: report.json used to hold Infinity,
+    # which is not JSON, and the tail-bound check passed vacuously
+    argv = ["summability", "--epsilon", "1e-320", "--K", "100"]
+    assert exit_code(argv, tmp_path) == EXIT_USAGE
+    text = (tmp_path / "report.json").read_text()
+    report = json.loads(text, parse_constant=lambda name: pytest.fail(name))
+    assert report["error"]["type"] == "config"
+    assert "tail bound" in report["error"]["message"]
+    assert report["checks"] == []
+
+
 def test_sweep_command(tmp_path):
     cfg = make_config("sweep", tmp_path, sizes=[32, 64, 128],
                       symbol_spec="cos4k:1", emit_svg=True)
@@ -189,7 +212,8 @@ def test_sweep_rough_control(tmp_path):
 @pytest.mark.parametrize("symbol", ["const:2", "cos4k:0"])
 def test_sweep_plot_of_all_zero_values(tmp_path, symbol):
     # a constant symbol commutes with N and dz, so every sweep value is 0 and
-    # the log axes drop every point: the plot is an empty frame
+    # the log axes can draw no point: the plot is an empty frame whose
+    # legend still names each target and says its points were not drawn
     reports = {}
     for name, extra in (("plain", []), ("plotted", ["--svg"])):
         out = tmp_path / name
@@ -208,6 +232,12 @@ def test_sweep_plot_of_all_zero_values(tmp_path, symbol):
         (tmp_path / "plain" / "data.csv").read_bytes()
     root = ET.fromstring((tmp_path / "plotted" / "plot.svg").read_text())
     assert root.tag.endswith("svg")
+    texts = [t.text for t in root.iter() if t.tag.endswith("text")]
+    for name in ("dirac", "delta:1", "delta:2"):
+        assert name in texts
+    assert texts.count("2 of 2 points not drawn: a log axis needs values "
+                       "> 0") == 3
+    assert "empty" not in texts
 
 
 def test_wedge_command_pass_and_fail(tmp_path):

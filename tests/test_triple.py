@@ -17,7 +17,6 @@ from toeplitz_triple.triple import (
     random_words,
     rough_symbol,
     verify_commutator_dz,
-    verify_commutator_number,
     verify_delta_k,
     verify_dzstar_via_adjoint,
 )
@@ -93,13 +92,13 @@ def test_structure_measurements():
 # ----------------------------------------------------------------------
 
 def test_commutator_number_cos4():
-    report = verify_commutator_number(FourierSeries.cosine(4), 128, 5)
+    report = verify_delta_k(FourierSeries.cosine(4), 1, 128, 5)
     assert report.passed
     assert report.max_deviation < 1e-13
 
 
 def test_commutator_number_constant_vanishes():
-    report = verify_commutator_number(FourierSeries.constant(3.0), 64, 1)
+    report = verify_delta_k(FourierSeries.constant(3.0), 1, 64, 1)
     assert report.passed
     lhs = op.commutator(op.number(64), op.toeplitz(FourierSeries.constant(3.0), 64))
     assert np.abs(lhs.dense()).max() == 0.0
@@ -108,7 +107,7 @@ def test_commutator_number_constant_vanishes():
 def test_commutator_number_of_u_gives_shift():
     # [N, S] = S: the derivative of u is i*u and -i * i = 1
     u = FourierSeries({1: 1.0})
-    report = verify_commutator_number(u, 32, 1)
+    report = verify_delta_k(u, 1, 32, 1)
     assert report.passed
     lhs = op.commutator(op.number(32), op.shift(32))
     assert np.array_equal(lhs.dense(), op.shift(32).dense())
@@ -151,11 +150,15 @@ def test_delta_two_gives_sixteen_times_cos4():
 
 
 def test_delta_one_reduces_to_commutator_number():
+    # delta_1 is [N, T_f] taken by offsets: the same deviation as the
+    # commutator through the product loop
     f = FourierSeries.cosine(8)
-    a = verify_delta_k(f, 1, 128)
-    b = verify_commutator_number(f, 128, 8)
-    assert a.passed and b.passed
-    assert a.max_deviation == b.max_deviation
+    n = 128
+    report = verify_delta_k(f, 1, n)
+    assert report.passed and report.margin == 8
+    lhs = op.commutator(op.number(n), op.toeplitz(f, n))
+    rhs = (-1j) * op.toeplitz(f.derivative(), n)
+    assert report.max_deviation == op.interior_deviation(lhs, rhs, 8)
 
 
 def test_delta_k_constant_vanishes():
@@ -164,30 +167,57 @@ def test_delta_k_constant_vanishes():
     assert report.max_deviation == 0.0
 
 
+def sample_file_symbol():
+    """64 samples of cos 16t + 0.5 cos 8t, as a sample file gives them."""
+    theta = 2 * np.pi * np.arange(64) / 64
+    return FourierSeries.from_samples(np.cos(16 * theta) + 0.5 * np.cos(8 * theta))
+
+
+def random_symbol():
+    """Seeded complex coefficients at the frequencies -7..7."""
+    rng = np.random.default_rng(0)
+    return FourierSeries({k: complex(*rng.standard_normal(2))
+                          for k in range(-7, 8)})
+
+
 @pytest.mark.parametrize("n", [256, 1024])
 def test_delta_k_rounding_is_relative_to_the_largest_expected_entry(n):
-    # 64 samples of cos 16t + 0.5 cos 8t: delta_3 deviates by 2.7e-12 at
-    # n = 256 and 1.4e-11 at n = 1024, above the default absolute tolerance
-    # 1e-12, but the expected entries reach 16**3 * 0.5 = 2048, so it is
-    # rounding; the tolerance has to scale with n and bandwidth**k
-    theta = 2 * np.pi * np.arange(64) / 64
-    f = FourierSeries.from_samples(np.cos(16 * theta) + 0.5 * np.cos(8 * theta))
+    # the expected entries of delta_3 reach 16**3 * 0.5 = 2048, so the
+    # deviation is rounding only while it stays a tiny fraction of that
+    f = sample_file_symbol()
     largest = max(abs(k) ** 3 * abs(c) for k, c in f.coeffs.items())
     assert largest == pytest.approx(2048)
     report = verify_delta_k(f, 3, n)
     assert report.max_deviation / largest < 1e-13
+    assert report.passed
+
+
+@pytest.mark.parametrize("make", [sample_file_symbol, random_symbol],
+                         ids=["sample_file", "random"])
+def test_delta_k_deviation_does_not_grow_with_n(make):
+    # one rounding per entry: no cancellation against N, whose entries grow
+    # with n, so every size deviates by the same amount and passes at the
+    # default tolerance (the product route gave delta_1 of the random symbol
+    # 1.4e-12 at n = 4096, and its delta_3 1.5e-10 at n = 16384)
+    f = make()
+    for k in (1, 2, 3):
+        reports = [verify_delta_k(f, k, n) for n in (256, 4096, 16384)]
+        assert all(r.passed for r in reports)
+        assert len({r.max_deviation for r in reports}) == 1
 
 
 def test_margin_preconditions():
     f = FourierSeries.cosine(4)
     with pytest.raises(ValueError, match="margin"):
-        verify_commutator_number(f, 128, 2)
+        verify_delta_k(f, 1, 128, 2)
     with pytest.raises(ValueError, match="margin"):
         verify_commutator_dz(f, 128, 4)
     with pytest.raises(ValueError, match="4\\*margin"):
-        verify_commutator_number(f, 16, 4)
+        verify_delta_k(f, 1, 16, 4)
     with pytest.raises(ValueError, match="margin"):
         verify_delta_k(f, 2, 128, 4)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        verify_delta_k(f, 0, 128)
 
 
 def test_dzstar_via_adjoint():
