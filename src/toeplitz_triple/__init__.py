@@ -17,7 +17,7 @@ from .operators import BandPattern, PowerIterationError, TruncatedOperator, \
     shift_pattern, symbol_estimate, toeplitz
 from .dirac import FredholmIndexError, SpectrumReport, analytic_eigenvector, \
     block_interior_deviation, dirac, fredholm_index, grading, polar_check, \
-    polar_parts, represent, spectrum, summability_partial_sum, \
+    polar_parts, represent, spectrum, summability_partial_sums, \
     summability_report
 from .reports import VerificationReport
 from .triple import AlgebraElement, SweepReport, boundedness_sweep, \
@@ -73,7 +73,7 @@ __all__ = [
     "shift_adjoint_pattern",
     "shift_pattern",
     "spectrum",
-    "summability_partial_sum",
+    "summability_partial_sums",
     "summability_report",
     "symbol_estimate",
     "toeplitz",

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import svg
 from .dirac import FredholmIndexError, dirac, fredholm_index, polar_check, \
-    spectrum, summability_partial_sum, summability_report
+    spectrum, summability_report
 from .fourier import FourierSeries, wedge_check
 from .operators import pattern_kernel_dims, rectangular_kernel_dims, \
     shift_adjoint_pattern, shift_pattern
@@ -94,20 +94,14 @@ def load_symbol(spec: str) -> FourierSeries:
 
 
 # ----------------------------------------------------------------------
-# commands (each returns a list of check dicts and writes its artifacts)
+# commands: each returns (checks, csv header, csv rows, chart), where chart
+# is the keyword arguments of svg.chart or None; only ``run`` writes files
 # ----------------------------------------------------------------------
 
 def _check(name, passed, **extra) -> dict:
     out = {"name": name, "passed": bool(passed)}
     out.update(extra)
     return out
-
-
-def _from_report(report) -> dict:
-    return _check(report.name, report.passed,
-                  max_deviation=report.max_deviation,
-                  tolerance=report.tolerance, n=report.n,
-                  margin=report.margin, details=report.details)
 
 
 def _from_wedge(report) -> dict:
@@ -117,27 +111,13 @@ def _from_wedge(report) -> dict:
                   tolerance=report.tolerance)
 
 
-def _write_csv(outdir: Path, rows, header) -> str:
-    path = outdir / "data.csv"
-    with open(path, "w", newline="") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    return "data.csv"
-
-
 def _tolerance(cfg: RunConfig) -> float:
     if cfg.tolerance is not None:
         return cfg.tolerance
     return DEFAULT_TOLERANCE[cfg.command]
 
 
-def _write_svg(outdir: Path, content: str) -> str:
-    (outdir / "plot.svg").write_text(content)
-    return "plot.svg"
-
-
-def cmd_spectrum(cfg: RunConfig, outdir: Path):
+def cmd_spectrum(cfg: RunConfig):
     tol = _tolerance(cfg)
     report = spectrum(dirac(cfg.n), tol)
     n = cfg.n
@@ -160,18 +140,15 @@ def cmd_spectrum(cfg: RunConfig, outdir: Path):
     flags = set(report.spurious)
     rows = [(i, repr(ev), repr(res), int(i in flags)) for i, (ev, res) in
             enumerate(zip(report.eigenvalues, report.residuals))]
-    artifacts = [_write_csv(outdir, rows,
-                            ["index", "eigenvalue", "residual", "spurious"])]
-    if cfg.emit_svg:
-        idx = list(range(len(report.eigenvalues)))
-        artifacts.append(_write_svg(outdir, svg.chart(
-            [("eigenvalues", idx, report.eigenvalues)],
-            title=f"Eigenvalue ladder of the truncated Dirac block (n={n})",
-            xlabel="index", ylabel="eigenvalue", scatter=True)))
-    return checks, artifacts
+    chart = dict(
+        series=[("eigenvalues", range(len(report.eigenvalues)),
+                 report.eigenvalues)],
+        title=f"Eigenvalue ladder of the truncated Dirac block (n={n})",
+        xlabel="index", ylabel="eigenvalue", scatter=True)
+    return checks, ["index", "eigenvalue", "residual", "spurious"], rows, chart
 
 
-def cmd_verify(cfg: RunConfig, outdir: Path):
+def cmd_verify(cfg: RunConfig):
     f = load_symbol(cfg.symbol_spec)
     n = cfg.n
     tol = _tolerance(cfg)
@@ -192,14 +169,13 @@ def cmd_verify(cfg: RunConfig, outdir: Path):
         evenness_check(word, min(n, 128)),
         membership_check(word, n),
     ]
-    checks.extend(_from_report(r) for r in reports)
+    checks.extend(asdict(r) for r in reports)
     rows = [(c["name"], int(c["passed"]), repr(c.get("max_deviation", "")))
             for c in checks]
-    artifacts = [_write_csv(outdir, rows, ["check", "passed", "max_deviation"])]
-    return checks, artifacts
+    return checks, ["check", "passed", "max_deviation"], rows, None
 
 
-def cmd_index(cfg: RunConfig, outdir: Path):
+def cmd_index(cfg: RunConfig):
     sizes = cfg.sizes
     checks = []
     for small, large in zip(sizes, sizes[1:]):
@@ -215,18 +191,14 @@ def cmd_index(cfg: RunConfig, outdir: Path):
     for size in sizes:
         k, c = rectangular_kernel_dims(shift_adjoint_pattern(), size)
         rows.append((size, k, c, k - c))
-    artifacts = [_write_csv(outdir, rows, ["n", "kernel", "cokernel", "index"])]
-    return checks, artifacts
+    return checks, ["n", "kernel", "cokernel", "index"], rows, None
 
 
-def cmd_summability(cfg: RunConfig, outdir: Path):
+def cmd_summability(cfg: RunConfig):
     eps = cfg.epsilon
     big_k = cfg.partial_sum_terms
     report = summability_report(eps, big_k)
-
-    # partial-sum curve on a log-spaced set of prefixes
-    points = sorted(set(int(v) for v in np.geomspace(1, big_k, 24)))
-    curve = [summability_partial_sum(eps, k) for k in points]
+    points, curve = zip(*report["curve"])
 
     checks = [_check("partial_sums_monotone_in_K",
                      all(b >= a for a, b in zip(curve, curve[1:])))]
@@ -256,17 +228,14 @@ def cmd_summability(cfg: RunConfig, outdir: Path):
                          True, converges=report["converges"],
                          note=report["note"]))
 
-    rows = list(zip(points, (repr(v) for v in curve)))
-    artifacts = [_write_csv(outdir, rows, ["K", "partial_sum"])]
-    if cfg.emit_svg:
-        artifacts.append(_write_svg(outdir, svg.chart(
-            [(f"epsilon={eps:g}", points, curve)],
-            title="Partial sums of (1+|k|)^-(1+eps)",
-            xlabel="K", ylabel="partial sum", logx=True)))
-    return checks, artifacts
+    rows = [(k, repr(v)) for k, v in report["curve"]]
+    chart = dict(series=[(f"epsilon={eps:g}", points, curve)],
+                 title="Partial sums of (1+|k|)^-(1+eps)",
+                 xlabel="K", ylabel="partial sum", logx=True)
+    return checks, ["K", "partial_sum"], rows, chart
 
 
-def cmd_sweep(cfg: RunConfig, outdir: Path):
+def cmd_sweep(cfg: RunConfig):
     if cfg.rough_control:
         word = lambda n: AlgebraElement.unchecked_toeplitz(  # noqa: E731
             rough_symbol(n), label="rough")
@@ -292,17 +261,13 @@ def cmd_sweep(cfg: RunConfig, outdir: Path):
         rows.extend((report.which, s, repr(v), repr(r)) for s, v, r in
                     zip(report.sizes, report.values, report.raw_values))
         plot_series.append((report.which, report.sizes, report.values))
-    artifacts = [_write_csv(outdir, rows, ["target", "size", "value",
-                                           "raw_section_norm"])]
-    if cfg.emit_svg:
-        artifacts.append(_write_svg(outdir, svg.chart(
-            plot_series, title="Commutator norm sweep",
-            xlabel="truncation size", ylabel="norm estimate",
-            logx=True, logy=True)))
-    return checks, artifacts
+    chart = dict(series=plot_series, title="Commutator norm sweep",
+                 xlabel="truncation size", ylabel="norm estimate",
+                 logx=True, logy=True)
+    return checks, ["target", "size", "value", "raw_section_norm"], rows, chart
 
 
-def cmd_wedge(cfg: RunConfig, outdir: Path):
+def cmd_wedge(cfg: RunConfig):
     f = load_symbol(cfg.symbol_spec)
     tol = _tolerance(cfg)
     checks = [_from_wedge(wedge_check(f, tol))]
@@ -314,25 +279,18 @@ def cmd_wedge(cfg: RunConfig, outdir: Path):
     v2 = np.abs(f.evaluate(-t) - f.evaluate(t + np.pi / 2))
     rows = [(repr(float(a)), repr(float(b)), repr(float(c)))
             for a, b, c in zip(t, v1, v2)]
-    artifacts = [_write_csv(outdir, rows,
-                            ["t", "violation_first", "violation_second"])]
-    if cfg.emit_svg:
-        artifacts.append(_write_svg(outdir, svg.chart(
-            [("first relation", t.tolist(), v1.tolist()),
-             ("second relation", t.tolist(), v2.tolist())],
-            title=f"Wedge gluing violations: {cfg.symbol_spec}",
-            xlabel="t", ylabel="violation", logy=True)))
-    return checks, artifacts
+    chart = dict(series=[("first relation", t, v1), ("second relation", t, v2)],
+                 title=f"Wedge gluing violations: {cfg.symbol_spec}",
+                 xlabel="t", ylabel="violation", logy=True)
+    return checks, ["t", "violation_first", "violation_second"], rows, chart
 
 
-def cmd_polar(cfg: RunConfig, outdir: Path):
+def cmd_polar(cfg: RunConfig):
     margin = cfg.margin if cfg.margin is not None else DEFAULT_POLAR_MARGIN
     tol = _tolerance(cfg)
     report = polar_check(cfg.n, margin, tol)
-    checks = [_from_report(report)]
     rows = [(k, repr(v)) for k, v in sorted(report.details.items())]
-    artifacts = [_write_csv(outdir, rows, ["quantity", "value"])]
-    return checks, artifacts
+    return [asdict(report)], ["quantity", "value"], rows, None
 
 
 COMMANDS = {
@@ -350,6 +308,15 @@ COMMANDS = {
 # orchestration
 # ----------------------------------------------------------------------
 
+def _write_csv(outdir: Path, rows, header) -> str:
+    path = outdir / "data.csv"
+    with open(path, "w", newline="") as stream:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return "data.csv"
+
+
 def _write_report(outdir: Path, cfg: RunConfig, checks, artifacts, error=None):
     report = {
         "command": cfg.command,
@@ -365,7 +332,8 @@ def _write_report(outdir: Path, cfg: RunConfig, checks, artifacts, error=None):
 
 
 def run(cfg: RunConfig) -> int:
-    """Dispatch a configuration, write report.json, return the exit code."""
+    """Run a configuration's command, write its artifacts and report.json,
+    and return the exit code."""
     outdir = Path(os.environ.get(OUTPUT_DIR_ENV, cfg.output_dir))
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -374,7 +342,7 @@ def run(cfg: RunConfig) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     try:
-        checks, artifacts = COMMANDS[cfg.command](cfg, outdir)
+        checks, header, rows, chart = COMMANDS[cfg.command](cfg)
     except ValueError as exc:
         _write_report(outdir, cfg, [], [],
                       error={"type": "config", "message": str(exc)})
@@ -385,6 +353,10 @@ def run(cfg: RunConfig) -> int:
                       error={"type": "numerical", "message": str(exc)})
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    artifacts = [_write_csv(outdir, rows, header)]
+    if cfg.emit_svg and chart is not None:
+        (outdir / "plot.svg").write_text(svg.chart(**chart))
+        artifacts.append("plot.svg")
     _write_report(outdir, cfg, checks, artifacts)
     for check in checks:
         status = "PASS" if check["passed"] else "FAIL"
@@ -410,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     options = {
         "--n": dict(type=int, default=DEFAULT_N),
-        "--svg": dict(action="store_true"),
+        "--svg": dict(action="store_true", dest="emit_svg"),
         "--tolerance": dict(type=float, default=None),
         "--margin": dict(type=int, default=None),
         "--symbol": dict(default="cos4k:1", dest="symbol_spec"),
@@ -481,12 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("n", "output_dir", "tolerance", "margin", "symbol_spec",
-                 "epsilon", "partial_sum_terms", "sizes", "rough_control"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    cfg.emit_svg = getattr(args, "svg", False)
+    cfg = RunConfig(**vars(args))
     if cfg.n < 2:
         raise ValueError("n must be >= 2")
     if cfg.tolerance is not None and \

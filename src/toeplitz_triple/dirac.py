@@ -40,7 +40,7 @@ __all__ = [
     "polar_check",
     "polar_parts",
     "fredholm_index",
-    "summability_partial_sum",
+    "summability_partial_sums",
     "summability_report",
 ]
 
@@ -51,6 +51,9 @@ ZERO_WINDOW = 0.5
 # Kernel cutoff for forming the polar factor: eigenvalues of D below this
 # fraction of the operator norm are treated as kernel directions.
 PINV_CUTOFF = 1e-8
+
+# Summability partial sums hold at most this many terms at once.
+SUM_CHUNK = 1_000_000
 
 
 class FredholmIndexError(RuntimeError):
@@ -334,34 +337,47 @@ def fredholm_index(n_small: int, n_large: int) -> int:
 # summability
 # ----------------------------------------------------------------------
 
-def summability_partial_sum(epsilon: float, big_k: int) -> float:
-    """Partial sum ``sum_{|k| <= K} (1 + |k|)^{-(1+epsilon)}``."""
-    if big_k < 1:
+def summability_partial_sums(epsilon: float, cutoffs) -> list:
+    """Partial sums ``sum_{|k| <= K} (1 + |k|)^{-(1+epsilon)}``, one per cutoff K.
+
+    One pass over ``k = 1..max K``, at most ``SUM_CHUNK`` terms at a time:
+    each term is summed once, and the running total is read at each cutoff.
+    """
+    stops = sorted(set(cutoffs))
+    if stops and stops[0] < 1:
         raise ValueError("K must be >= 1")
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
+    sums = {}
     total = 1.0
-    chunk = 1_000_000
     start = 1
-    while start <= big_k:
-        stop = min(big_k, start + chunk - 1)
-        j = np.arange(start, stop + 1, dtype=float)
-        total += 2.0 * float(np.sum((1.0 + j) ** (-(1.0 + epsilon))))
-        start = stop + 1
-    return total
+    for stop in stops:
+        while start <= stop:
+            end = min(stop, start + SUM_CHUNK - 1)
+            terms = np.arange(start + 1.0, end + 2.0)  # 1 + k, exactly
+            terms **= -(1.0 + epsilon)
+            total += 2.0 * float(np.sum(terms))
+            start = end + 1
+        sums[stop] = total
+    return [sums[k] for k in cutoffs]
 
 
 def summability_report(epsilon: float, big_k: int) -> dict:
-    """Partial sum plus a convergence diagnosis.
+    """Partial sums plus a convergence diagnosis.
 
-    For epsilon = 0 the sums at K and 2K differ by about 2 ln 2 (logarithmic
-    divergence, so the resolvent-weight sequence is not summable).  For
-    epsilon > 0 the tail beyond K is bounded by ``2 K^{-eps}/eps`` by the
-    integral test, giving a bracket around the limit and an extrapolated
-    value; ValueError when that bound overflows, as it brackets nothing.
+    ``curve`` holds ``(K', partial sum)`` at 24 log-spaced prefixes ``K'``,
+    the last of them K.  For epsilon = 0 the sums at K and 2K differ by
+    about 2 ln 2 (logarithmic divergence, so the resolvent-weight sequence
+    is not summable).  For epsilon > 0 the tail beyond K is bounded by
+    ``2 K^{-eps}/eps`` by the integral test, giving a bracket around the
+    limit and an extrapolated value; ValueError when that bound overflows,
+    as it brackets nothing.
     """
-    s = summability_partial_sum(epsilon, big_k)
-    s2 = summability_partial_sum(epsilon, 2 * big_k)
+    if big_k < 1:
+        raise ValueError("K must be >= 1")
+    points = sorted(set(int(v) for v in np.geomspace(1, big_k, 24)))
+    *curve, s2 = summability_partial_sums(epsilon, [*points, 2 * big_k])
+    s = curve[-1]
     diff = s2 - s
     out = {
         "epsilon": float(epsilon),
@@ -370,6 +386,7 @@ def summability_report(epsilon: float, big_k: int) -> dict:
         "partial_sum_2K": s2,
         "doubling_difference": diff,
         "converges": epsilon > 0,
+        "curve": list(zip(points, curve)),
     }
     if epsilon > 0:
         tail_upper = 2.0 * big_k ** (-epsilon) / epsilon

@@ -8,6 +8,7 @@ dependencies, not a plotting stack.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 
 WIDTH = 640
 HEIGHT = 420
@@ -54,17 +55,20 @@ def chart(series, title="", xlabel="", ylabel="", logx=False, logy=False,
     """Render named (x, y) series to an SVG string.
 
     ``series`` is a list of (label, xs, ys).  A log axis cannot draw
-    nonpositive points: every series keeps its legend entry, and a line
-    below it says how many of its points were not drawn.  Deterministic
-    output: same input, same bytes.
+    nonpositive points: a curve breaks at each of them, every series keeps
+    its legend entry, and a line below it says how many of its points were
+    not drawn.  A run of one drawn point is a circle.  Deterministic output:
+    same input, same bytes.
     """
     cleaned = []
     for label, xs, ys in series:
-        pts = [(float(x), float(y)) for x, y in zip(xs, ys)
-               if (not logx or x > 0) and (not logy or y > 0)]
-        cleaned.append((label, pts, len(ys) - len(pts), len(ys)))
-    all_x = [p[0] for _, pts, _, _ in cleaned for p in pts]
-    all_y = [p[1] for _, pts, _, _ in cleaned for p in pts]
+        pts = [(float(x), float(y)) if (not logx or x > 0) and (not logy or y > 0)
+               else None for x, y in zip(xs, ys)]
+        runs = [list(run) for drawn, run in
+                groupby(pts, key=lambda p: p is not None) if drawn]
+        cleaned.append((label, runs, pts.count(None), len(pts)))
+    all_x = [x for _, runs, _, _ in cleaned for run in runs for x, _ in run]
+    all_y = [y for _, runs, _, _ in cleaned for run in runs for _, y in run]
     if not all_x:
         # an empty frame over one unit of each axis: 0..1, or 1..10 when log
         all_x, all_y = ([1.0, 10.0] if log else [0.0, 1.0]
@@ -111,17 +115,18 @@ def chart(series, title="", xlabel="", ylabel="", logx=False, logy=False,
                  f'>{ylabel}</text>')
 
     ly = MARGIN_TOP + 16
-    for i, (label, pts, dropped, total) in enumerate(cleaned):
+    for i, (label, runs, dropped, total) in enumerate(cleaned):
         color = COLORS[i % len(COLORS)]
-        pixels = [to_px(x, y) for x, y in pts]
-        if scatter or len(pixels) == 1:
-            for px, py in pixels:
-                parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.5" '
-                             f'fill="{color}"/>')
-        elif pixels:
-            path = " ".join(f"{px:.2f},{py:.2f}" for px, py in pixels)
-            parts.append(f'<polyline points="{path}" fill="none" '
-                         f'stroke="{color}" stroke-width="1.5"/>')
+        for run in runs:
+            pixels = [to_px(x, y) for x, y in run]
+            if scatter or len(pixels) == 1:
+                for px, py in pixels:
+                    parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.5" '
+                                 f'fill="{color}"/>')
+            else:
+                path = " ".join(f"{px:.2f},{py:.2f}" for px, py in pixels)
+                parts.append(f'<polyline points="{path}" fill="none" '
+                             f'stroke="{color}" stroke-width="1.5"/>')
         # legend
         parts.append(f'<rect x="{WIDTH - 170}" y="{ly - 9}" width="10" height="10" '
                      f'fill="{color}"/>')

@@ -15,7 +15,7 @@ from toeplitz_triple.dirac import (
     fredholm_index,
     polar_check,
     spectrum,
-    summability_partial_sum,
+    summability_partial_sums,
 )
 from toeplitz_triple.fourier import FourierSeries, coefficient_distance, wedge_check
 from toeplitz_triple.triple import (
@@ -111,13 +111,13 @@ def test_criterion_06_boundedness_sweeps():
 
 def test_criterion_07_summability():
     big_k = 10**5
-    diff = summability_partial_sum(0.0, 2 * big_k) \
-        - summability_partial_sum(0.0, big_k)
+    s, s2 = summability_partial_sums(0.0, [big_k, 2 * big_k])
+    diff = s2 - s
     target = 2 * math.log(2.0)
     divergent = abs(diff - target) / target < 0.02
 
     limit = math.pi**2 / 3 - 1.0
-    partial = summability_partial_sum(1.0, big_k)
+    [partial] = summability_partial_sums(1.0, [big_k])
     tail_bound = 2.0 / big_k
     bracketed = partial <= limit <= partial + tail_bound
     tight = (limit - partial) < 1e-3 and tail_bound < 1e-3

@@ -87,7 +87,7 @@ SIGNATURES = {
     "shift_adjoint_pattern": "()",
     "shift_pattern": "()",
     "spectrum": "(d, tol=1e-10)",
-    "summability_partial_sum": "(epsilon, big_k)",
+    "summability_partial_sums": "(epsilon, cutoffs)",
     "summability_report": "(epsilon, big_k)",
     "symbol_estimate": "(a, max_freq)",
     "toeplitz": "(f, n)",

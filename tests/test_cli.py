@@ -1,20 +1,27 @@
 """Tests for the command-line front end: reports, artifacts, exit codes."""
 
 import argparse
+import csv
+import inspect
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import toeplitz_triple
+from toeplitz_triple import cli, svg
 from toeplitz_triple.cli import (
+    COMMANDS,
     EXIT_CHECK_FAILED,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     OUTPUT_DIR_ENV,
@@ -25,6 +32,7 @@ from toeplitz_triple.cli import (
     main,
     run,
 )
+from toeplitz_triple.dirac import FredholmIndexError
 from toeplitz_triple.fourier import FourierSeries, coefficient_distance
 
 
@@ -189,6 +197,22 @@ def test_summability_rejects_an_overflowing_tail_bound(tmp_path):
     assert report["checks"] == []
 
 
+def test_summability_plot_of_one_prefix(tmp_path):
+    # K = 1 gives a curve of one point: both axis ranges are degenerate, and
+    # the point is a circle in the middle of the frame
+    argv = ["summability", "--K", "1", "--svg"]
+    assert exit_code(argv, tmp_path) == EXIT_OK
+    assert read_report(tmp_path)["artifacts"] == ["data.csv", "plot.svg"]
+    assert (tmp_path / "data.csv").read_text() == "K,partial_sum\n1,1.5\n"
+    root = ET.parse(tmp_path / "plot.svg").getroot()
+    assert not [el for el in root.iter() if tag(el) == "polyline"]
+    [circle] = [el for el in root.iter() if tag(el) == "circle"]
+    assert circle.get("cx") == \
+        f"{(svg.MARGIN_LEFT + svg.WIDTH - svg.MARGIN_RIGHT) / 2:.2f}"
+    assert circle.get("cy") == \
+        f"{(svg.MARGIN_TOP + svg.HEIGHT - svg.MARGIN_BOTTOM) / 2:.2f}"
+
+
 def test_sweep_command(tmp_path):
     cfg = make_config("sweep", tmp_path, sizes=[32, 64, 128],
                       symbol_spec="cos4k:1", emit_svg=True)
@@ -238,6 +262,53 @@ def test_sweep_plot_of_all_zero_values(tmp_path, symbol):
     assert texts.count("2 of 2 points not drawn: a log axis needs values "
                        "> 0") == 3
     assert "empty" not in texts
+
+
+def tag(element):
+    return element.tag.rsplit("}", 1)[-1]
+
+
+def drawn_runs(root, color):
+    """Point counts of the polylines and circles drawn in ``color``, in
+    document order."""
+    runs = []
+    for el in root.iter():
+        if tag(el) == "polyline" and el.get("stroke") == color:
+            runs.append(len(el.get("points").split()))
+        elif tag(el) == "circle" and el.get("fill") == color:
+            runs.append(1)
+    return runs
+
+
+def positive_runs(values):
+    """Lengths of the maximal runs of values > 0: what a log axis can draw."""
+    return [len(list(run)) for drawn, run in groupby(values, key=lambda v: v > 0)
+            if drawn]
+
+
+def test_log_axis_curve_breaks_at_each_undrawn_point():
+    text = svg.chart([("s", range(1, 8), [1.0, 0.0, 2.0, 3.0, -1.0, 4.0, 5.0])],
+                     logy=True)
+    root = ET.fromstring(text)
+    # the lone point before the first gap is a circle, each longer run a line
+    assert drawn_runs(root, svg.COLORS[0]) == [1, 2, 2]
+    assert "2 of 7 points not drawn" in text
+
+
+def test_wedge_plot_breaks_its_curves_at_undrawn_samples(tmp_path):
+    # 83 of the 1024 samples of each cos4k:2 violation are exact zeros; the
+    # curves used to bridge them with one polyline per relation
+    argv = ["wedge", "--symbol", "cos4k:2", "--svg"]
+    assert exit_code(argv, tmp_path) == EXIT_OK
+    assert read_report(tmp_path)["artifacts"] == ["data.csv", "plot.svg"]
+    with open(tmp_path / "data.csv", newline="") as stream:
+        rows = list(csv.reader(stream))[1:]
+    root = ET.parse(tmp_path / "plot.svg").getroot()
+    for column, color in ((1, svg.COLORS[0]), (2, svg.COLORS[1])):
+        values = [float(row[column]) for row in rows]
+        assert values.count(0.0) == 83
+        assert drawn_runs(root, color) == positive_runs(values)
+        assert len(drawn_runs(root, color)) > 1
 
 
 def test_wedge_command_pass_and_fail(tmp_path):
@@ -298,6 +369,27 @@ def test_overflowing_coefficient_is_a_config_error(tmp_path):
     assert report["error"]["type"] == "config"
     assert "finite" in report["error"]["message"]
     assert report["checks"] == []
+
+
+def test_index_failure_is_a_numerical_error(tmp_path, monkeypatch):
+    def fail(n_small, n_large):
+        raise FredholmIndexError("forced disagreement")
+
+    monkeypatch.setattr(cli, "fredholm_index", fail)
+    assert exit_code(["index"], tmp_path) == EXIT_NUMERICAL
+    report = read_report(tmp_path)
+    assert report["error"] == {"type": "numerical",
+                               "message": "forced disagreement"}
+    assert report["checks"] == [] and report["artifacts"] == []
+    assert not (tmp_path / "data.csv").exists()
+
+
+def test_output_dir_naming_a_file_is_a_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    assert exit_code(["index", "--sizes", "8,16"], taken) == EXIT_USAGE
+    assert "cannot create output directory" in capsys.readouterr().err
+    assert taken.read_text() == "kept\n"
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):
@@ -380,6 +472,25 @@ def test_size_below_two_is_a_usage_error(command, tmp_path):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["index", "--sizes", "4,x"],
+    ["index", "--sizes", ""],
+    ["index", "--sizes", "64,32"],
+], ids=" ".join)
+def test_bad_size_list_is_a_usage_error(argv, tmp_path):
+    assert exit_code(argv, tmp_path) == EXIT_USAGE
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_negative_cos4k_index_is_a_config_error(tmp_path):
+    argv = ["wedge", "--symbol", "cos4k:-1"]
+    assert exit_code(argv, tmp_path) == EXIT_USAGE
+    report = read_report(tmp_path)
+    assert report["error"] == {"type": "config",
+                               "message": "cos4k index must be >= 0"}
+    assert report["checks"] == [] and report["artifacts"] == []
+
+
 def test_smallest_sizes_run(tmp_path):
     assert exit_code(["index", "--sizes", "2,3"], tmp_path) == EXIT_OK
     assert exit_code(["sweep", "--sizes", "2,3"], tmp_path) == EXIT_OK
@@ -404,6 +515,60 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     found = {name: {s for a in p._actions for s in a.option_strings}
              - {"-h", "--help"} for name, p in sub.choices.items()}
     assert found == SUBCOMMAND_OPTIONS
+
+
+# small arguments for each command, which pass at these sizes
+SMALL_ARGS = {
+    "spectrum": ["--n", "16"],
+    "verify": ["--n", "64"],
+    "index": ["--sizes", "8,16"],
+    "summability": ["--K", "100"],
+    "sweep": ["--sizes", "32,64"],
+    "wedge": [],
+    "polar": ["--n", "16"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    [command, *args, *extra] for command, args in SMALL_ARGS.items()
+    for extra in ([], ["--svg"])
+    if not extra or "--svg" in SUBCOMMAND_OPTIONS[command]], ids=" ".join)
+def test_artifacts_are_the_files_written_and_reports_reproduce(argv, tmp_path):
+    expected = ["data.csv", "plot.svg"] if "--svg" in argv else ["data.csv"]
+    out = tmp_path / "out"
+    texts = []
+    for _ in range(2):
+        shutil.rmtree(out, ignore_errors=True)
+        assert exit_code(argv, out) == EXIT_OK
+        text = (out / "report.json").read_text()
+        assert json.loads(text)["artifacts"] == expected
+        assert sorted(p.name for p in out.iterdir()) == \
+            sorted([*expected, "report.json"])
+        texts.append(re.sub(r'"timestamp": "[^"]*"', "", text))
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("command", ["verify", "index", "polar"])
+def test_emit_svg_on_a_command_without_a_chart_writes_no_plot(command, tmp_path):
+    # the parser offers these commands no --svg; a RunConfig may still ask
+    cfg = make_config(command, tmp_path, n=64, sizes=[8, 16], emit_svg=True)
+    assert run(cfg) == EXIT_OK
+    assert read_report(tmp_path)["artifacts"] == ["data.csv"]
+    assert not (tmp_path / "plot.svg").exists()
+
+
+def test_commands_compute_and_only_run_writes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert set(COMMANDS) == set(SMALL_ARGS)
+    for name, command in COMMANDS.items():
+        assert list(inspect.signature(command).parameters) == ["cfg"]
+        cfg = RunConfig(command=name, n=64, sizes=[32, 64],
+                        partial_sum_terms=100, output_dir=str(tmp_path))
+        checks, header, rows, chart = command(cfg)
+        assert checks and all(c["passed"] for c in checks)
+        assert all(len(row) == len(header) for row in rows)
+        assert (chart is None) == (name in {"verify", "index", "polar"})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_option_a_command_ignores_is_a_usage_error(tmp_path):

@@ -9,6 +9,8 @@ from toeplitz_triple import operators as op
 from toeplitz_triple.cli import RunConfig, run
 from toeplitz_triple.dirac import (
     PINV_CUTOFF,
+    SUM_CHUNK,
+    FredholmIndexError,
     _eigensystem,
     analytic_eigenvector,
     block_interior_deviation,
@@ -19,7 +21,7 @@ from toeplitz_triple.dirac import (
     polar_parts,
     represent,
     spectrum,
-    summability_partial_sum,
+    summability_partial_sums,
     summability_report,
 )
 from toeplitz_triple.fourier import FourierSeries
@@ -318,24 +320,37 @@ def test_fredholm_index_bad_sizes():
         fredholm_index(32, 16)
 
 
+@pytest.mark.parametrize("dims, message", [
+    # the rectangular counts differ between the two truncations
+    (lambda p, n: (1, 0) if n == 16 else (2, 0), "unstable across truncations"),
+    # they agree with each other, but not with the semi-infinite pattern
+    (lambda p, n: (0, 0), "disagrees with exact pattern index"),
+])
+def test_fredholm_index_refuses_counts_that_disagree(monkeypatch, dims, message):
+    monkeypatch.setattr(op, "rectangular_kernel_dims", dims)
+    with pytest.raises(FredholmIndexError, match=message):
+        fredholm_index(16, 32)
+
+
 # ----------------------------------------------------------------------
 # summability
 # ----------------------------------------------------------------------
 
 def test_partial_sum_k1():
-    assert summability_partial_sum(0.0, 1) == pytest.approx(2.0, abs=1e-15)
+    assert summability_partial_sums(0.0, [1]) == [pytest.approx(2.0, abs=1e-15)]
 
 
 def test_partial_sum_matches_harmonic_numbers():
     big_k = 1000
     harmonic = sum(1.0 / j for j in range(1, big_k + 2))
-    assert summability_partial_sum(0.0, big_k) == pytest.approx(
-        2.0 * harmonic - 1.0, rel=1e-12)
+    assert summability_partial_sums(0.0, [big_k]) == [pytest.approx(
+        2.0 * harmonic - 1.0, rel=1e-12)]
 
 
 def test_doubling_difference_approaches_2log2():
     big_k = 10**5
-    diff = summability_partial_sum(0.0, 2 * big_k) - summability_partial_sum(0.0, big_k)
+    s, s2 = summability_partial_sums(0.0, [big_k, 2 * big_k])
+    diff = s2 - s
     assert abs(diff - 2 * math.log(2)) / (2 * math.log(2)) < 0.02
 
 
@@ -348,10 +363,37 @@ def test_epsilon_one_limit_bracket():
 
 
 def test_partial_sum_monotone_in_k_and_epsilon():
-    values_k = [summability_partial_sum(0.5, k) for k in (10, 100, 1000)]
+    values_k = summability_partial_sums(0.5, [10, 100, 1000])
     assert values_k[0] < values_k[1] < values_k[2]
-    values_eps = [summability_partial_sum(e, 1000) for e in (0.0, 0.5, 1.0, 2.0)]
+    values_eps = [summability_partial_sums(e, [1000])[0]
+                  for e in (0.0, 0.5, 1.0, 2.0)]
     assert all(b < a for a, b in zip(values_eps, values_eps[1:]))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1.0])
+def test_partial_sums_match_an_independent_sum_at_each_cutoff(epsilon):
+    # repeated and unsorted cutoffs, and cutoffs on both sides of the boundary
+    # between the first two chunks of terms
+    cutoffs = [1, 7, 7, 1000, SUM_CHUNK - 1, SUM_CHUNK, SUM_CHUNK + 1,
+               2 * SUM_CHUNK + 3, 5]
+    sums = summability_partial_sums(epsilon, cutoffs)
+    assert len(sums) == len(cutoffs)
+    for big_k, got in zip(cutoffs, sums):
+        k = np.arange(1, big_k + 1, dtype=float)
+        expected = 1.0 + 2.0 * np.sum((1.0 + k) ** -(1.0 + epsilon))
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+    assert sums[1] == sums[2]
+
+
+def test_summability_report_curve_ends_at_k():
+    report = summability_report(0.0, 1000)
+    points = [k for k, _ in report["curve"]]
+    assert points[0] == 1 and points[-1] == 1000
+    assert points == sorted(set(points)) and len(points) <= 24
+    # the curve holds the partial sums at its prefixes, the last one at K
+    assert [v for _, v in report["curve"]] == \
+        summability_partial_sums(0.0, points)
+    assert report["curve"][-1][1] == report["partial_sum"]
 
 
 def test_summability_report_divergent_branch():
@@ -362,7 +404,10 @@ def test_summability_report_divergent_branch():
 
 
 def test_summability_preconditions():
-    with pytest.raises(ValueError):
-        summability_partial_sum(0.0, 0)
-    with pytest.raises(ValueError):
-        summability_partial_sum(-0.5, 10)
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        summability_partial_sums(0.0, [10, 0])
+    with pytest.raises(ValueError, match="epsilon must be >= 0"):
+        summability_partial_sums(-0.5, [10])
+    # the report refuses K < 1 itself, before choosing its curve's prefixes
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        summability_report(1.0, 0)

@@ -131,6 +131,16 @@ def test_product_is_coefficient_convolution():
     assert approx_coeffs(prod, {12: 0.25, -12: 0.25, 4: 0.25, -4: 0.25})
 
 
+def test_right_scaling_difference_and_negation_are_the_explicit_arithmetic():
+    f = FourierSeries({0: 1.0, 4: 0.5 - 0.25j, -3: 2.0j})
+    g = FourierSeries.cosine(4)
+    assert (f * 2.0).coeffs == {k: 2.0 * v for k, v in f.coeffs.items()}
+    assert (f - g).coeffs == {0: 1.0, 4: 0.5 - 0.25j - 0.5, -3: 2.0j,
+                              -4: -0.5}
+    assert (-f).coeffs == {k: -v for k, v in f.coeffs.items()}
+    assert (f - f).coeffs == {}
+
+
 small_series = st.dictionaries(
     st.integers(-8, 8),
     st.complex_numbers(max_magnitude=8.0, allow_nan=False, allow_infinity=False),

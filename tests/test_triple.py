@@ -57,6 +57,23 @@ def test_realization_is_star_homomorphic():
     assert np.array_equal(scaled.dense(), (2.5j * a.realize(n)).dense())
 
 
+def test_right_scaling_difference_and_negation_are_the_explicit_arithmetic():
+    a = cos4_word()
+    b = AlgebraElement.toeplitz(FourierSeries.cosine(8), label="T[cos8t]")
+    n = 32
+    cases = [
+        (a * 2.0, 2.0 * a, 2.0 * a.realize(n), 2.0 * a.symbol()),
+        (a - b, a + (-1.0) * b, a.realize(n) + (-1.0) * b.realize(n),
+         a.symbol() + (-1.0) * b.symbol()),
+        (-a, (-1.0) * a, (-1.0) * a.realize(n), (-1.0) * a.symbol()),
+    ]
+    for word, explicit, realized, symbol in cases:
+        assert np.array_equal(word.realize(n).dense(), realized.dense())
+        assert word.symbol().coeffs == symbol.coeffs
+        assert word.describe() == explicit.describe()
+    assert (a - b).describe() == "(T[cos4t] + (-1+0j)*T[cos8t])"
+
+
 def test_realization_builds_afresh():
     # no per-size memo: an element keeps no realization alive
     a = cos4_word()
