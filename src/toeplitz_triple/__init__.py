@@ -9,7 +9,7 @@ integer spectrum, Fredholm index and summability of the resolvent weights.
 
 from .fourier import FourierSeries, WedgeReport, coefficient_distance, \
     wedge_check, wedge_from_profiles
-from .operators import BandPattern, PowerIterationError, TruncatedOperator, \
+from .operators import BandPattern, TruncatedOperator, \
     cauchy_riemann_weight_gap, commutator, delta, dz, dz_pattern, dz_star, \
     dz_star_pattern, finite_rank, identity, interior_block, \
     interior_deviation, number, operator_norm, pattern_kernel_dims, \
@@ -32,7 +32,6 @@ __all__ = [
     "BandPattern",
     "FourierSeries",
     "FredholmIndexError",
-    "PowerIterationError",
     "SpectrumReport",
     "SweepReport",
     "TruncatedOperator",

@@ -3,7 +3,8 @@
 Every run writes ``report.json`` (stable schema: command, config echo,
 timestamp, checks, artifacts, error), plus ``data.csv`` for tabular output and
 ``plot.svg`` when SVG emission is on.  Exit codes: 0 all checks passed,
-1 a check failed, 2 usage/configuration error, 3 internal numerical failure.
+1 a check failed, 2 usage/configuration error (an output that cannot be
+written is one), 3 internal numerical failure.
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ from .dirac import FredholmIndexError, dirac, fredholm_index, polar_check, \
 from .fourier import FourierSeries, wedge_check
 from .operators import pattern_kernel_dims, rectangular_kernel_dims, \
     shift_adjoint_pattern, shift_pattern
-from .triple import AlgebraElement, boundedness_sweep, delta_absdirac_spot_check, \
-    evenness_check, membership_check, rough_symbol, verify_commutator_dz, \
-    verify_delta_k, verify_dzstar_via_adjoint
+from .triple import ABSDIRAC_TOLERANCE, MEMBERSHIP_TOLERANCE, \
+    STABILIZATION_TOL, WEDGE_TOLERANCE, AlgebraElement, boundedness_sweep, \
+    delta_absdirac_spot_check, evenness_check, membership_check, \
+    rough_symbol, verify_commutator_dz, verify_delta_k, \
+    verify_dzstar_via_adjoint
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -154,7 +157,7 @@ def cmd_verify(cfg: RunConfig):
     tol = _tolerance(cfg)
     word = AlgebraElement.unchecked_toeplitz(f, label=cfg.symbol_spec)
 
-    checks = [_from_wedge(wedge_check(f, 1e-9))]
+    checks = [_from_wedge(wedge_check(f, WEDGE_TOLERANCE))]
     # commutator_number is delta_1 under its own name, so [N, T_f] is built once
     delta_1 = verify_delta_k(f, 1, n, cfg.margin, tol)
     reports = [
@@ -257,7 +260,7 @@ def cmd_sweep(cfg: RunConfig):
                 report.stabilized and report.trend == "bounded",
                 values=report.values, raw_values=report.raw_values,
                 trend=report.trend,
-                stabilization_tol=report.stabilization_tol))
+                stabilization_tol=STABILIZATION_TOL))
         rows.extend((report.which, s, repr(v), repr(r)) for s, v, r in
                     zip(report.sizes, report.values, report.raw_values))
         plot_series.append((report.which, report.sizes, report.values))
@@ -341,23 +344,28 @@ def run(cfg: RunConfig) -> int:
         print(f"error: cannot create output directory {outdir}: {exc}",
               file=sys.stderr)
         return EXIT_USAGE
+    error = None
     try:
         checks, header, rows, chart = COMMANDS[cfg.command](cfg)
     except ValueError as exc:
-        _write_report(outdir, cfg, [], [],
-                      error={"type": "config", "message": str(exc)})
+        error, code = {"type": "config", "message": str(exc)}, EXIT_USAGE
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (FredholmIndexError, np.linalg.LinAlgError) as exc:
-        _write_report(outdir, cfg, [], [],
-                      error={"type": "numerical", "message": str(exc)})
+        error, code = {"type": "numerical", "message": str(exc)}, EXIT_NUMERICAL
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    artifacts = [_write_csv(outdir, rows, header)]
-    if cfg.emit_svg and chart is not None:
-        (outdir / "plot.svg").write_text(svg.chart(**chart))
-        artifacts.append("plot.svg")
-    _write_report(outdir, cfg, checks, artifacts)
+    try:
+        if error is not None:
+            _write_report(outdir, cfg, [], [], error)
+            return code
+        artifacts = [_write_csv(outdir, rows, header)]
+        if cfg.emit_svg and chart is not None:
+            (outdir / "plot.svg").write_text(svg.chart(**chart))
+            artifacts.append("plot.svg")
+        _write_report(outdir, cfg, checks, artifacts)
+    except OSError as exc:
+        print(f"error: cannot write to output directory {outdir}: {exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
     for check in checks:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"[{status}] {cfg.command}: {check['name']}")
@@ -417,9 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--n": size_help,
         "--tolerance": tolerance_help(
             "verify", "commutator_number, commutator_dz, delta_1, delta_2, "
-                      "delta_3 and dzstar_via_adjoint; wedge_gluing (1e-9), "
-                      "delta_absdirac_spot_check (1e-10), evenness (0) and "
-                      "membership (1e-8) keep fixed tolerances"),
+                      "delta_3 and dzstar_via_adjoint; wedge_gluing "
+                      f"({WEDGE_TOLERANCE:g}), delta_absdirac_spot_check "
+                      f"({ABSDIRAC_TOLERANCE:g}), evenness (0) and membership "
+                      f"({MEMBERSHIP_TOLERANCE:g}) keep fixed tolerances"),
         "--margin": "interior margin of the commutator and delta checks "
                     "(default: automatic, from the symbol's band)",
         "--symbol": symbol_help})

@@ -38,6 +38,7 @@ in O(n) and no matrix is formed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -49,7 +50,6 @@ from .fourier import FourierSeries
 __all__ = [
     "TruncatedOperator",
     "BandPattern",
-    "PowerIterationError",
     "toeplitz",
     "identity",
     "shift",
@@ -80,10 +80,6 @@ POWER_ITERATION_CAP = 10_000
 # and about NORM_BLOCK_WORK multiply-adds
 NORM_BLOCK = 16
 NORM_BLOCK_WORK = 2 ** 18
-
-
-class PowerIterationError(RuntimeError):
-    """Norm estimation failed to converge within the iteration cap."""
 
 
 def _outside(lo: int, count: int, n: int) -> np.ndarray:
@@ -128,6 +124,9 @@ class TruncatedOperator:
     """
 
     __slots__ = ("lo", "diagonals")
+    # numpy defers to the operator's own methods, so an array operand is
+    # refused with a TypeError instead of being broadcast over
+    __array_ufunc__ = None
 
     def __init__(self, diagonals, lo: int):
         fresh = isinstance(diagonals, _Fresh)
@@ -221,7 +220,8 @@ class TruncatedOperator:
         return TruncatedOperator(_Fresh(out), lo)
 
     def __mul__(self, scalar):
-        if isinstance(scalar, TruncatedOperator):
+        """A number (numpy scalars included) times the operator."""
+        if not isinstance(scalar, numbers.Number):
             return NotImplemented
         return TruncatedOperator(_Fresh(scalar * self.diagonals), self.lo)
 
@@ -434,8 +434,7 @@ class _MatvecPlan:
         return partial(np.einsum, "ij,ij->j", self.rows, window, out=target)
 
 
-def operator_norm(a: TruncatedOperator, tol: float = 1e-10,
-                  max_iterations: int = POWER_ITERATION_CAP) -> float:
+def operator_norm(a: TruncatedOperator, tol: float = 1e-10) -> float:
     """Largest singular value.
 
     Uses a full decomposition for ``dim <= 64``, otherwise power iteration on
@@ -467,14 +466,12 @@ def operator_norm(a: TruncatedOperator, tol: float = 1e-10,
     for ``[N, T_f]`` with ``f = cos(4 theta)`` at n = 128 and ``tol`` 1e-9
     it is 1.8e-8 relative below the dense SVD value.
     Nearly degenerate top singular values slow the iteration down;
-    when ``max_iterations`` steps do not meet the rule, a PowerIterationError
-    signals the caller to fall back to a full decomposition.  A step whose
-    product is exactly zero ends the iteration with the value 0.
+    when POWER_ITERATION_CAP steps do not meet the rule, a warning is logged
+    and the value is that of a full decomposition.  A step whose product is
+    exactly zero ends the iteration with the value 0.
     """
     if not math.isfinite(tol) or tol <= 0:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     n = a.dim
     if n <= FULL_SVD_DIM:
         return float(np.linalg.svd(a.dense(), compute_uv=False)[0])
@@ -507,8 +504,8 @@ def operator_norm(a: TruncatedOperator, tol: float = 1e-10,
     iterates[0, body] = 1.0 / math.sqrt(n)
     previous = -1.0
     done = 0
-    while done < max_iterations:
-        count = min(size, max_iterations - done)
+    while done < POWER_ITERATION_CAP:
+        count = min(size, POWER_ITERATION_CAP - done)
         for step in steps[:count * len(plans)]:
             step()
         squares = np.einsum("ij,ij->i", flat[:count + 1], flat[:count + 1])
@@ -528,9 +525,13 @@ def operator_norm(a: TruncatedOperator, tol: float = 1e-10,
         done += count
         previous = float(sigma[-1])
         np.divide(iterates[count], math.sqrt(squares[count]), out=iterates[0])
-    raise PowerIterationError(
-        f"operator norm did not converge within {max_iterations} iterations "
-        f"(dim {n}); consider a full decomposition")
+    # logging is imported on this path only, which keeps it out of the
+    # CLI's start-up
+    import logging
+    logging.getLogger(__name__).warning(
+        "power iteration did not converge within %d iterations at dim %d; "
+        "falling back to a dense SVD", POWER_ITERATION_CAP, n)
+    return float(np.linalg.svd(a.dense(), compute_uv=False)[0])
 
 
 def interior_block(a: TruncatedOperator, margin: int) -> TruncatedOperator:

@@ -51,7 +51,7 @@ SUP_GRID = 4096
 STABILIZATION_TOL = 1e-6  # relative change of the last two sweep values
 GROWTH_TOL = 1e-2
 NORM_TOL = 1e-9  # relative stop rule of the section norms
-WEDGE_TOLERANCE = 1e-9  # of the guarded Toeplitz generator
+WEDGE_TOLERANCE = 1e-9  # of the generator guard and verify's wedge_gluing
 ABSDIRAC_TOLERANCE = 1e-10  # looser: |D| comes from an eigensolve
 # membership_check's tolerance of the estimated symbol's wedge check, of its
 # distance to the exact symbol and of the compact part's symbol
@@ -388,7 +388,6 @@ class SweepReport:
     stabilized: bool
     trend: str
     which: str
-    stabilization_tol: float = STABILIZATION_TOL
 
 
 def _sweep_blocks(word: AlgebraElement, which: str, order: int,
@@ -416,18 +415,7 @@ def _sweep_value(word: AlgebraElement, n: int, which: str,
     max_freq = min(spread, n // 4 - 1)
     for x in blocks:
         lead = op.TruncatedOperator(x.diagonals[:, :n], x.lo)
-        try:
-            section = op.operator_norm(lead, NORM_TOL)
-        except op.PowerIterationError:
-            # nearly degenerate top singular values stall the iteration;
-            # fall back to the full decomposition.  logging is imported on
-            # this path only, which keeps it out of the CLI's start-up
-            import logging
-            logging.getLogger(__name__).warning(
-                "power iteration did not converge within %d iterations at "
-                "dim %d; falling back to a dense SVD",
-                op.POWER_ITERATION_CAP, lead.dim)
-            section = float(np.linalg.svd(lead.dense(), compute_uv=False)[0])
+        section = op.operator_norm(lead, NORM_TOL)
         raw = max(raw, section)
         sup = 0.0
         if max_freq >= 0:

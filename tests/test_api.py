@@ -42,9 +42,7 @@ SIGNATURES = {
     "FourierSeries.evaluate_grid": "(self, size)",
     "SpectrumReport":
         "(eigenvalues, residuals, spurious, distinct_values, multiplicities)",
-    "SweepReport":
-        "(sizes, values, raw_values, stabilized, trend, which, "
-        "stabilization_tol=1e-06)",
+    "SweepReport": "(sizes, values, raw_values, stabilized, trend, which)",
     "TruncatedOperator": "(diagonals, lo)",
     "TruncatedOperator.dense": "(self)",
     "TruncatedOperator.adjoint": "(self)",
@@ -74,7 +72,7 @@ SIGNATURES = {
     "interior_deviation": "(a, b, margin)",
     "membership_check": "(a, n)",
     "number": "(n)",
-    "operator_norm": "(a, tol=1e-10, max_iterations=10000)",
+    "operator_norm": "(a, tol=1e-10)",
     "pattern_kernel_dims": "(p)",
     "polar_check": "(n, margin, tol=1e-10)",
     "polar_parts": "(n)",

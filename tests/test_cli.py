@@ -392,6 +392,27 @@ def test_output_dir_naming_a_file_is_a_usage_error(tmp_path, capsys):
     assert taken.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("artifact", ["data.csv", "plot.svg", "report.json"])
+def test_an_unwritable_artifact_is_a_usage_error(artifact, tmp_path, capsys):
+    # a failed write used to escape run: exit 1, the code of a failed check,
+    # with a traceback
+    (tmp_path / artifact).mkdir()
+    assert exit_code(["spectrum", "--n", "8", "--svg"], tmp_path) == EXIT_USAGE
+    err = capsys.readouterr().err
+    [line] = err.splitlines()
+    assert line.startswith(f"error: cannot write to output directory {tmp_path}")
+    assert artifact in line and "Traceback" not in err
+
+
+def test_an_unwritable_error_record_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "report.json").mkdir()
+    assert exit_code(["wedge", "--symbol", "nonsense:1"], tmp_path) == EXIT_USAGE
+    first, second = capsys.readouterr().err.splitlines()
+    assert first.startswith("error: unknown symbol spec 'nonsense:1'")
+    assert second.startswith("error: cannot write to output directory")
+    assert "report.json" in second
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     override = tmp_path / "elsewhere"
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(override))

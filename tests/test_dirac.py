@@ -1,6 +1,7 @@
 """Tests for the block Dirac operator: spectrum, polar form, index, sums."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -53,6 +54,11 @@ def test_dirac_exactly_hermitian():
 def test_dirac_requires_n_at_least_two():
     with pytest.raises(ValueError):
         dirac(1)
+
+
+def test_grading_requires_n_at_least_one():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        grading(0)
 
 
 # ----------------------------------------------------------------------
@@ -329,6 +335,20 @@ def test_fredholm_index_bad_sizes():
 def test_fredholm_index_refuses_counts_that_disagree(monkeypatch, dims, message):
     monkeypatch.setattr(op, "rectangular_kernel_dims", dims)
     with pytest.raises(FredholmIndexError, match=message):
+        fredholm_index(16, 32)
+
+
+def test_fredholm_index_refuses_a_polar_factor_off_the_shift_pattern(
+        monkeypatch):
+    def with_corner(n):
+        f, absd = polar_parts(n)
+        return f + op.finite_rank(0.5 * np.eye(2), 2 * n), absd
+
+    # the package exports a function named dirac, so the module is looked up
+    monkeypatch.setattr(sys.modules[fredholm_index.__module__], "polar_parts",
+                        with_corner)
+    with pytest.raises(FredholmIndexError,
+                       match=r"polar factor deviates .* by 5\.000e-01"):
         fredholm_index(16, 32)
 
 

@@ -1,5 +1,6 @@
 """Tests for truncated operators, norms, symbols and exact band patterns."""
 
+import contextlib
 import math
 import tracemalloc
 import warnings
@@ -170,17 +171,30 @@ def test_power_iteration_matches_svd_on_random_matrix():
 def test_norm_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         op.operator_norm(op.shift(4), 0.0)
-    # a nan tolerance used to run all 10 000 steps and then raise
-    # PowerIterationError, which the sweep turned into a dense SVD
+    # a nan tolerance used to run all 10 000 steps and then fall back to a
+    # dense SVD
     for tol in (math.nan, math.inf):
         with pytest.raises(ValueError, match="tol"):
             op.operator_norm(op.shift(128), tol)
 
 
-@pytest.mark.parametrize("max_iterations", [0, -1])
-def test_norm_rejects_an_empty_iteration_budget(max_iterations):
-    with pytest.raises(ValueError, match="max_iterations"):
-        op.operator_norm(op.shift(128), 1e-10, max_iterations)
+class Stalled(Exception):
+    """Raised by ``TruncatedOperator.dense`` under ``power_cap``: above
+    dim 64 only the dense-SVD fallback of ``operator_norm`` calls it, so it
+    marks an iteration whose steps did not meet the stop rule."""
+
+
+@contextlib.contextmanager
+def power_cap(cap):
+    """``operator_norm`` with at most ``cap`` power steps, raising Stalled
+    where it would fall back to the dense SVD."""
+    def stalled(self):
+        raise Stalled
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(op, "POWER_ITERATION_CAP", cap)
+        patch.setattr(op.TruncatedOperator, "dense", stalled)
+        yield
 
 
 def dense_gram_norm(a, tol, cap=op.POWER_ITERATION_CAP):
@@ -236,11 +250,12 @@ def test_banded_norm_follows_the_dense_gram_iteration(n, make, operand, real):
     # the banded iteration stops at the same step: a cap of exactly that many
     # steps (rarely a multiple of the block) suffices, and one fewer does not
     for cap in (steps, steps + 1, steps + op.NORM_BLOCK + 3):
-        assert op.operator_norm(a, 1e-9, cap) == pytest.approx(expected,
-                                                               rel=1e-12)
+        with power_cap(cap):
+            assert op.operator_norm(a, 1e-9) == pytest.approx(expected,
+                                                              rel=1e-12)
     for cap in (steps - 1, steps // 2 + 1, 1):
-        with pytest.raises(op.PowerIterationError):
-            op.operator_norm(a, 1e-9, cap)
+        with power_cap(cap), pytest.raises(Stalled):
+            op.operator_norm(a, 1e-9)
 
 
 def test_norm_forms_no_dense_matrix(monkeypatch):
@@ -258,7 +273,8 @@ def test_norm_of_zero_matrix():
     z = op.finite_rank(np.zeros((80, 80)), 80)
     assert op.operator_norm(z) == 0.0
     # the first product is zero, so one step decides
-    assert op.operator_norm(z, 1e-10, 1) == 0.0
+    with power_cap(1):
+        assert op.operator_norm(z, 1e-10) == 0.0
 
 
 @pytest.mark.parametrize("k", [2, 20])
@@ -268,7 +284,8 @@ def test_start_vector_in_the_kernel_gives_zero(k):
     # runs the Gram plan, k = 20 (39 diagonals) the plans of A and A*
     block = np.tile([1.0, -1.0], (k, k // 2))
     a = op.finite_rank(block, 80)
-    assert op.operator_norm(a, 1e-10, 1) == 0.0
+    with power_cap(1):
+        assert op.operator_norm(a, 1e-10) == 0.0
     assert op.operator_norm(3.0 * a) == 0.0
 
 
@@ -303,17 +320,18 @@ def test_blocked_norm_follows_the_dense_gram_iteration(a, power):
         warnings.simplefilter("error")
         if expected is None:
             for x in (a, scaled):
-                with pytest.raises(op.PowerIterationError):
-                    op.operator_norm(x, 1e-9, cap)
+                with power_cap(cap), pytest.raises(Stalled):
+                    op.operator_norm(x, 1e-9)
             return
-        value = op.operator_norm(a, 1e-9, steps)
-        # entries near 2**300 or 2**-300 neither overflow nor underflow: the
-        # plans are scaled by powers of two, so the iteration is the same
-        assert op.operator_norm(scaled, 1e-9, steps) == \
-            math.ldexp(value, power)
+        with power_cap(steps):
+            value = op.operator_norm(a, 1e-9)
+            # entries near 2**300 or 2**-300 neither overflow nor underflow:
+            # the plans are scaled by powers of two, so the iteration is the
+            # same
+            assert op.operator_norm(scaled, 1e-9) == math.ldexp(value, power)
         if steps > 1:
-            with pytest.raises(op.PowerIterationError):
-                op.operator_norm(scaled, 1e-9, steps - 1)
+            with power_cap(steps - 1), pytest.raises(Stalled):
+                op.operator_norm(scaled, 1e-9)
     assert value == pytest.approx(expected, rel=1e-12)
 
 
@@ -406,6 +424,10 @@ def test_pattern_kernel_dims():
     assert op.pattern_kernel_dims(op.shift_pattern()) == (0, 1)
     assert op.pattern_kernel_dims(op.dz_pattern()) == (1, 0)
     assert op.pattern_kernel_dims(op.dz_star_pattern()) == (0, 1)
+    # w(m) = m with a zero m**2 term: the weight of dz_pattern
+    padded = op.BandPattern.weighted_shift(-1, [0, 1, 0])
+    assert padded.nonnegative_zeros() == [0]
+    assert op.pattern_kernel_dims(padded) == (1, 0)
 
 
 def test_pattern_rejects_an_empty_weight():
@@ -414,6 +436,9 @@ def test_pattern_rejects_an_empty_weight():
         op.BandPattern.weighted_shift(1, [])
     with pytest.raises(ValueError, match="at least one coefficient"):
         op.BandPattern(offset=-1, coeffs=())
+    # w = 0 vanishes at every m
+    with pytest.raises(ValueError, match="identically zero weight"):
+        op.BandPattern.weighted_shift(-1, [0, 0]).nonnegative_zeros()
 
 
 def test_pattern_realization_matches_matrices():
@@ -523,6 +548,41 @@ def test_matrix_validation():
         op.TruncatedOperator(np.ones(3), 0)
     with pytest.raises(ValueError):
         op.TruncatedOperator(np.array([[np.nan, 1.0]]), 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: op.toeplitz(cos4(), 0), "n must be >= 1"),
+    (lambda: op.interior_block(op.identity(8), -1), "margin must be >= 0"),
+    (lambda: op.symbol_estimate(op.identity(16), -1), "max_freq must be >= 0"),
+    (lambda: op.cauchy_riemann_weight_gap(0), "n must be >= 1"),
+    (lambda: op.rectangular_kernel_dims(op.shift_pattern(), 0),
+     "n must be >= 1"),
+], ids=["toeplitz", "interior_block", "symbol_estimate", "weight_gap",
+        "rectangular_kernel_dims"])
+def test_arguments_outside_the_domain_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("operation", [
+    lambda t: t * np.array([1.0, 2.0, 3.0, 4.0]),
+    lambda t: np.ones(4) * t,
+    lambda t: t @ np.eye(4),
+    lambda t: np.eye(4) @ t,
+], ids=["operator_times_array", "array_times_operator",
+        "operator_matmul_array", "array_matmul_operator"])
+def test_an_array_operand_is_refused(operation):
+    # T * v used to give T diag(v), and np.ones(4) * T an array of operators
+    with pytest.raises(TypeError):
+        operation(op.toeplitz(FourierSeries.cosine(1), 4))
+
+
+def test_numbers_and_numpy_scalars_scale_an_operator():
+    t = op.toeplitz(FourierSeries.cosine(1), 4)
+    for scaled, factor in [(2.0 * t, 2.0), (np.float64(2) * t, 2.0),
+                           (t * (1 + 2j), 1 + 2j), (-t, -1.0)]:
+        assert isinstance(scaled, op.TruncatedOperator)
+        assert np.array_equal(scaled.dense(), factor * t.dense())
 
 
 # each operation whose result adopts the band it has just computed

@@ -1,6 +1,7 @@
 """Tests for algebra words, identity verification and boundedness sweeps."""
 
 import logging
+import operator
 
 import numpy as np
 import pytest
@@ -72,6 +73,22 @@ def test_right_scaling_difference_and_negation_are_the_explicit_arithmetic():
         assert word.symbol().coeffs == symbol.coeffs
         assert word.describe() == explicit.describe()
     assert (a - b).describe() == "(T[cos4t] + (-1+0j)*T[cos8t])"
+
+
+def test_finite_rank_block_must_be_square():
+    with pytest.raises(ValueError, match="square"):
+        AlgebraElement.finite_rank(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("value", [
+    op.identity(4), FourierSeries.cosine(4), AlgebraElement.toeplitz(
+        FourierSeries.cosine(4)),
+], ids=["TruncatedOperator", "FourierSeries", "AlgebraElement"])
+@pytest.mark.parametrize("operation", [operator.add, operator.sub,
+                                       operator.matmul], ids=["+", "-", "@"])
+def test_arithmetic_with_a_non_operator_is_refused(value, operation):
+    with pytest.raises(TypeError):
+        operation(value, 1.0)
 
 
 def test_realization_builds_afresh():
@@ -307,6 +324,10 @@ def test_membership_needs_room():
     word = cos4_word() * cos4_word()
     with pytest.raises(ValueError):
         membership_check(word, 16)
+    # the collar of 5 fits in n = 11, but leaves a block of one row, too small
+    # to read frequencies up to 4 off
+    with pytest.raises(ValueError, match="too small to estimate frequencies"):
+        membership_check(cos4_word(), 11)
 
 
 # ----------------------------------------------------------------------
@@ -363,24 +384,22 @@ def test_sweep_negative_control_grows():
 
 
 def test_sweep_logs_svd_fallback(monkeypatch, caplog):
-    def stalled(a, tol=1e-10, max_iterations=op.POWER_ITERATION_CAP):
-        raise op.PowerIterationError("stalled")
-
-    monkeypatch.setattr(op, "operator_norm", stalled)
-    with caplog.at_level(logging.WARNING, logger="toeplitz_triple.triple"):
-        report = boundedness_sweep(cos4_word(), [64, 128], "delta", order=1)
-    messages = [r.getMessage() for r in caplog.records]
-    assert len(messages) == 2  # one block per size
-    for size, message in zip((64, 128), messages):
-        assert f"dim {size}" in message
-        assert str(op.POWER_ITERATION_CAP) in message
-    # the fallback itself is unchanged: the full decomposition of the
-    # section, which for [N, T_f] is the commutator of the truncations
+    # one power step never meets the stop rule, so every section norm above
+    # dim 64 runs the real fallback of operator_norm
+    monkeypatch.setattr(op, "POWER_ITERATION_CAP", 1)
+    with caplog.at_level(logging.WARNING, logger="toeplitz_triple.operators"):
+        report = boundedness_sweep(cos4_word(), [96, 128], "delta", order=1)
+    # one block per size
+    assert [r.getMessage() for r in caplog.records] == [
+        f"power iteration did not converge within 1 iterations at dim {size}; "
+        "falling back to a dense SVD" for size in (96, 128)]
+    # the fallback is the full decomposition of the section, which for
+    # [N, T_f] is the commutator of the truncations
     f = FourierSeries.cosine(4)
     assert report.raw_values == [
         float(np.linalg.svd(op.commutator(op.number(n), op.toeplitz(f, n)).dense(),
                             compute_uv=False)[0])
-        for n in (64, 128)]
+        for n in (96, 128)]
 
 
 def test_sweep_rejects_bad_sizes():
