@@ -14,8 +14,10 @@ the last basis vector of the first summand (whose raising image is cut).
 The doubled space is stored in Kronecker order, ``H (+) H = H (x) C^2``:
 first-summand ``e_m`` is index ``2m``, second-summand ``e_m`` is ``2m + 1``.
 Then D (offsets +-3), F and |D| (offsets -3..3), ``a (+) a`` and the grading
-are banded ``TruncatedOperator``s of dimension 2n.  Only this module knows
-the order; others compare through ``block_interior_deviation``.
+are banded ``TruncatedOperator``s of dimension 2n.  D, F, |D| and the grading
+have real entries, so their bands are float64, and D's 2 x 2 blocks are
+solved by a real eigensolve.  Only this module knows the order; others
+compare through ``block_interior_deviation``.
 """
 
 from __future__ import annotations
@@ -65,11 +67,13 @@ def _double(blocks: dict, n: int) -> op.TruncatedOperator:
 
     Entry ``(r, c)`` of block ``(i, j)`` goes to ``(2r + i, 2c + j)``, so the
     block's offset ``d`` becomes offset ``2d + i - j`` on the columns of
-    parity ``j``; absent blocks are zero.
+    parity ``j``; absent blocks are zero.  The band takes the blocks' common
+    dtype, so real blocks give a float64 operator.
     """
     lo = min(2 * b.lo + i - j for (i, j), b in blocks.items())
     hi = max(2 * b.band[1] + i - j for (i, j), b in blocks.items())
-    out = np.zeros((hi - lo + 1, 2 * n), dtype=complex)
+    out = np.zeros((hi - lo + 1, 2 * n), dtype=np.result_type(
+        *(b.diagonals for b in blocks.values())))
     for (i, j), b in blocks.items():
         out[2 * np.arange(b.lo, b.band[1] + 1) + i - j - lo, j::2] = b.diagonals
     return op.TruncatedOperator(out, lo)
@@ -240,7 +244,8 @@ def polar_parts(n: int) -> tuple[op.TruncatedOperator, op.TruncatedOperator]:
     # the indices of a component increase, so its first and last are the
     # furthest apart
     reach = max(int((idx[:, -1] - idx[:, 0]).max()) for idx, _, _, _ in parts)
-    f = np.zeros((2 * reach + 1, 2 * n), dtype=complex)
+    f = np.zeros((2 * reach + 1, 2 * n),
+                 dtype=np.result_type(*(v for _, _, _, v in parts)))
     absd = np.zeros_like(f)
     for idx, _, w, v in parts:
         s = np.abs(w)

@@ -16,6 +16,7 @@ wedge of two circles (all four corner points +-1, +-i are identified).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,9 @@ class FourierSeries:
     """
 
     __slots__ = ("_coeffs",)
+    # numpy defers to the series' own methods, so an array operand is
+    # refused with a TypeError instead of being broadcast over
+    __array_ufunc__ = None
 
     def __init__(self, coeffs=None):
         cleaned = {}
@@ -162,9 +166,12 @@ class FourierSeries:
                 for k2, v2 in other._coeffs.items():
                     out[k1 + k2] = out.get(k1 + k2, 0j) + v1 * v2
             return FourierSeries(out)
-        return FourierSeries({k: other * v for k, v in self._coeffs.items()})
+        return self.__rmul__(other)
 
     def __rmul__(self, scalar):
+        """A number (numpy scalars included) times the series."""
+        if not isinstance(scalar, numbers.Number):
+            return NotImplemented
         return FourierSeries({k: scalar * v for k, v in self._coeffs.items()})
 
     def __neg__(self):

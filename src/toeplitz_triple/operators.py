@@ -7,13 +7,15 @@ matrix built from a symbol ``f`` therefore has entries ``A[r, c] = fhat(r - c)``
 
 Every operator of the triple is banded, or banded plus a small top-left
 block, so a compression is stored by its diagonals: a lowest offset ``lo`` and
-a complex ``(num_diagonals, n)`` array whose row ``j`` holds the diagonal of
-offset ``lo + j``, indexed by column.  Construction, sums, products,
+a ``(num_diagonals, n)`` array, float64 or complex128 as the data, whose row
+``j`` holds the diagonal of offset ``lo + j``, indexed by column.  Real data
+stays float64 through sums, products and adjoints; a complex operand or
+scalar makes the result complex128.  Construction, sums, products,
 adjoints, interior blocks and symbol recovery cost O(n * bandwidth), and so
 does each power-iteration step of ``operator_norm``, which applies the
 banded Gram operator ``A* A`` (or A and then A*, for wide bands) by diagonals
 through matrix-vector plans built once per norm, skipping all-zero diagonals
-and in float64 when a band is real, and checks its stop rule once per block
+and in the band's own dtype, and checks its stop rule once per block
 of steps; only ``TruncatedOperator.dense`` forms an ``n x n`` array.
 
 Transient memory is bounded by the band too: an operation allocates its
@@ -94,8 +96,9 @@ def _outside(lo: int, count: int, n: int) -> np.ndarray:
 
 
 class _Fresh:
-    """A complex band array that its caller has just allocated and holds
-    no other reference to: ``TruncatedOperator`` adopts it without a copy."""
+    """A band array, float64 or complex128 as the data, that its caller
+    has just allocated and holds no other reference to:
+    ``TruncatedOperator`` adopts it without a copy."""
 
     __slots__ = ("band",)
 
@@ -113,11 +116,14 @@ class TruncatedOperator:
     ``span{e_s, ..., e_{e-1}}``.
 
     ``TruncatedOperator(diagonals, lo)`` takes a band array and copies it; a
-    dense block enters through ``finite_rank``.  Operators are immutable
-    values: arithmetic returns new instances.  A sum, difference, scalar
-    multiple, product or adjoint hands the band it has just computed to the
-    new instance, which adopts it without a second copy and still zeroes it
-    outside the matrix, checks it finite and makes it read-only.  So an
+    dense block enters through ``finite_rank``.  The band is stored as
+    float64 or complex128, as the data: complex input of any precision is
+    complex128, and all other input float64.  ``dense()`` is complex128
+    either way.  Operators are immutable values: arithmetic returns new
+    instances.  A sum, difference, scalar multiple, product or adjoint hands
+    the band it has just computed to the new instance, which adopts it
+    without a second copy and still zeroes it outside the matrix, checks it
+    finite and makes it read-only.  So an
     operation holds, besides its operands, its result band, in a product or
     commutator the partial products of one step (at most one band of the
     left factor's size), and the boolean masks of those checks.
@@ -137,12 +143,13 @@ class TruncatedOperator:
         count, n = band.shape
         lo = int(lo)
         first, last = max(lo, 1 - n), min(lo + count - 1, n - 1)
+        dtype = np.complex128 if band.dtype.kind == "c" else np.float64
         if first > last:
-            lo, band = 0, np.zeros((1, n), dtype=complex)
+            lo, band = 0, np.zeros((1, n))
         else:
             trimmed = last - first < count - 1
-            if not fresh or trimmed or band.dtype != complex:
-                band = np.array(band[first - lo:last - lo + 1], dtype=complex)
+            if not fresh or trimmed or band.dtype != dtype:
+                band = np.array(band[first - lo:last - lo + 1], dtype=dtype)
             lo = first
             band[_outside(lo, band.shape[0], n)] = 0
         if not np.isfinite(band).all():
@@ -190,7 +197,7 @@ class TruncatedOperator:
         """
         lo, hi = self.band
         count, n = self.diagonals.shape
-        out = np.zeros((count, n), dtype=complex)
+        out = np.zeros((count, n), dtype=self.diagonals.dtype)
         for j, diagonal in enumerate(self.diagonals):
             d = lo + j
             first, stop = max(d, 0), n + min(d, 0)
@@ -212,8 +219,8 @@ class TruncatedOperator:
         self._check_dim(other)
         lo = min(self.lo, other.lo)
         hi = max(self.band[1], other.band[1])
-        out = np.zeros((hi - lo + 1, self.dim), dtype=complex)
         a, b = self.diagonals, other.diagonals
+        out = np.zeros((hi - lo + 1, self.dim), dtype=np.result_type(a, b))
         out[self.lo - lo:self.lo - lo + a.shape[0]] = a
         rows = out[other.lo - lo:other.lo - lo + b.shape[0]]
         ufunc(rows, b, out=rows)
@@ -248,16 +255,19 @@ class TruncatedOperator:
 # ----------------------------------------------------------------------
 
 def toeplitz(f: FourierSeries, n: int) -> TruncatedOperator:
-    """Truncated Toeplitz matrix of symbol f: entries ``fhat(r - c)``."""
+    """Truncated Toeplitz matrix of symbol f: entries ``fhat(r - c)``, in
+    float64 when every kept coefficient is real."""
     if n < 1:
         raise ValueError("n must be >= 1")
     coeffs = {k: v for k, v in f.coeffs.items() if abs(k) < n}
     if not coeffs:
         return TruncatedOperator(np.zeros((1, n)), 0)
     lo = min(coeffs)
-    band = np.zeros((max(coeffs) - lo + 1, n), dtype=complex)
+    real = all(v.imag == 0 for v in coeffs.values())
+    band = np.zeros((max(coeffs) - lo + 1, n),
+                    dtype=float if real else complex)
     for k, v in coeffs.items():
-        band[k - lo] = v
+        band[k - lo] = v.real if real else v
     return TruncatedOperator(_Fresh(band), lo)
 
 
@@ -292,8 +302,9 @@ def dz_star(n: int) -> TruncatedOperator:
 
 
 def finite_rank(block, n: int) -> TruncatedOperator:
-    """Embed a k x k block into the top-left corner of an n x n matrix."""
-    b = np.asarray(block, dtype=complex)
+    """Embed a k x k block into the top-left corner of an n x n matrix; a
+    real block gives a float64 band."""
+    b = np.asarray(block)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError(f"block must be square, got shape {b.shape}")
     k = b.shape[0]
@@ -301,7 +312,7 @@ def finite_rank(block, n: int) -> TruncatedOperator:
         raise ValueError(f"block size {k} exceeds truncation size {n}")
     if k == 0:
         return TruncatedOperator(np.zeros((1, n)), 0)
-    band = np.zeros((2 * k - 1, n), dtype=complex)
+    band = np.zeros((2 * k - 1, n), dtype=b.dtype)
     for d in range(1 - k, k):
         # np.diagonal(b, -d) holds b[m + d, m] from column max(0, -d) on
         first = max(0, -d)
@@ -330,7 +341,7 @@ def _products(a: TruncatedOperator, b: TruncatedOperator,
     a._check_dim(b)
     n = a.dim
     out = np.zeros((a.diagonals.shape[0] + b.diagonals.shape[0] - 1, n),
-                   dtype=complex)
+                   dtype=np.result_type(a.diagonals, b.diagonals))
     terms = [(a, b, np.add)]
     if commute:
         terms.append((b, a, np.subtract))
@@ -390,17 +401,14 @@ class _MatvecPlan:
     keeps a step of ``operator_norm`` from lengthening the vector: a
     Hermitian G has 2-norm at most its largest row sum, and
     ``||A||^2 <= ||A||_1 ||A||_inf``, the row sums of A* being the column
-    sums of A.  A band whose imaginary part is exactly zero is kept in
-    float64, so a real vector stays real; such a plan takes real vectors
-    only.
+    sums of A.  The rows keep the band's dtype: a float64 band, which real
+    data gives, makes a float64 plan, which takes real vectors only.
     """
 
     __slots__ = ("rows", "hi", "step", "lead", "trail", "exponent")
 
     def __init__(self, x: TruncatedOperator):
         band = x.diagonals
-        if not band.imag.any():
-            band = band.real
         used = np.flatnonzero(band.any(axis=1))
         if used.size == 0:
             used = np.zeros(1, dtype=int)
@@ -447,8 +455,9 @@ def operator_norm(a: TruncatedOperator, tol: float = 1e-10) -> float:
     stored ones, so it costs b * k length-n products against
     ``2 * NORM_BLOCK * k`` for the block, and G is formed when
     ``b <= 2 * NORM_BLOCK``.  Otherwise each step applies A and then A*.
-    When the bands are real the iteration runs in float64: the iterates are
-    then real, so in exact arithmetic it is the same iteration as in complex.
+    The iteration runs in the band's dtype: on a float64 band, which real
+    data gives, the iterates are real, and in exact arithmetic it is the
+    same iteration as in complex.
 
     Steps run in blocks of up to NORM_BLOCK, written into one array without
     normalisation; each plan is scaled by a power of two, so the iterates

@@ -18,6 +18,7 @@ growing when the commutator is genuinely unbounded.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,9 @@ class AlgebraElement:
     """
 
     __slots__ = ("kind", "children", "series", "block", "scalar", "label")
+    # numpy defers to the word's own methods, so an array operand is refused
+    # with a TypeError instead of being broadcast over
+    __array_ufunc__ = None
 
     def __init__(self, kind, children=(), series=None, block=None,
                  scalar=None, label=None):
@@ -123,9 +127,12 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             return AlgebraElement("mul", (self, other))
-        return AlgebraElement("scale", (self,), scalar=complex(other))
+        return self.__rmul__(other)
 
     def __rmul__(self, scalar):
+        """A number (numpy scalars included) times the word."""
+        if not isinstance(scalar, numbers.Number):
+            return NotImplemented
         return AlgebraElement("scale", (self,), scalar=complex(scalar))
 
     def __neg__(self):
@@ -406,15 +413,16 @@ def _sweep_blocks(word: AlgebraElement, which: str, order: int,
 def _sweep_value(word: AlgebraElement, n: int, which: str,
                  order: int) -> tuple[float, float]:
     # compute at an inflated size and keep the leading block, so every entry
-    # measured equals the semi-infinite model exactly
+    # measured equals the semi-infinite model exactly; the inflated blocks
+    # are dropped once their leading blocks are copied, before any norm runs
     collar = word.band_spread() + word.compact_support() + order + 4
-    blocks = _sweep_blocks(word, which, order, n + collar)
+    leads = [op.TruncatedOperator(x.diagonals[:, :n], x.lo)
+             for x in _sweep_blocks(word, which, order, n + collar)]
     value = 0.0
     raw = 0.0
     spread = word.band_spread() + (0 if which == "delta" else 1)
     max_freq = min(spread, n // 4 - 1)
-    for x in blocks:
-        lead = op.TruncatedOperator(x.diagonals[:, :n], x.lo)
+    for lead in leads:
         section = op.operator_norm(lead, NORM_TOL)
         raw = max(raw, section)
         sup = 0.0

@@ -1,5 +1,5 @@
 """Banded operator storage: arithmetic and matrix-vector products against
-dense numpy, and O(n * b) size."""
+dense numpy, O(n * b) size, and bands that keep the data's dtype."""
 
 import tracemalloc
 
@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toeplitz_triple import operators as op
-from toeplitz_triple.dirac import dirac, polar_check, polar_parts, represent, \
-    spectrum
+from toeplitz_triple.dirac import dirac, grading, polar_check, polar_parts, \
+    represent, spectrum
 from toeplitz_triple.fourier import FourierSeries, coefficient_distance
-from toeplitz_triple.triple import rough_symbol, verify_commutator_dz, \
-    verify_delta_k
+from toeplitz_triple.triple import AlgebraElement, boundedness_sweep, \
+    rough_symbol, verify_commutator_dz, verify_delta_k
 
 # one nonzero diagonal of real entries: every entry of a product with one of
 # these is a single product, so banded and dense results agree bit for bit
@@ -51,16 +51,22 @@ def reference_symbol_estimate(m, max_freq):
 
 
 @st.composite
-def banded(draw, n):
+def banded(draw, n, real=False):
     """A band array (possibly wider than n, with all-zero diagonals) plus a
-    corner block, as an operator and as the dense matrix it stands for."""
+    corner block, as an operator and as the dense matrix it stands for; real
+    entries when ``real``, complex ones otherwise."""
     lo = draw(st.integers(-n - 2, n + 2))
     count = draw(st.integers(1, 2 * n + 4))
     k = draw(st.integers(0, n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    data = rng.uniform(-1, 1, (count, n)) + 1j * rng.uniform(-1, 1, (count, n))
+
+    def entries(*shape):
+        x = rng.uniform(-1, 1, shape)
+        return x if real else x + 1j * rng.uniform(-1, 1, shape)
+
+    data = entries(count, n)
     data[rng.random(count) < 0.3] = 0.0
-    block = rng.uniform(-1, 1, (k, k)) + 1j * rng.uniform(-1, 1, (k, k))
+    block = entries(k, k)
     dense = reference_dense(data, lo)
     dense[:k, :k] += block
     return op.TruncatedOperator(data, lo) + op.finite_rank(block, n), dense
@@ -247,8 +253,8 @@ def held_bytes(a):
 def test_storage_and_checks_scale_with_the_band():
     n = 16384
     f = FourierSeries.cosine(16)
-    # 33 diagonals of n complex entries; a dense matrix would take 4 GiB
-    assert held_bytes(op.toeplitz(f, n)) <= 33 * n * 16
+    # 33 diagonals of n float64 entries; a dense matrix would take 4 GiB
+    assert held_bytes(op.toeplitz(f, n)) <= 33 * n * 8
     assert verify_commutator_dz(f, n).passed
     assert verify_delta_k(f, 3, n).passed
 
@@ -257,9 +263,9 @@ def test_doubled_space_scales_with_the_band():
     n = 16384
     assert spectrum(dirac(n)).spurious == [n - 1]
     assert polar_check(n, 2).passed
-    # offsets -3..3 of 2n complex entries; a dense factor would take 16 GiB
+    # offsets -3..3 of 2n float64 entries; a dense factor would take 16 GiB
     for factor in polar_parts(n):
-        assert held_bytes(factor) <= 7 * 2 * n * 16
+        assert held_bytes(factor) <= 7 * 2 * n * 8
 
 
 def test_norm_scales_with_the_band():
@@ -272,14 +278,14 @@ def test_norm_scales_with_the_band():
     finally:
         tracemalloc.stop()
     assert value == 1.0
-    # a few vectors of n complex entries; the dense Gram matrix took 4 GiB
+    # a few vectors of n entries; the dense Gram matrix took 4 GiB
     assert peak <= 16 * n * 16
 
 
 @pytest.fixture(scope="module")
 def rough_band():
     """The rough control's band at the largest size of the benchmark's
-    sweep: 385 diagonals of 965 complex entries, 5.7 MiB."""
+    sweep: 385 diagonals of 965 float64 entries, 2.8 MiB."""
     a = op.toeplitz(rough_symbol(768), 965)
     assert a.diagonals.shape == (385, 965)
     return a
@@ -312,3 +318,77 @@ def test_band_operations_hold_about_one_extra_band(rough_band, make, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * rough_band.diagonals.nbytes
+
+
+def test_rough_sweep_holds_about_three_bands():
+    # at n = 768 the sweep realises the rough band at the inflated size,
+    # takes delta of it and keeps its leading block; the inflated blocks are
+    # dropped before the norm, which then holds the leading block and its
+    # Gram band.  One band of float64 entries at the largest size is
+    # 385 x 768 x 8 bytes
+    word = lambda n: AlgebraElement.unchecked_toeplitz(  # noqa: E731
+        rough_symbol(n))
+    tracemalloc.start()
+    try:
+        boundedness_sweep(word, [512, 768], which="delta")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 385 * 768 * 8
+
+
+# ----------------------------------------------------------------------
+# band dtypes
+# ----------------------------------------------------------------------
+
+def test_real_data_gives_float64_bands():
+    n = 16
+    t4 = AlgebraElement.toeplitz(FourierSeries.cosine(4))
+    t8 = AlgebraElement.toeplitz(FourierSeries.cosine(8))
+    word = (t4 * t8 + t8).adjoint() * t4
+    real = [word.realize(n), op.number(n), op.dz(n), op.dz_star(n),
+            dirac(n), grading(n), *polar_parts(n),
+            op.finite_rank(np.ones((2, 2)), n), op.identity(n) * 2]
+    for a in real:
+        assert a.diagonals.dtype == np.float64
+        # dense() is complex whatever the band holds
+        assert a.dense().dtype == np.complex128
+
+
+def test_complex_data_gives_complex_bands():
+    n = 16
+    t = op.toeplitz(FourierSeries.cosine(4), n)
+    corner = op.finite_rank(np.array([[1.0, 2j], [0.5, 1.0]]), n)
+    complex_ = [op.toeplitz(FourierSeries({4: 0.5j, -4: 0.5}), n),
+                (-1j) * t, t + corner, corner + t, t @ ((1 + 1j) * t),
+                op.commutator(t, corner), op.delta(corner, 2),
+                AlgebraElement.finite_rank(np.eye(2)).realize(n)]
+    for a in complex_:
+        assert a.diagonals.dtype == np.complex128
+
+
+def as_complex(a):
+    return op.TruncatedOperator(a.diagonals.astype(complex), a.lo)
+
+
+real_pairs = sizes.flatmap(
+    lambda n: st.tuples(banded(n, real=True), banded(n, real=True)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_pairs, st.floats(-4, 4), st.integers(1, 3))
+def test_real_bands_round_as_the_complex_path(pair, scalar, k):
+    # a complex product or sum whose imaginary parts are zero rounds its real
+    # part as the real one does, so float64 bands change no value
+    (a, _), (b, _) = pair
+    x, y = as_complex(a), as_complex(b)
+    cases = [(a + b, x + y), (a - b, x - y), (a @ b, x @ y),
+             (op.commutator(a, b), op.commutator(x, y)),
+             (a.adjoint(), x.adjoint()), (op.delta(a, k), op.delta(x, k)),
+             (scalar * a, scalar * x), (a * scalar, x * scalar)]
+    for real, reference in cases:
+        assert real.diagonals.dtype == np.float64
+        assert reference.diagonals.dtype == np.complex128
+        assert real.band == reference.band
+        assert np.array_equal(real.diagonals, reference.diagonals.real)
+        assert not reference.diagonals.imag.any()

@@ -242,8 +242,10 @@ def test_banded_norm_follows_the_dense_gram_iteration(n, make, operand, real):
     # the sweep values of the benchmark references were taken with the dense
     # iteration, and the gate holds them to 1e-9 relative
     a = op.commutator(make(n), operand(n))
-    # real bands run the matrix-vector plan in float64, complex ones in complex
-    assert (op._MatvecPlan(a).rows.dtype.kind == "f") == real
+    # real data gives a float64 band, and the matrix-vector plan runs in the
+    # band's dtype
+    assert (a.diagonals.dtype == np.float64) == real
+    assert op._MatvecPlan(a).rows.dtype == a.diagonals.dtype
     expected, steps = dense_gram_norm(a, 1e-9)
     assert expected is not None
     assert op.operator_norm(a, 1e-9) == pytest.approx(expected, rel=1e-12)

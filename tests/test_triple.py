@@ -464,3 +464,25 @@ def test_rough_symbol_profile():
     f = rough_symbol(64)
     assert f.bandwidth == 16
     assert f.coefficient(2) == pytest.approx(2.0 ** -1.5)
+
+
+@pytest.mark.parametrize("operation", [
+    lambda: np.ones(2) * FourierSeries.cosine(4),
+    lambda: np.ones(2) * AlgebraElement.toeplitz(FourierSeries.cosine(4)),
+    lambda: FourierSeries.cosine(4) * np.array([1.0, 2.0]),
+], ids=["array_times_series", "array_times_word", "series_times_array"])
+def test_an_array_operand_is_refused_by_series_and_words(operation):
+    # the first two used to give object arrays of shape (2,), and the third
+    # failed only inside FourierSeries.__init__, on array coefficients
+    with pytest.raises(TypeError):
+        operation()
+
+
+def test_numbers_and_numpy_scalars_scale_series_and_words():
+    f = FourierSeries.cosine(4)
+    word = AlgebraElement.toeplitz(f)
+    for factor in (2.0, np.float64(2), 1 + 2j, np.complex128(1 + 2j)):
+        for scaled in (factor * f, f * factor):
+            assert scaled.coeffs == {4: 0.5 * factor, -4: 0.5 * factor}
+        for scaled in (factor * word, word * factor):
+            assert scaled.scalar == complex(factor)
