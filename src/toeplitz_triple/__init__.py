@@ -5,7 +5,29 @@ the associated Toeplitz/shift/number operators to finite matrices, and checks
 the structural identities of the block Dirac operator built from the lowering
 derivative: commutator formulas, grading relations, polar decomposition,
 integer spectrum, Fredholm index and summability of the resolvent weights.
+
+The package runs OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set.  Its BLAS and LAPACK calls
+are all small: batched 2 x 2 ``eigh`` and products in ``dirac``, the
+``exp(...) @ cs`` of ``FourierSeries.evaluate`` (1024 angles) and dense SVDs
+of dimension at most 64.  None of them gains from a second thread, while the
+worker thread that numpy's OpenBLAS starts at import, on a host with two or
+more CPUs, costs about 0.12 s of CPU time in every run of the command line
+(2 vCPU).  The one path that is slower on one thread is the dense-SVD
+fallback that ``operator_norm`` takes when the power iteration stalls.  To
+get threads back, set one of the three variables, or import numpy before the
+package; the variable set here is inherited by child processes.
 """
+
+import os
+
+# OpenBLAS reads its thread count once, when numpy loads it, and its worker
+# starts then: so the default is set here, before the first import of numpy,
+# and a later openblas_set_num_threads call would come too late.  A thread
+# count the caller set is left as it is.
+if not any(os.environ.get(name) for name in (
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .fourier import FourierSeries, WedgeReport, coefficient_distance, \
     wedge_check, wedge_from_profiles

@@ -76,7 +76,7 @@ def _double(blocks: dict, n: int) -> op.TruncatedOperator:
         *(b.diagonals for b in blocks.values())))
     for (i, j), b in blocks.items():
         out[2 * np.arange(b.lo, b.band[1] + 1) + i - j - lo, j::2] = b.diagonals
-    return op.TruncatedOperator(out, lo)
+    return op.TruncatedOperator(op._Fresh(out), lo)
 
 
 def dirac(n: int) -> op.TruncatedOperator:
@@ -254,7 +254,8 @@ def polar_parts(n: int) -> tuple[op.TruncatedOperator, op.TruncatedOperator]:
         at = (idx[:, :, None] - idx[:, None, :] + reach, idx[:, None, :])
         f[at] = (v * sign[:, None, :]) @ vh
         absd[at] = (v * s[:, None, :]) @ vh
-    return op.TruncatedOperator(f, -reach), op.TruncatedOperator(absd, -reach)
+    return (op.TruncatedOperator(op._Fresh(f), -reach),
+            op.TruncatedOperator(op._Fresh(absd), -reach))
 
 
 def polar_check(n: int, margin: int, tol: float = 1e-10) -> VerificationReport:

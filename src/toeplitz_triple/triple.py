@@ -198,7 +198,9 @@ class AlgebraElement:
         if self.kind == "mul":
             return self.children[0].realize(n) @ self.children[1].realize(n)
         if self.kind == "scale":
-            return self.scalar * self.children[0].realize(n)
+            # a real scalar keeps a real band float64
+            s = self.scalar.real if self.scalar.imag == 0 else self.scalar
+            return s * self.children[0].realize(n)
         return self.children[0].realize(n).adjoint()
 
     def symbol(self) -> FourierSeries:

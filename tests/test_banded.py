@@ -268,6 +268,29 @@ def test_doubled_space_scales_with_the_band():
         assert held_bytes(factor) <= 7 * 2 * n * 8
 
 
+@pytest.mark.parametrize("make, bound", [
+    # 65 diagonals of 2n entries; the input band was realised beforehand
+    (lambda n, a: represent(a), 1.5),
+    # 7 diagonals of 2n entries, plus dz and dz*, a seventh of that
+    (lambda n, a: dirac(n), 1.75),
+    # F and |D| of 7 diagonals each beside D and its 2 x 2 eigensystem
+    (lambda n, a: polar_parts(n)[0], 4.5),
+], ids=["represent", "dirac", "polar_parts"])
+def test_doubled_space_holds_one_band(make, bound):
+    # a doubled band is scattered into one array that the operator adopts,
+    # so the peak is that band and two boolean masks of an eighth of it; a
+    # copy of the band in the constructor would take it a band higher
+    n = 16384
+    a = op.toeplitz(FourierSeries.cosine(16), n)
+    tracemalloc.start()
+    try:
+        doubled = make(n, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * doubled.diagonals.nbytes
+
+
 def test_norm_scales_with_the_band():
     n = 16384
     s = op.shift(n)
@@ -365,6 +388,18 @@ def test_complex_data_gives_complex_bands():
                 AlgebraElement.finite_rank(np.eye(2)).realize(n)]
     for a in complex_:
         assert a.diagonals.dtype == np.complex128
+
+
+def test_real_scalars_keep_words_float64():
+    w = AlgebraElement.toeplitz(FourierSeries.cosine(4))
+    n = 16
+    for word in (w - w, -w):
+        assert word.realize(n).diagonals.dtype == np.float64
+    assert not (w - w).realize(n).diagonals.any()
+    assert np.array_equal((-w).realize(n).diagonals, -w.realize(n).diagonals)
+    # the word keeps the scalar as given
+    assert (-w).describe() == "(-1+0j)*T[bw4]"
+    assert (1j * w).realize(n).diagonals.dtype == np.complex128
 
 
 def as_complex(a):

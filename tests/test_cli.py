@@ -662,16 +662,21 @@ def test_verify_tolerance_reaches_the_six_checks_its_help_names(tmp_path):
 LAZY_MODULES = ("logging", "numpy.fft", "scipy", "cmath")
 
 
+def json_from_child(code, env=os.environ):
+    """What a new interpreter prints as JSON on its last line after running
+    ``code`` in the environment ``env``, with the package on its path."""
+    src = str(Path(toeplitz_triple.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=dict(env, PYTHONPATH=path))
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def loaded_in_child(modules, code):
     """Which of ``modules`` a new interpreter holds after running ``code``."""
-    code += (f"\nimport json, sys\nprint(json.dumps([m for m in {modules!r} "
-             "if m in sys.modules]))")
-    src = str(Path(toeplitz_triple.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True,
-                          env=dict(os.environ, PYTHONPATH=path))
-    return json.loads(done.stdout.splitlines()[-1])
+    return json_from_child(
+        code + f"\nimport json, sys\nprint(json.dumps([m for m in {modules!r} "
+        "if m in sys.modules]))")
 
 
 def test_start_up_leaves_lazy_modules_unloaded():
@@ -691,3 +696,29 @@ def test_spectrum_leaves_numpy_ma_unloaded(tmp_path):
             "    assert exit.code == 0")
     assert loaded_in_child(("numpy.ma",), code) == []
     assert (tmp_path / "report.json").is_file()
+
+
+# what OpenBLAS reads, in this order, for its thread count
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                         "OMP_NUM_THREADS")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="no /proc/self/task to count the threads in")
+def test_import_leaves_one_thread():
+    # on a host with two or more CPUs, numpy's OpenBLAS starts a worker
+    # thread at import unless one of the variables says otherwise
+    code = ("import json, os\nimport toeplitz_triple\n"
+            "print(json.dumps([len(os.listdir('/proc/self/task')), "
+            f"{{k: os.environ.get(k) for k in {BLAS_THREAD_VARIABLES!r}}}]))")
+    bare = {k: v for k, v in os.environ.items()
+            if k not in BLAS_THREAD_VARIABLES}
+    threads, given = json_from_child(code, bare)
+    assert threads == 1
+    assert given == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
+                     "OMP_NUM_THREADS": None}
+    # a thread count the caller set is left as given
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        _, given = json_from_child(code, dict(bare, **{name: "2"}))
+        assert given == {k: "2" if k == name else None
+                         for k in BLAS_THREAD_VARIABLES}
