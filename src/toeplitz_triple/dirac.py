@@ -67,16 +67,24 @@ def _double(blocks: dict, n: int) -> op.TruncatedOperator:
 
     Entry ``(r, c)`` of block ``(i, j)`` goes to ``(2r + i, 2c + j)``, so the
     block's offset ``d`` becomes offset ``2d + i - j`` on the columns of
-    parity ``j``; absent blocks are zero.  The band takes the blocks' common
-    dtype, so real blocks give a float64 operator.
+    parity ``j``, and its lattice of step s one of step 2s; absent blocks
+    are zero.  The result's lattice is the coarsest that holds every
+    block's, so D's offsets -3 and 3 take 2 rows.  The band takes the
+    blocks' common dtype, so real blocks give a float64 operator.
     """
-    lo = min(2 * b.lo + i - j for (i, j), b in blocks.items())
+    starts = {(i, j): 2 * b.lo + i - j for (i, j), b in blocks.items()}
+    lo = min(starts.values())
     hi = max(2 * b.band[1] + i - j for (i, j), b in blocks.items())
-    out = np.zeros((hi - lo + 1, 2 * n), dtype=np.result_type(
-        *(b.diagonals for b in blocks.values())))
+    step = math.gcd(*(2 * op._spacing(b) for b in blocks.values()),
+                    *(start - lo for start in starts.values())) or 1
+    out = np.zeros(((hi - lo) // step + 1, 2 * n), dtype=np.result_type(
+        *(b.rows for b in blocks.values())))
     for (i, j), b in blocks.items():
-        out[2 * np.arange(b.lo, b.band[1] + 1) + i - j - lo, j::2] = b.diagonals
-    return op.TruncatedOperator(op._Fresh(out), lo)
+        first = (starts[i, j] - lo) // step
+        stride = max(2 * op._spacing(b) // step, 1)
+        out[first:first + (b.rows.shape[0] - 1) * stride + 1:stride,
+            j::2] = b.rows
+    return op.TruncatedOperator(op._Fresh(out, step), lo)
 
 
 def dirac(n: int) -> op.TruncatedOperator:
@@ -145,17 +153,17 @@ class SpectrumReport:
 def _eigensystem(h: op.TruncatedOperator) -> list:
     """Eigensystem of Hermitian ``h``, one component at a time.
 
-    The components of the nonzero pattern are read off the stored diagonals
-    by label propagation, each index ending labelled with the smallest index
-    of its component; those of one size share a batched eigensolve.  Returns
-    one ``(idx, block, w, v)`` per component size: ``idx[c]`` lists the
-    indices of component c in increasing order, ``block[c]`` is ``h`` on
+    The components of the nonzero pattern are read off the stored lattice
+    rows by label propagation, each index ending labelled with the smallest
+    index of its component; those of one size share a batched eigensolve.
+    Returns one ``(idx, block, w, v)`` per component size: ``idx[c]`` lists
+    the indices of component c in increasing order, ``block[c]`` is ``h`` on
     them, and eigenpair ``w[c, t]``, ``v[c, :, t]`` is filed under index
     ``idx[c, t]``.  Exact for any Hermitian ``h``; for D every component has
     at most two indices.
     """
-    diag, cols = np.nonzero(h.diagonals)
-    rows = cols + h.lo + diag
+    stored, cols = np.nonzero(h.rows)
+    rows = cols + h.lo + stored * h.step
     labels = np.arange(h.dim)
     while True:
         new = labels.copy()
@@ -171,13 +179,14 @@ def _eigensystem(h: op.TruncatedOperator) -> list:
     starts = np.flatnonzero(
         np.concatenate(([True], ordered[1:] != ordered[:-1])))
     sizes = np.diff(np.append(starts, h.dim))
-    lo, hi = h.band
+    count = h.rows.shape[0]
     parts = []
     for size in np.flatnonzero(np.bincount(sizes)):
         idx = order[starts[sizes == size][:, None] + np.arange(size)]
-        j = idx[:, :, None] - idx[:, None, :] - lo
-        picked = h.diagonals[j.clip(0, hi - lo), idx[:, None, :]]
-        block = np.where((j >= 0) & (j <= hi - lo), picked, 0)
+        # the lattice row of each entry's offset, where it has one
+        j, off = np.divmod(idx[:, :, None] - idx[:, None, :] - h.lo, h.step)
+        picked = h.rows[j.clip(0, count - 1), idx[:, None, :]]
+        block = np.where((off == 0) & (j >= 0) & (j < count), picked, 0)
         parts.append((idx, block, *np.linalg.eigh(block)))
     return parts
 
@@ -237,25 +246,30 @@ def polar_parts(n: int) -> tuple[op.TruncatedOperator, op.TruncatedOperator]:
     ``|D| = V |lambda| V*`` and ``F = V sign(lambda) V*``, where eigenvalues
     below ``PINV_CUTOFF`` times the operator norm count as kernel and get
     sign 0, so F vanishes on the kernel of |D|.  Each component's product is
-    scattered into a band array, so both are banded.
+    scattered into the rows of one offset lattice, from ``-reach`` to
+    ``reach`` in steps of the gcd of the index gaps inside components, so
+    both are banded: for D, offsets -3, 0 and 3 in 3 rows.
     """
     parts = _eigensystem(dirac(n))
     top = max(np.abs(w).max() for _, _, w, _ in parts)
     # the indices of a component increase, so its first and last are the
     # furthest apart
     reach = max(int((idx[:, -1] - idx[:, 0]).max()) for idx, _, _, _ in parts)
-    f = np.zeros((2 * reach + 1, 2 * n),
+    step = math.gcd(*(int(np.gcd.reduce(idx - idx[:, :1], axis=None))
+                      for idx, _, _, _ in parts)) or 1
+    f = np.zeros((2 * reach // step + 1, 2 * n),
                  dtype=np.result_type(*(v for _, _, _, v in parts)))
     absd = np.zeros_like(f)
     for idx, _, w, v in parts:
         s = np.abs(w)
         sign = np.where(s > PINV_CUTOFF * top, np.sign(w), 0.0)
         vh = v.conj().swapaxes(1, 2)
-        at = (idx[:, :, None] - idx[:, None, :] + reach, idx[:, None, :])
+        at = ((idx[:, :, None] - idx[:, None, :] + reach) // step,
+              idx[:, None, :])
         f[at] = (v * sign[:, None, :]) @ vh
         absd[at] = (v * s[:, None, :]) @ vh
-    return (op.TruncatedOperator(op._Fresh(f), -reach),
-            op.TruncatedOperator(op._Fresh(absd), -reach))
+    return (op.TruncatedOperator(op._Fresh(f, step), -reach),
+            op.TruncatedOperator(op._Fresh(absd, step), -reach))
 
 
 def polar_check(n: int, margin: int, tol: float = 1e-10) -> VerificationReport:

@@ -6,28 +6,32 @@ their compressions to ``span{e_0, ..., e_{n-1}}``, with the convention
 matrix built from a symbol ``f`` therefore has entries ``A[r, c] = fhat(r - c)``.
 
 Every operator of the triple is banded, or banded plus a small top-left
-block, so a compression is stored by its diagonals: a lowest offset ``lo`` and
-a ``(num_diagonals, n)`` array, float64 or complex128 as the data, whose row
-``j`` holds the diagonal of offset ``lo + j``, indexed by column.  Real data
-stays float64 through sums, products and adjoints; a complex operand or
-scalar makes the result complex128.  Construction, sums, products,
-adjoints, interior blocks and symbol recovery cost O(n * bandwidth), and so
-does each power-iteration step of ``operator_norm``, which applies the
-banded Gram operator ``A* A`` (or A and then A*, for wide bands) by diagonals
-through matrix-vector plans built once per norm, skipping all-zero diagonals
-and in the band's own dtype, and checks its stop rule once per block
-of steps; only ``TruncatedOperator.dense`` forms an ``n x n`` array.
+block, and its nonzero diagonals lie on a lattice: ``T_f`` for
+``f = cos 4k theta`` at +-4k, its commutators with N, dz and dz* at two
+offsets, D at +-3.  So a compression is stored by the diagonals of one
+offset lattice: a lowest offset ``lo``, a step, and a ``(rows, n)`` array,
+float64 or complex128 as the data, whose row ``j`` holds the diagonal of
+offset ``lo + j*step``, indexed by column; the diagonals off the lattice
+are zero and are not stored.  Real data stays float64 through sums,
+products and adjoints; a complex operand or scalar makes the result
+complex128.  Construction, sums, products, adjoints, interior blocks and
+symbol recovery cost O(n * lattice rows), and so does each power-iteration
+step of ``operator_norm``, which applies the banded Gram operator ``A* A``
+(or A and then A*, for wide bands) by stored diagonals through
+matrix-vector plans built once per norm, in the band's own dtype, and
+checks its stop rule once per block of steps; only
+``TruncatedOperator.dense`` forms an ``n x n`` array.
 
-Transient memory is bounded by the band too: an operation allocates its
-result band once and the new operator adopts it without a copy, column
-shifts are slices of the band, and no integer index array of the band's
-shape is ever formed.  A product loops over the nonzero diagonals of its
-right factor, each step vectorised across the whole left band, and a
-commutator adds its two products into one result band through that loop.
-So besides its operands an operation holds its result, the partial
-products of one step (at most one band of the left factor's size) and
-boolean masks of a sixteenth of a band.  ``delta``, the iterated
-commutator with N, takes no product: it scales each diagonal.
+Transient memory is bounded by the lattice rows too: an operation allocates
+its result's lattice once and the new operator adopts it without a copy,
+column shifts are slices of the rows, and no integer index array of their
+shape is ever formed.  A product loops over the nonzero stored diagonals of
+its right factor, each step vectorised across all rows of the left one, and
+a commutator adds its two products into one result through that loop.  So
+besides its operands an operation holds its result, the partial products
+of one step (at most the left factor's rows) and boolean masks of a
+sixteenth of the rows.  ``delta``, the iterated commutator with N, takes no
+product: it scales each stored diagonal.
 
 Besides the concrete matrices, ``BandPattern`` describes a weighted shift
 ``e_m -> w(m) e_{m+offset}`` of the semi-infinite model exactly (a polynomial
@@ -84,88 +88,140 @@ NORM_BLOCK = 16
 NORM_BLOCK_WORK = 2 ** 18
 
 
-def _outside(lo: int, count: int, n: int) -> np.ndarray:
-    """Mask of the band entries ``[j, m]`` whose row ``m + lo + j`` is
-    outside ``0..n-1``, broadcast from a column of offsets and a row of
+def _outside(lo: int, step: int, count: int, n: int) -> np.ndarray:
+    """Mask of the lattice entries ``[j, m]`` whose row ``m + lo + j*step``
+    is outside ``0..n-1``, broadcast from a column of offsets and a row of
     column indices."""
-    offsets = np.arange(lo, lo + count)[:, None]
+    offsets = np.arange(lo, lo + count * step, step)[:, None]
     columns = np.arange(n)
     mask = columns < -offsets
     mask |= columns >= n - offsets
     return mask
 
 
+def _spacing(x: "TruncatedOperator") -> int:
+    """The gap between x's stored diagonals, 0 when it stores one: the gcd
+    that the lattice of a sum or product takes from x."""
+    return x.step if x.rows.shape[0] > 1 else 0
+
+
+def _slots(x: "TruncatedOperator", lo: int, step: int) -> slice:
+    """The rows of a lattice ``lo, lo + step, ...`` that hold x's stored
+    diagonals; the lattice must contain x's."""
+    start = (x.lo - lo) // step
+    stride = max(_spacing(x) // step, 1)
+    return slice(start, start + (x.rows.shape[0] - 1) * stride + 1, stride)
+
+
 class _Fresh:
-    """A band array, float64 or complex128 as the data, that its caller
-    has just allocated and holds no other reference to:
-    ``TruncatedOperator`` adopts it without a copy."""
+    """Rows of a band on the offsets ``lo, lo + step, ...``, float64 or
+    complex128 as the data, that its caller has just allocated and holds no
+    other reference to: ``TruncatedOperator`` adopts them without a copy."""
 
-    __slots__ = ("band",)
+    __slots__ = ("rows", "step")
 
-    def __init__(self, band: np.ndarray):
-        self.band = band
+    def __init__(self, rows: np.ndarray, step: int = 1):
+        self.rows = rows
+        self.step = step
 
 
 class TruncatedOperator:
-    """``n x n`` compression of an operator on ``l2(N)``, stored by diagonals.
+    """``n x n`` compression of an operator on ``l2(N)``, stored by the
+    diagonals of one offset lattice.
 
-    ``diagonals[j, m]`` is the entry ``A[m + lo + j, m]``.  Entries whose row
-    ``m + lo + j`` falls outside ``0..n-1`` are stored as 0 whatever the input
-    holds there, and diagonals beyond offset ``+-(n-1)`` are dropped, so the
-    columns ``s..e-1`` of a band array make the compression to
+    ``rows[j, m]`` is the entry ``A[m + lo + j*step, m]``: ``lo`` and
+    ``band[1]`` are the lowest and highest nonzero offsets, and ``step`` is
+    the gcd of the gaps between the nonzero diagonals (1 when there is only
+    one), so every diagonal off the lattice is zero and is not stored.  The
+    zero operator stores one zero row at offset 0.  Entries whose row
+    ``m + lo + j*step`` falls outside ``0..n-1`` are stored as 0 whatever
+    the input holds there, and diagonals beyond offset ``+-(n-1)`` are
+    dropped, so the columns ``s..e-1`` of the rows make the compression to
     ``span{e_s, ..., e_{e-1}}``.
 
-    ``TruncatedOperator(diagonals, lo)`` takes a band array and copies it; a
-    dense block enters through ``finite_rank``.  The band is stored as
-    float64 or complex128, as the data: complex input of any precision is
-    complex128, and all other input float64.  ``dense()`` is complex128
-    either way.  Operators are immutable values: arithmetic returns new
-    instances.  A sum, difference, scalar multiple, product or adjoint hands
-    the band it has just computed to the new instance, which adopts it
-    without a second copy and still zeroes it outside the matrix, checks it
-    finite and makes it read-only.  So an
-    operation holds, besides its operands, its result band, in a product or
-    commutator the partial products of one step (at most one band of the
-    left factor's size), and the boolean masks of those checks.
+    ``TruncatedOperator(diagonals, lo)`` takes a contiguous band, row j the
+    diagonal of offset ``lo + j``, copies it and keeps the smallest lattice
+    that holds its nonzero diagonals; ``diagonals`` gives the contiguous
+    band back.  A dense block enters through ``finite_rank``.  The rows are
+    stored as float64 or complex128, as the data: complex input of any
+    precision is complex128, and all other input float64.  ``dense()`` is
+    complex128 either way.  Operators are immutable values: arithmetic
+    returns new instances.  A sum, difference, scalar multiple, product or
+    adjoint allocates the rows of its result's lattice (the product of
+    lattices of steps s and t has step gcd(s, t), a sum's step also divides
+    the gap between the lowest offsets) and hands them to the new instance,
+    which adopts them without a second copy and still zeroes them outside
+    the matrix, checks them finite, drops the lattice rows that came out
+    zero at either end or on a coarser lattice, and makes them read-only.
+    So an operation holds, besides its operands, its result, in a product
+    or commutator the partial products of one step (at most the left
+    factor's rows), and the boolean masks of those checks.
     """
 
-    __slots__ = ("lo", "diagonals")
+    __slots__ = ("lo", "step", "rows")
     # numpy defers to the operator's own methods, so an array operand is
     # refused with a TypeError instead of being broadcast over
     __array_ufunc__ = None
 
     def __init__(self, diagonals, lo: int):
         fresh = isinstance(diagonals, _Fresh)
-        band = np.asarray(diagonals.band if fresh else diagonals)
+        band = np.asarray(diagonals.rows if fresh else diagonals)
+        step = diagonals.step if fresh else 1
         if band.ndim != 2 or band.shape[1] < 1:
             raise ValueError(
                 f"expected a (diagonals, n) band array, got shape {band.shape}")
         count, n = band.shape
         lo = int(lo)
-        first, last = max(lo, 1 - n), min(lo + count - 1, n - 1)
         dtype = np.complex128 if band.dtype.kind == "c" else np.float64
-        if first > last:
-            lo, band = 0, np.zeros((1, n))
-        else:
-            trimmed = last - first < count - 1
-            if not fresh or trimmed or band.dtype != dtype:
-                band = np.array(band[first - lo:last - lo + 1], dtype=dtype)
-            lo = first
-            band[_outside(lo, band.shape[0], n)] = 0
+        # the lattice rows whose offset lies in 1-n..n-1, perhaps none
+        first = max(0, -((lo + n - 1) // step))
+        last = min(count - 1, (n - 1 - lo) // step)
+        if not fresh or first > 0 or last < count - 1 or band.dtype != dtype:
+            band = np.array(band[first:last + 1], dtype=dtype)
+        lo += first * step
+        band[_outside(lo, step, band.shape[0], n)] = 0
         if not np.isfinite(band).all():
             raise ValueError("matrix entries must be finite")
+        used = np.flatnonzero(band.any(axis=1))
+        if used.size == 0:
+            lo, step, band = 0, 1, np.zeros((1, n), dtype=dtype)
+        else:
+            gap = int(np.gcd.reduce(used - used[0])) or 1
+            if gap > 1 or used[0] > 0 or used[-1] < band.shape[0] - 1:
+                band = np.array(band[used[0]:used[-1] + 1:gap])
+            lo += int(used[0]) * step
+            step = step * gap if used.size > 1 else 1
         band.setflags(write=False)
         self.lo = lo
-        self.diagonals = band
+        self.step = step
+        self.rows = band
 
     @property
     def dim(self) -> int:
-        return self.diagonals.shape[1]
+        return self.rows.shape[1]
 
     @property
     def band(self) -> tuple[int, int]:
-        """Lowest and highest stored offset ``r - c``."""
-        return self.lo, self.lo + self.diagonals.shape[0] - 1
+        """Lowest and highest nonzero offset ``r - c`` ((0, 0) when zero)."""
+        return self.lo, self.lo + (self.rows.shape[0] - 1) * self.step
+
+    @property
+    def diagonals(self) -> np.ndarray:
+        """The contiguous band, read-only: row j the diagonal of offset
+        ``lo + j``, up to ``band[1]``.  It is the stored rows themselves when
+        ``step`` is 1; otherwise the diagonals off the lattice are filled in
+        with zeros, in a new array."""
+        if self.step == 1:
+            return self.rows
+        count, n = self.rows.shape
+        band = np.zeros(((count - 1) * self.step + 1, n), dtype=self.rows.dtype)
+        band[::self.step] = self.rows
+        band.setflags(write=False)
+        return band
+
+    def _offsets(self):
+        """The offset of each stored row, in order."""
+        return range(self.lo, self.band[1] + 1, self.step)
 
     def __repr__(self):
         return f"TruncatedOperator(dim={self.dim}, band={self.band})"
@@ -175,10 +231,9 @@ class TruncatedOperator:
         n = self.dim
         out = np.zeros((n, n), dtype=complex)
         flat = out.reshape(-1)
-        for j, diagonal in enumerate(self.diagonals):
+        for d, diagonal in zip(self._offsets(), self.rows):
             # entry [m + d, m] is flat entry (m + d) * n + m, for the columns
             # m in first..stop-1 whose row is inside the matrix
-            d = self.lo + j
             first, stop = max(0, -d), n - max(0, d)
             start = (first + d) * n + first
             flat[start:start + (stop - first - 1) * (n + 1) + 1:n + 1] = \
@@ -187,23 +242,21 @@ class TruncatedOperator:
 
     def adjoint(self) -> "TruncatedOperator":
         """``A*[c - d, c] = conj(A[c, c - d])``, one conjugating slice per
-        diagonal.
+        stored diagonal.
 
         The diagonal of offset d holds ``A[m + d, m]`` at column m, so it
         becomes the diagonal of offset -d read ``d`` columns later: column c
         of the result takes the conjugate of column ``c - d``, for the
-        columns c where both lie inside ``0..n-1``.  The conjugates go
-        straight into the result band.
+        columns c where both lie inside ``0..n-1``.  The lattice is mirrored,
+        and the conjugates go straight into the result's rows.
         """
-        lo, hi = self.band
-        count, n = self.diagonals.shape
-        out = np.zeros((count, n), dtype=self.diagonals.dtype)
-        for j, diagonal in enumerate(self.diagonals):
-            d = lo + j
+        count, n = self.rows.shape
+        out = np.zeros((count, n), dtype=self.rows.dtype)
+        for j, (d, diagonal) in enumerate(zip(self._offsets(), self.rows)):
             first, stop = max(d, 0), n + min(d, 0)
             np.conjugate(diagonal[first - d:stop - d],
                          out=out[count - 1 - j, first:stop])
-        return TruncatedOperator(_Fresh(out), -hi)
+        return TruncatedOperator(_Fresh(out, self.step), -self.band[1])
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -212,25 +265,30 @@ class TruncatedOperator:
         return self._combine(other, np.subtract)
 
     def _combine(self, other, ufunc):
-        """``ufunc(self, other)`` entrywise: self's band is copied into the
-        result's rows, and other's band is combined into them in place."""
+        """``ufunc(self, other)`` entrywise on the lattice that holds both:
+        self's rows are copied into the result's rows, and other's rows are
+        combined into them in place."""
         if not isinstance(other, TruncatedOperator):
             return NotImplemented
         self._check_dim(other)
         lo = min(self.lo, other.lo)
+        step = math.gcd(_spacing(self), _spacing(other),
+                        self.lo - other.lo) or 1
         hi = max(self.band[1], other.band[1])
-        a, b = self.diagonals, other.diagonals
-        out = np.zeros((hi - lo + 1, self.dim), dtype=np.result_type(a, b))
-        out[self.lo - lo:self.lo - lo + a.shape[0]] = a
-        rows = out[other.lo - lo:other.lo - lo + b.shape[0]]
+        a, b = self.rows, other.rows
+        out = np.zeros(((hi - lo) // step + 1, self.dim),
+                       dtype=np.result_type(a, b))
+        out[_slots(self, lo, step)] = a
+        rows = out[_slots(other, lo, step)]
         ufunc(rows, b, out=rows)
-        return TruncatedOperator(_Fresh(out), lo)
+        return TruncatedOperator(_Fresh(out, step), lo)
 
     def __mul__(self, scalar):
         """A number (numpy scalars included) times the operator."""
         if not isinstance(scalar, numbers.Number):
             return NotImplemented
-        return TruncatedOperator(_Fresh(scalar * self.diagonals), self.lo)
+        return TruncatedOperator(_Fresh(scalar * self.rows, self.step),
+                                 self.lo)
 
     __rmul__ = __mul__
 
@@ -238,9 +296,9 @@ class TruncatedOperator:
         return (-1.0) * self
 
     def __matmul__(self, other):
-        """Product by diagonals: one loop step per nonzero diagonal of
-        ``other``, each vectorised across all diagonals of self (see
-        ``_products``)."""
+        """Product by diagonals: one loop step per nonzero stored diagonal
+        of ``other``, each vectorised across the stored diagonals of self
+        (see ``_products``)."""
         if not isinstance(other, TruncatedOperator):
             return NotImplemented
         return _products(self, other, commute=False)
@@ -250,25 +308,34 @@ class TruncatedOperator:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
 
+def _columns(a: TruncatedOperator, start: int, stop: int) -> TruncatedOperator:
+    """The compression of a to ``span{e_start, ..., e_{stop-1}}``, from a
+    copy of those columns of its rows."""
+    return TruncatedOperator(_Fresh(np.array(a.rows[:, start:stop]), a.step),
+                             a.lo)
+
+
 # ----------------------------------------------------------------------
 # constructors
 # ----------------------------------------------------------------------
 
 def toeplitz(f: FourierSeries, n: int) -> TruncatedOperator:
     """Truncated Toeplitz matrix of symbol f: entries ``fhat(r - c)``, in
-    float64 when every kept coefficient is real."""
+    float64 when every kept coefficient is real, on the lattice of the
+    kept frequencies."""
     if n < 1:
         raise ValueError("n must be >= 1")
     coeffs = {k: v for k, v in f.coeffs.items() if abs(k) < n}
     if not coeffs:
         return TruncatedOperator(np.zeros((1, n)), 0)
     lo = min(coeffs)
+    step = math.gcd(*(k - lo for k in coeffs)) or 1
     real = all(v.imag == 0 for v in coeffs.values())
-    band = np.zeros((max(coeffs) - lo + 1, n),
+    rows = np.zeros(((max(coeffs) - lo) // step + 1, n),
                     dtype=float if real else complex)
     for k, v in coeffs.items():
-        band[k - lo] = v.real if real else v
-    return TruncatedOperator(_Fresh(band), lo)
+        rows[(k - lo) // step] = v.real if real else v
+    return TruncatedOperator(_Fresh(rows, step), lo)
 
 
 def identity(n: int) -> TruncatedOperator:
@@ -303,7 +370,9 @@ def dz_star(n: int) -> TruncatedOperator:
 
 def finite_rank(block, n: int) -> TruncatedOperator:
     """Embed a k x k block into the top-left corner of an n x n matrix; a
-    real block gives a float64 band."""
+    real block gives a float64 band.  The block's 2k - 1 diagonals are
+    scattered into a contiguous band, which the operator compacts to the
+    lattice of the nonzero ones."""
     b = np.asarray(block)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError(f"block must be square, got shape {b.shape}")
@@ -330,32 +399,37 @@ def _products(a: TruncatedOperator, b: TruncatedOperator,
 
     Offset p of the left factor times offset q of the right one adds
     ``l_p[c + q] * r_q[c]`` to offset p + q at column c.  Both products
-    cover the offsets ``a.lo + b.lo`` up to the sum of the highest ones, so
-    the band is allocated once and each product is added (or subtracted)
-    into it in place.  The Python loop runs over the nonzero diagonals of
-    the right factor; each step is vectorised across all diagonals of the
-    left one, and holds their partial products, one band of the left
-    factor's size, beside the result.  Skipping an all-zero diagonal drops
-    only additions of zero, which leave every entry as it is.
+    cover the lattice from ``a.lo + b.lo`` to the sum of the highest
+    offsets in steps of the gcd of the factors' steps, so its rows are
+    allocated once and each product is added (or subtracted) into them in
+    place.  The Python loop runs over the nonzero stored diagonals of the
+    right factor; each step is vectorised across the stored diagonals of
+    the left one, and holds their partial products, the size of the left
+    factor's rows, beside the result.  The diagonals off either lattice
+    are zero, and skipping them, or an all-zero stored one, drops only
+    additions of zero, which leave every entry as it is.
     """
     a._check_dim(b)
     n = a.dim
-    out = np.zeros((a.diagonals.shape[0] + b.diagonals.shape[0] - 1, n),
-                   dtype=np.result_type(a.diagonals, b.diagonals))
+    lo = a.lo + b.lo
+    step = math.gcd(_spacing(a), _spacing(b)) or 1
+    out = np.zeros(((a.band[1] + b.band[1] - lo) // step + 1, n),
+                   dtype=np.result_type(a.rows, b.rows))
     terms = [(a, b, np.add)]
     if commute:
         terms.append((b, a, np.subtract))
     for left, right, ufunc in terms:
-        band = left.diagonals
-        for j, r_q in enumerate(right.diagonals):
+        band = left.rows
+        for q, r_q in zip(right._offsets(), right.rows):
             if not r_q.any():
                 continue
-            q = right.lo + j
             first, stop = max(0, -q), n - max(0, q)
-            rows = out[j:j + band.shape[0], first:stop]
+            # the left factor's lattice moved by q
+            at = _slots(left, lo - q, step)
+            rows = out[at, first:stop]
             ufunc(rows, band[:, first + q:stop + q] * r_q[first:stop],
                   out=rows)
-    return TruncatedOperator(_Fresh(out), a.lo + b.lo)
+    return TruncatedOperator(_Fresh(out, step), lo)
 
 
 def commutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
@@ -371,27 +445,27 @@ def delta(x: TruncatedOperator, k: int) -> TruncatedOperator:
     """The k-fold commutator ``[N, [N, ... [N, x]]]`` with ``number(n)``.
 
     N is diagonal, so it commutes with the truncation and diagonal d of
-    ``[N, x]`` is ``d * x_d``: each diagonal is scaled by its offset to the
-    k-th power, one rounding per entry, with no cancellation against N's
-    entries, which grow with n.
+    ``[N, x]`` is ``d * x_d``: each stored diagonal is scaled by its offset
+    to the k-th power, one rounding per entry, with no cancellation against
+    N's entries, which grow with n.  The result keeps x's lattice, or a
+    smaller one when the diagonal of offset 0, which it zeroes, was at an
+    end of it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scale = np.arange(x.lo, x.band[1] + 1, dtype=float)[:, None] ** k
-    return TruncatedOperator(_Fresh(x.diagonals * scale), x.lo)
+    scale = np.array(x._offsets(), dtype=float)[:, None] ** k
+    return TruncatedOperator(_Fresh(x.rows * scale, x.step), x.lo)
 
 
 class _MatvecPlan:
-    """``v -> 2**-exponent * X* v`` from the diagonals of X, in
-    O(n * bandwidth); a plan for ``A v`` is built from ``A.adjoint()``.
+    """``v -> 2**-exponent * X* v`` from the stored diagonals of X, in
+    O(n * lattice rows); a plan for ``A v`` is built from ``A.adjoint()``.
 
-    Row r of ``X*`` is the conjugate of column r of X, which the band stores
-    as it is: the rows of the plan are the conjugated diagonals, with no
-    shift.  The plan keeps the diagonals from the lowest to the highest
-    nonzero one in steps of g, the gcd of their offset gaps; the rest are
-    zero, and leaving them out drops only additions of zero.  So
-    ``rows[i, r]`` is the entry ``[r, r - d_i]`` of ``X*`` at offset
-    ``d_i = hi - i*g``, 0 where that column is outside ``0..n-1``, and
+    Row r of ``X*`` is the conjugate of column r of X, which X's rows store
+    as it is: the rows of the plan are X's conjugated rows, with no shift,
+    on X's lattice of step g.  So ``rows[i, r]`` is the entry
+    ``[r, r - d_i]`` of ``X*`` at offset ``d_i = hi - i*g``, with
+    ``hi = -X.lo``, 0 where that column is outside ``0..n-1``, and
     ``(X* v)[r]`` is ``sum_i rows[i, r] * v[r - d_i]``.  The terms
     ``v[r - d_i]`` for all i form one strided view of a zero-padded row
     holding v: ``bind`` makes the view once, and each call is one
@@ -408,20 +482,13 @@ class _MatvecPlan:
     __slots__ = ("rows", "hi", "step", "lead", "trail", "exponent")
 
     def __init__(self, x: TruncatedOperator):
-        band = x.diagonals
-        used = np.flatnonzero(band.any(axis=1))
-        if used.size == 0:
-            used = np.zeros(1, dtype=int)
-        step = int(np.gcd.reduce(used - used[0])) or 1
-        kept = band[used[0]:used[-1] + 1:step]
-        hi = -(x.lo + int(used[0]))
-        rows = kept.conj()
+        rows = x.rows.conj()
         exponent = math.frexp(float(np.abs(rows).sum(axis=0).max()))[1]
         exponent += exponent % 2
         self.rows = rows * 2.0 ** -exponent
-        self.hi, self.step = hi, step
-        self.lead = max(hi, 0)
-        self.trail = max((kept.shape[0] - 1) * step - hi, 0)
+        self.hi, self.step = -x.lo, x.step
+        self.lead = max(self.hi, 0)
+        self.trail = max(x.band[1], 0)
         self.exponent = exponent
 
     def bind(self, source: np.ndarray, lead: int, target: np.ndarray):
@@ -448,12 +515,12 @@ def operator_norm(a: TruncatedOperator, tol: float = 1e-10) -> float:
     Uses a full decomposition for ``dim <= 64``, otherwise power iteration on
     ``A* A`` started from the normalized all-ones vector (deterministic, so
     reports are reproducible).  Each step applies matrix-vector plans by
-    diagonals, so it costs O(n * bandwidth) and no ``n x n`` array is formed.
-    The Gram operator ``G = A* A`` is formed once, as a banded product, when
-    that costs no more than one block of steps through A and then A*: the
-    product loops over the k nonzero diagonals of A, each pass over all b
-    stored ones, so it costs b * k length-n products against
-    ``2 * NORM_BLOCK * k`` for the block, and G is formed when
+    stored diagonals, so it costs O(n * lattice rows) and no ``n x n`` array
+    is formed.  The Gram operator ``G = A* A`` is formed once, as a banded
+    product, when that costs no more than one block of steps through A and
+    then A*: the product loops over the k nonzero rows of A's lattice, each
+    pass over all b lattice rows, so it costs b * k length-n products
+    against ``2 * NORM_BLOCK * k`` for the block, and G is formed when
     ``b <= 2 * NORM_BLOCK``.  Otherwise each step applies A and then A*.
     The iteration runs in the band's dtype: on a float64 band, which real
     data gives, the iterates are real, and in exact arithmetic it is the
@@ -484,7 +551,7 @@ def operator_norm(a: TruncatedOperator, tol: float = 1e-10) -> float:
     n = a.dim
     if n <= FULL_SVD_DIM:
         return float(np.linalg.svd(a.dense(), compute_uv=False)[0])
-    if a.diagonals.shape[0] <= 2 * NORM_BLOCK:
+    if a.rows.shape[0] <= 2 * NORM_BLOCK:
         # G is self-adjoint, so its plan applies G
         plans = [_MatvecPlan(a.adjoint() @ a)]
     else:
@@ -556,14 +623,14 @@ def interior_block(a: TruncatedOperator, margin: int) -> TruncatedOperator:
         raise ValueError(f"margin {margin} too large for dim {a.dim}")
     if margin == 0:
         return a
-    return TruncatedOperator(a.diagonals[:, margin:a.dim - margin], a.lo)
+    return _columns(a, margin, a.dim - margin)
 
 
 def interior_deviation(a: TruncatedOperator, b: TruncatedOperator,
                        margin: int) -> float:
     """Largest entry of ``|a - b|`` on the interior blocks at ``margin``."""
     diff = interior_block(a, margin) - interior_block(b, margin)
-    return float(np.abs(diff.diagonals).max())
+    return float(np.abs(diff.rows).max())
 
 
 def symbol_estimate(a: TruncatedOperator, max_freq: int) -> FourierSeries:
@@ -580,13 +647,15 @@ def symbol_estimate(a: TruncatedOperator, max_freq: int) -> FourierSeries:
         raise ValueError("max_freq must be >= 0")
     if max_freq >= n / 4:
         raise ValueError(f"max_freq must be < dim/4 = {n / 4}")
-    lo, hi = a.band
     coeffs = {}
-    for k in range(max(-max_freq, lo), min(max_freq, hi) + 1):
+    # the diagonals off the lattice are zero, which the series drops
+    for k, diagonal in zip(a._offsets(), a.rows):
+        if abs(k) > max_freq:
+            continue
         ms = max(0, -k)
         me = n - 1 - max(0, k)
         start = ms + (me - ms + 1) // 2
-        coeffs[k] = complex(a.diagonals[k - lo, start:me + 1].mean())
+        coeffs[k] = complex(diagonal[start:me + 1].mean())
     return FourierSeries(coeffs)
 
 

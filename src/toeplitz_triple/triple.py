@@ -418,7 +418,7 @@ def _sweep_value(word: AlgebraElement, n: int, which: str,
     # measured equals the semi-infinite model exactly; the inflated blocks
     # are dropped once their leading blocks are copied, before any norm runs
     collar = word.band_spread() + word.compact_support() + order + 4
-    leads = [op.TruncatedOperator(x.diagonals[:, :n], x.lo)
+    leads = [op._columns(x, 0, n)
              for x in _sweep_blocks(word, which, order, n + collar)]
     value = 0.0
     raw = 0.0

@@ -305,6 +305,124 @@ def test_norm_scales_with_the_band():
     assert peak <= 16 * n * 16
 
 
+# ----------------------------------------------------------------------
+# offset lattices
+# ----------------------------------------------------------------------
+
+def stored_rows(a):
+    """How many diagonals of n entries an operator holds in its slots."""
+    return held_bytes(a) // (a.dim * a.diagonals.itemsize)
+
+
+def test_operators_store_only_their_lattice():
+    n = 1024
+    t4, t8, t16 = (op.toeplitz(FourierSeries.cosine(k), n) for k in (4, 8, 16))
+    # offsets -16 and 16; the contiguous band from -16 to 16 held 33 rows
+    assert (stored_rows(t16), t16.step, t16.band) == (2, 32, (-16, 16))
+    assert t16.diagonals.shape == (33, n)
+    assert np.array_equal(t16.diagonals[::32], t16.rows)
+    assert not np.delete(t16.diagonals, [0, 32], axis=0).any()
+    # offsets -5 and 3, and -4 and 4 (both held 9 rows)
+    for a in (op.commutator(op.dz(n), t4), op.delta(t4, 2)):
+        assert (stored_rows(a), a.step) == (2, 8)
+    # offsets -8, -4, 0 (zero) 4 and 8 (held 17 rows)
+    both = t4 + t8
+    assert (stored_rows(both), both.step, both.band) == (5, 4, (-8, 8))
+    # a 2 x 2 corner block has offsets -1, 0 and 1
+    word = AlgebraElement.toeplitz(FourierSeries.cosine(4)) + \
+        AlgebraElement.finite_rank(np.ones((2, 2)))
+    corner = word.realize(n)
+    assert (stored_rows(corner), corner.step, corner.band) == (9, 1, (-4, 4))
+    # offsets -3 and 3 in Kronecker order (held 7 rows), and -32 and 32
+    # (held 65)
+    d = dirac(n)
+    assert (stored_rows(d), d.step, d.band) == (2, 6, (-3, 3))
+    doubled = represent(t16)
+    assert (stored_rows(doubled), doubled.step) == (2, 64)
+    # offsets -3, 0 and 3 (held 7 rows each)
+    for factor in polar_parts(n):
+        assert (stored_rows(factor), factor.step, factor.band) == (3, 3, (-3, 3))
+
+
+def test_checks_hold_a_few_lattices():
+    # cos 16t has 2 nonzero diagonals, so every operator of these checks
+    # stores 2 rows; the contiguous bands held 33 to 35
+    n = 16384
+    f = FourierSeries.cosine(16)
+    for check in (lambda: verify_delta_k(f, 3, n),
+                  lambda: verify_commutator_dz(f, n)):
+        tracemalloc.start()
+        try:
+            report = check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak <= 8 * 2 * n * 16
+
+
+def smallest_lattice(m):
+    """(lo, hi, step) of the smallest offset lattice holding the nonzero
+    diagonals of a dense matrix; (0, 0, 1) when it is zero."""
+    n = m.shape[0]
+    used = [d for d in range(1 - n, n) if np.diagonal(m, -d).any()]
+    if not used:
+        return 0, 0, 1
+    step = int(np.gcd.reduce(np.array(used) - used[0])) or 1
+    return used[0], used[-1], step
+
+
+@st.composite
+def on_lattice(draw, n, real):
+    """An operator whose diagonals lie on a random lattice of step 1 to 6,
+    some of them zero, plus at times a corner block, with the dense matrix
+    it stands for."""
+    step = draw(st.integers(1, 6))
+    lo = draw(st.integers(-n - 2, n + 2))
+    count = draw(st.integers(1, (2 * n + 4) // step + 1))
+    k = draw(st.sampled_from((0, 0, 1, 2, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def entries(*shape):
+        x = rng.uniform(-1, 1, shape)
+        return x if real else x + 1j * rng.uniform(-1, 1, shape)
+
+    band = np.zeros(((count - 1) * step + 1, n), dtype=float if real else complex)
+    band[::step] = entries(count, n)
+    band[::step][rng.random(count) < 0.3] = 0.0
+    block = entries(min(k, n), min(k, n))
+    dense = reference_dense(band, lo)
+    dense[:block.shape[0], :block.shape[0]] += block
+    return op.TruncatedOperator(band, lo) + op.finite_rank(block, n), dense
+
+
+lattice_pairs = st.tuples(sizes, st.booleans()).flatmap(
+    lambda nr: st.tuples(on_lattice(*nr), on_lattice(*nr)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_pairs, st.sampled_from((2.5, -1.0, 1 - 2j, 0.0)),
+       st.integers(1, 3))
+def test_lattice_operations_match_dense(pair, scalar, k):
+    (a, x), (b, y) = pair
+    n = a.dim
+    offsets = np.subtract.outer(np.arange(n), np.arange(n)).astype(float)
+    exact = [(a, x), (a + b, x + y), (a - b, x - y), (a.adjoint(), x.conj().T),
+             (scalar * a, scalar * x), (op.delta(a, k), offsets ** k * x)]
+    rounded = [(a @ b, x @ y), (op.commutator(a, b), x @ y - y @ x)]
+    for result, reference in exact:
+        assert np.array_equal(result.dense(), reference)
+    for result, reference in rounded:
+        assert np.abs(result.dense() - reference).max() <= 1e-13
+    for result, _ in exact + rounded:
+        m = result.dense()
+        lo, hi, step = smallest_lattice(m)
+        assert (result.lo, result.band[1], result.step) == (lo, hi, step)
+        assert result.rows.shape == ((hi - lo) // step + 1, n)
+        assert np.array_equal(reference_dense(result.diagonals, lo), m)
+        assert not stored_outside(result).any()
+
+
 @pytest.fixture(scope="module")
 def rough_band():
     """The rough control's band at the largest size of the benchmark's
