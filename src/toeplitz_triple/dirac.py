@@ -68,23 +68,18 @@ def _double(blocks: dict, n: int) -> op.TruncatedOperator:
     Entry ``(r, c)`` of block ``(i, j)`` goes to ``(2r + i, 2c + j)``, so the
     block's offset ``d`` becomes offset ``2d + i - j`` on the columns of
     parity ``j``, and its lattice of step s one of step 2s; absent blocks
-    are zero.  The result's lattice is the coarsest that holds every
-    block's, so D's offsets -3 and 3 take 2 rows.  The band takes the
+    are zero.  The result's lattice is the smallest that holds every
+    block's offsets, so D's offsets -3 and 3 take 2 rows.  The band takes the
     blocks' common dtype, so real blocks give a float64 operator.
     """
-    starts = {(i, j): 2 * b.lo + i - j for (i, j), b in blocks.items()}
-    lo = min(starts.values())
-    hi = max(2 * b.band[1] + i - j for (i, j), b in blocks.items())
-    step = math.gcd(*(2 * op._spacing(b) for b in blocks.values()),
-                    *(start - lo for start in starts.values())) or 1
-    out = np.zeros(((hi - lo) // step + 1, 2 * n), dtype=np.result_type(
+    offsets = {(i, j): range(2 * b.lo + i - j, 2 * b.band[1] + i - j + 1,
+                             2 * b.step) for (i, j), b in blocks.items()}
+    lattice = op._lattice([d for each in offsets.values() for d in each])
+    out = np.zeros((len(lattice), 2 * n), dtype=np.result_type(
         *(b.rows for b in blocks.values())))
     for (i, j), b in blocks.items():
-        first = (starts[i, j] - lo) // step
-        stride = max(2 * op._spacing(b) // step, 1)
-        out[first:first + (b.rows.shape[0] - 1) * stride + 1:stride,
-            j::2] = b.rows
-    return op.TruncatedOperator(op._Fresh(out, step), lo)
+        out[op._slots(offsets[i, j], lattice), j::2] = b.rows
+    return op.TruncatedOperator(op._Fresh(out, lattice.step), lattice.start)
 
 
 def dirac(n: int) -> op.TruncatedOperator:
@@ -246,30 +241,28 @@ def polar_parts(n: int) -> tuple[op.TruncatedOperator, op.TruncatedOperator]:
     ``|D| = V |lambda| V*`` and ``F = V sign(lambda) V*``, where eigenvalues
     below ``PINV_CUTOFF`` times the operator norm count as kernel and get
     sign 0, so F vanishes on the kernel of |D|.  Each component's product is
-    scattered into the rows of one offset lattice, from ``-reach`` to
-    ``reach`` in steps of the gcd of the index gaps inside components, so
-    both are banded: for D, offsets -3, 0 and 3 in 3 rows.
+    scattered into the rows of the smallest offset lattice that holds the
+    offsets between indices of one component, so both are banded: for D,
+    offsets -3, 0 and 3 in 3 rows.
     """
     parts = _eigensystem(dirac(n))
     top = max(np.abs(w).max() for _, _, w, _ in parts)
-    # the indices of a component increase, so its first and last are the
-    # furthest apart
-    reach = max(int((idx[:, -1] - idx[:, 0]).max()) for idx, _, _, _ in parts)
-    step = math.gcd(*(int(np.gcd.reduce(idx - idx[:, :1], axis=None))
-                      for idx, _, _, _ in parts)) or 1
-    f = np.zeros((2 * reach // step + 1, 2 * n),
+    # entry [r, c] of a component has offset idx[r] - idx[c]
+    offsets = [idx[:, :, None] - idx[:, None, :] for idx, _, _, _ in parts]
+    lattice = op._lattice([d for each in offsets for d in op._lattice(each)])
+    f = np.zeros((len(lattice), 2 * n),
                  dtype=np.result_type(*(v for _, _, _, v in parts)))
     absd = np.zeros_like(f)
-    for idx, _, w, v in parts:
+    for (idx, _, w, v), d in zip(parts, offsets):
         s = np.abs(w)
         sign = np.where(s > PINV_CUTOFF * top, np.sign(w), 0.0)
         vh = v.conj().swapaxes(1, 2)
-        at = ((idx[:, :, None] - idx[:, None, :] + reach) // step,
-              idx[:, None, :])
+        at = ((d - lattice.start) // lattice.step, idx[:, None, :])
         f[at] = (v * sign[:, None, :]) @ vh
         absd[at] = (v * s[:, None, :]) @ vh
-    return (op.TruncatedOperator(op._Fresh(f, step), -reach),
-            op.TruncatedOperator(op._Fresh(absd, step), -reach))
+    return (op.TruncatedOperator(op._Fresh(f, lattice.step), lattice.start),
+            op.TruncatedOperator(op._Fresh(absd, lattice.step),
+                                 lattice.start))
 
 
 def polar_check(n: int, margin: int, tol: float = 1e-10) -> VerificationReport:

@@ -99,18 +99,21 @@ def _outside(lo: int, step: int, count: int, n: int) -> np.ndarray:
     return mask
 
 
-def _spacing(x: "TruncatedOperator") -> int:
-    """The gap between x's stored diagonals, 0 when it stores one: the gcd
-    that the lattice of a sum or product takes from x."""
-    return x.step if x.rows.shape[0] > 1 else 0
+def _lattice(offsets) -> range:
+    """The smallest offset lattice that holds the given offsets (a sequence
+    or an integer array, not empty): from the lowest to the highest, in
+    steps of the gcd of their gaps, 1 when there are none."""
+    offsets = np.asarray(offsets)
+    lo = int(offsets.min())
+    step = int(np.gcd.reduce(offsets - lo, axis=None)) or 1
+    return range(lo, int(offsets.max()) + 1, step)
 
 
-def _slots(x: "TruncatedOperator", lo: int, step: int) -> slice:
-    """The rows of a lattice ``lo, lo + step, ...`` that hold x's stored
-    diagonals; the lattice must contain x's."""
-    start = (x.lo - lo) // step
-    stride = max(_spacing(x) // step, 1)
-    return slice(start, start + (x.rows.shape[0] - 1) * stride + 1, stride)
+def _slots(offsets: range, lattice: range) -> slice:
+    """The rows of ``lattice`` that hold the offsets of a lattice inside it."""
+    start = lattice.index(offsets.start)
+    stride = max(offsets.step // lattice.step, 1)
+    return slice(start, start + (len(offsets) - 1) * stride + 1, stride)
 
 
 class _Fresh:
@@ -186,11 +189,11 @@ class TruncatedOperator:
         if used.size == 0:
             lo, step, band = 0, 1, np.zeros((1, n), dtype=dtype)
         else:
-            gap = int(np.gcd.reduce(used - used[0])) or 1
-            if gap > 1 or used[0] > 0 or used[-1] < band.shape[0] - 1:
-                band = np.array(band[used[0]:used[-1] + 1:gap])
-            lo += int(used[0]) * step
-            step = step * gap if used.size > 1 else 1
+            kept = _lattice(used)
+            if kept != range(band.shape[0]):
+                band = np.array(band[kept.start:kept.stop:kept.step])
+            lo += kept.start * step
+            step = step * kept.step if used.size > 1 else 1
         band.setflags(write=False)
         self.lo = lo
         self.step = step
@@ -271,17 +274,13 @@ class TruncatedOperator:
         if not isinstance(other, TruncatedOperator):
             return NotImplemented
         self._check_dim(other)
-        lo = min(self.lo, other.lo)
-        step = math.gcd(_spacing(self), _spacing(other),
-                        self.lo - other.lo) or 1
-        hi = max(self.band[1], other.band[1])
+        lattice = _lattice([*self._offsets(), *other._offsets()])
         a, b = self.rows, other.rows
-        out = np.zeros(((hi - lo) // step + 1, self.dim),
-                       dtype=np.result_type(a, b))
-        out[_slots(self, lo, step)] = a
-        rows = out[_slots(other, lo, step)]
+        out = np.zeros((len(lattice), self.dim), dtype=np.result_type(a, b))
+        out[_slots(self._offsets(), lattice)] = a
+        rows = out[_slots(other._offsets(), lattice)]
         ufunc(rows, b, out=rows)
-        return TruncatedOperator(_Fresh(out, step), lo)
+        return TruncatedOperator(_Fresh(out, lattice.step), lattice.start)
 
     def __mul__(self, scalar):
         """A number (numpy scalars included) times the operator."""
@@ -328,14 +327,12 @@ def toeplitz(f: FourierSeries, n: int) -> TruncatedOperator:
     coeffs = {k: v for k, v in f.coeffs.items() if abs(k) < n}
     if not coeffs:
         return TruncatedOperator(np.zeros((1, n)), 0)
-    lo = min(coeffs)
-    step = math.gcd(*(k - lo for k in coeffs)) or 1
+    lattice = _lattice(list(coeffs))
     real = all(v.imag == 0 for v in coeffs.values())
-    rows = np.zeros(((max(coeffs) - lo) // step + 1, n),
-                    dtype=float if real else complex)
+    rows = np.zeros((len(lattice), n), dtype=float if real else complex)
     for k, v in coeffs.items():
-        rows[(k - lo) // step] = v.real if real else v
-    return TruncatedOperator(_Fresh(rows, step), lo)
+        rows[lattice.index(k)] = v.real if real else v
+    return TruncatedOperator(_Fresh(rows, lattice.step), lattice.start)
 
 
 def identity(n: int) -> TruncatedOperator:
@@ -411,10 +408,10 @@ def _products(a: TruncatedOperator, b: TruncatedOperator,
     """
     a._check_dim(b)
     n = a.dim
-    lo = a.lo + b.lo
-    step = math.gcd(_spacing(a), _spacing(b)) or 1
-    out = np.zeros(((a.band[1] + b.band[1] - lo) // step + 1, n),
-                   dtype=np.result_type(a.rows, b.rows))
+    # the gaps of a factor that stores one diagonal do not count
+    lattice = range(a.lo + b.lo, a.band[1] + b.band[1] + 1, math.gcd(
+        *(x.step for x in (a, b) if x.rows.shape[0] > 1)) or 1)
+    out = np.zeros((len(lattice), n), dtype=np.result_type(a.rows, b.rows))
     terms = [(a, b, np.add)]
     if commute:
         terms.append((b, a, np.subtract))
@@ -425,11 +422,12 @@ def _products(a: TruncatedOperator, b: TruncatedOperator,
                 continue
             first, stop = max(0, -q), n - max(0, q)
             # the left factor's lattice moved by q
-            at = _slots(left, lo - q, step)
+            at = _slots(range(left.lo + q, left.band[1] + q + 1, left.step),
+                        lattice)
             rows = out[at, first:stop]
             ufunc(rows, band[:, first + q:stop + q] * r_q[first:stop],
                   out=rows)
-    return TruncatedOperator(_Fresh(out, step), lo)
+    return TruncatedOperator(_Fresh(out, lattice.step), lattice.start)
 
 
 def commutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:

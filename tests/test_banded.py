@@ -152,6 +152,7 @@ def test_delta_is_the_iterated_commutator_with_number(ax, k):
     scale = np.abs(reference).max()
     assert np.abs(result.dense() - reference).max() <= 1e-13 * scale
     assert not stored_outside(result).any()
+    assert not result.rows.flags.writeable
     assert not result.diagonals.flags.writeable
 
 
@@ -269,17 +270,19 @@ def test_doubled_space_scales_with_the_band():
 
 
 @pytest.mark.parametrize("make, bound", [
-    # 65 diagonals of 2n entries; the input band was realised beforehand
-    (lambda n, a: represent(a), 1.5),
-    # 7 diagonals of 2n entries, plus dz and dz*, a seventh of that
-    (lambda n, a: dirac(n), 1.75),
-    # F and |D| of 7 diagonals each beside D and its 2 x 2 eigensystem
-    (lambda n, a: polar_parts(n)[0], 4.5),
+    # 2 rows of 2n entries; the input band was realised beforehand
+    (lambda n, a: represent(a), 2.0),
+    # 2 rows of 2n entries, plus dz and dz*, half of that
+    (lambda n, a: dirac(n), 2.5),
+    # F and |D| of 3 rows each beside D, its 2 x 2 eigensystem and the
+    # index arrays of its components, 7.34 stored bands in all
+    (lambda n, a: polar_parts(n)[0], 7.75),
 ], ids=["represent", "dirac", "polar_parts"])
 def test_doubled_space_holds_one_band(make, bound):
     # a doubled band is scattered into one array that the operator adopts,
-    # so the peak is that band and two boolean masks of an eighth of it; a
-    # copy of the band in the constructor would take it a band higher
+    # so the peak is those stored rows and the boolean masks of the
+    # constructor's checks, an eighth of them each; a copy of the rows in
+    # the constructor would take it a band higher
     n = 16384
     a = op.toeplitz(FourierSeries.cosine(16), n)
     tracemalloc.start()
@@ -288,7 +291,7 @@ def test_doubled_space_holds_one_band(make, bound):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound * doubled.diagonals.nbytes
+    assert peak <= bound * held_bytes(doubled)
 
 
 def test_norm_scales_with_the_band():
@@ -415,6 +418,7 @@ def test_lattice_operations_match_dense(pair, scalar, k):
     for result, reference in rounded:
         assert np.abs(result.dense() - reference).max() <= 1e-13
     for result, _ in exact + rounded:
+        assert not result.rows.flags.writeable
         m = result.dense()
         lo, hi, step = smallest_lattice(m)
         assert (result.lo, result.band[1], result.step) == (lo, hi, step)

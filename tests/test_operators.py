@@ -237,8 +237,15 @@ def cos4_with_complex_corner(n):
                  False, id="dz-complex_symbol"),
     pytest.param(op.number, cos4_with_complex_corner, False,
                  id="number-complex_corner"),
+    # the sweep blocks of cos4k:4: offsets -17 and 15, or -16 and 16, on
+    # 2 lattice rows where the contiguous band holds 33
+    pytest.param(op.dz, toeplitz_of(FourierSeries.cosine(16)), True,
+                 id="dz-16"),
+    pytest.param(op.number, toeplitz_of(FourierSeries.cosine(16)), True,
+                 id="number-16"),
 ])
-def test_banded_norm_follows_the_dense_gram_iteration(n, make, operand, real):
+def test_banded_norm_follows_the_dense_gram_iteration(n, make, operand, real,
+                                                      monkeypatch):
     # the sweep values of the benchmark references were taken with the dense
     # iteration, and the gate holds them to 1e-9 relative
     a = op.commutator(make(n), operand(n))
@@ -246,9 +253,23 @@ def test_banded_norm_follows_the_dense_gram_iteration(n, make, operand, real):
     # band's dtype
     assert (a.diagonals.dtype == np.float64) == real
     assert op._MatvecPlan(a).rows.dtype == a.diagonals.dtype
+    built = []
+
+    class Recording(op._MatvecPlan):
+        def __init__(self, x):
+            built.append(x)
+            super().__init__(x)
+
+    monkeypatch.setattr(op, "_MatvecPlan", Recording)
     expected, steps = dense_gram_norm(a, 1e-9)
     assert expected is not None
     assert op.operator_norm(a, 1e-9) == pytest.approx(expected, rel=1e-12)
+    # every band here has at most 2 * NORM_BLOCK lattice rows, so G = A* A
+    # is formed and one plan applies it
+    m = a.dense()
+    gram = m.conj().T @ m
+    assert len(built) == 1
+    assert np.abs(built[0].dense() - gram).max() <= 1e-14 * np.abs(gram).max()
     # the banded iteration stops at the same step: a cap of exactly that many
     # steps (rarely a multiple of the block) suffices, and one fewer does not
     for cap in (steps, steps + 1, steps + op.NORM_BLOCK + 3):
@@ -598,6 +619,7 @@ def test_arithmetic_results_are_values(operation):
     y = rng.standard_normal((3, 12)) + 1j * rng.standard_normal((3, 12))
     a, b = op.TruncatedOperator(x, -2), op.TruncatedOperator(y, 1)
     result = operation(a, b)
+    assert not result.rows.flags.writeable
     assert not result.diagonals.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         result.diagonals[0, 0] = 1.0
