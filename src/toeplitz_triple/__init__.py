@@ -8,9 +8,9 @@ integer spectrum, Fredholm index and summability of the resolvent weights.
 
 The package runs OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS``,
 ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set.  Its BLAS and LAPACK calls
-are all small: batched 2 x 2 ``eigh`` and products in ``dirac``, the
-``exp(...) @ cs`` of ``FourierSeries.evaluate`` (1024 angles) and dense SVDs
-of dimension at most 64.  None of them gains from a second thread, while the
+are all small: the ``exp(...) @ cs`` of ``FourierSeries.evaluate`` (1024
+angles) and dense SVDs of dimension at most 64; ``dirac`` solves D's 2 x 2
+blocks in closed form, with neither.  None of them gains from a second thread, while the
 worker thread that numpy's OpenBLAS starts at import, on a host with two or
 more CPUs, costs about 0.12 s of CPU time in every run of the command line
 (2 vCPU).  The one path that is slower on one thread is the dense-SVD

@@ -13,11 +13,12 @@ the last basis vector of the first summand (whose raising image is cut).
 
 The doubled space is stored in Kronecker order, ``H (+) H = H (x) C^2``:
 first-summand ``e_m`` is index ``2m``, second-summand ``e_m`` is ``2m + 1``.
-Then D (offsets +-3), F and |D| (offsets -3..3), ``a (+) a`` and the grading
-are banded ``TruncatedOperator``s of dimension 2n.  D, F, |D| and the grading
+Then D and F (offsets +-3), |D| (diagonal), ``a (+) a`` and the grading are
+banded ``TruncatedOperator``s of dimension 2n.  D, F, |D| and the grading
 have real entries, so their bands are float64, and D's 2 x 2 blocks are
-solved by a real eigensolve.  Only this module knows the order; others
-compare through ``block_interior_deviation``.
+solved in closed form, by one Jacobi rotation each, with no LAPACK or BLAS
+call.  Only this module knows the order; others compare through
+``block_interior_deviation``.
 """
 
 from __future__ import annotations
@@ -145,17 +146,139 @@ class SpectrumReport:
     multiplicities: list   # cluster sizes; sums to 2n
 
 
+def _entries(h: op.TruncatedOperator, r: np.ndarray,
+             c: np.ndarray) -> np.ndarray:
+    """Entries ``h[r, c]`` for index arrays ``r`` and ``c`` that broadcast,
+    read from the lattice row of each offset ``r - c``, 0 off the lattice."""
+    count = h.rows.shape[0]
+    j, off = np.divmod(r - c - h.lo, h.step)
+    stored = (off == 0) & (j >= 0) & (j < count)
+    return np.where(stored, h.rows[j.clip(0, count - 1), c], 0)
+
+
+class _Eigh:
+    """Components of one size solved by one batched ``np.linalg.eigh``:
+    ``block[c]`` is the operator on indices ``idx[c]``, and eigenpair
+    ``w[c, t]``, ``v[c, :, t]`` is filed under index ``idx[c, t]``."""
+
+    def __init__(self, h: op.TruncatedOperator, idx: np.ndarray):
+        self.idx = idx
+        self.block = _entries(h, idx[:, :, None], idx[:, None, :])
+        self.w, self.v = np.linalg.eigh(self.block)
+
+    def residuals(self) -> np.ndarray:
+        """``|block v - w v|`` of each eigenpair."""
+        v = self.v
+        return np.linalg.norm(self.block @ v - v * self.w[:, None, :], axis=1)
+
+    def reaches(self, where: np.ndarray) -> np.ndarray:
+        """Whether each eigenvector is nonzero at an index where ``where``,
+        a mask shaped like ``idx``, holds."""
+        return (where[:, :, None] & (self.v != 0)).any(axis=1)
+
+
+class _Singletons:
+    """Components of one index of a real operator: ``e_i`` is an
+    eigenvector, with eigenvalue the diagonal entry ``w[c, 0]``."""
+
+    def __init__(self, h: op.TruncatedOperator, idx: np.ndarray):
+        self.idx = idx
+        self.w = _entries(h, idx, idx)
+
+    def residuals(self) -> np.ndarray:
+        return np.zeros_like(self.w)
+
+    def reaches(self, where: np.ndarray) -> np.ndarray:
+        return where
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        return values[:, :, None]
+
+
+class _Rotations:
+    """Components of two indices of a real symmetric operator, each solved
+    by one Jacobi rotation (Golub & Van Loan, Matrix Computations, 4th ed.,
+    Alg. 8.5.1), elementwise across the batch.
+
+    Component c is the block ``[[p, q], [q, r]]`` on ``idx[c]``, with q read
+    below the diagonal, as ``eigh`` reads it.  With ``tau = (r - p)/(2q)``,
+    ``t = sign(tau)/(|tau| + hypot(1, tau))`` (sign 1 at tau = +0, and
+    t = 0 where q = 0), ``c = 1/sqrt(1 + t^2)`` and ``s = t c``, its
+    eigenpairs are ``p - t q`` on ``(c, -s)`` and ``r + t q`` on
+    ``(s, c)``.  Where the first is the larger (r < p) the two swap and
+    ``(c, s)`` becomes ``(s, -c)``, so ``w[c]`` ascends as ``eigh``
+    returns it.  For D's blocks ``[[0, k], [k, 0]]`` t is exactly +-1, so
+    ``c == |s|`` and the eigenvalues are exactly ``-|k|`` and ``|k|``.
+    """
+
+    def __init__(self, h: op.TruncatedOperator, idx: np.ndarray):
+        self.idx = idx
+        first, second = idx.T
+        p, q, r = (_entries(h, i, j) for i, j in ((first, first),
+                                                  (second, first),
+                                                  (second, second)))
+        self.p, self.q, self.r = p, q, r
+        coupled = q != 0
+        tau = np.divide(r - p, 2 * q, out=np.zeros_like(q), where=coupled)
+        t = np.copysign(1.0, tau)
+        t /= np.abs(tau) + np.hypot(1.0, tau)
+        t *= coupled
+        self.c = 1.0 / np.sqrt(1.0 + t * t)
+        self.s = t * self.c
+        self.w = np.empty((len(q), 2))
+        self.w[:, 0] = p - t * q
+        self.w[:, 1] = r + t * q
+        swap = self.w[:, 0] > self.w[:, 1]
+        if swap.any():
+            self.w[swap] = self.w[swap, ::-1]
+            self.c[swap], self.s[swap] = self.s[swap], -self.c[swap]
+
+    def residuals(self) -> np.ndarray:
+        p, q, r, c, s = self.p, self.q, self.r, self.c, self.s
+        out = np.empty_like(self.w)
+        low, high = self.w.T
+        out[:, 0] = np.hypot((p - low) * c - q * s, q * c - (r - low) * s)
+        out[:, 1] = np.hypot((p - high) * s + q * c, q * s + (r - high) * c)
+        return out
+
+    def reaches(self, where: np.ndarray) -> np.ndarray:
+        c, s = self.c != 0, self.s != 0
+        out = np.empty_like(where)
+        out[:, 0] = where[:, 0] & c | where[:, 1] & s
+        out[:, 1] = where[:, 0] & s | where[:, 1] & c
+        return out
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        # V diag(f) V* entry by entry: c^2 f1 + s^2 f2 and s^2 f1 + c^2 f2 on
+        # the diagonal, c s (f2 - f1) off it, so equal values give an exactly
+        # zero off-diagonal and, where c == |s|, opposite ones an exactly zero
+        # diagonal
+        c, s = self.c, self.s
+        cc, ss = c * c, s * s
+        low, high = values.T
+        out = np.empty((len(c), 2, 2), dtype=values.dtype)
+        out[:, 0, 0] = cc * low + ss * high
+        out[:, 1, 1] = ss * low + cc * high
+        out[:, 0, 1] = out[:, 1, 0] = c * s * (high - low)
+        return out
+
+
 def _eigensystem(h: op.TruncatedOperator) -> list:
     """Eigensystem of Hermitian ``h``, one component at a time.
 
     The components of the nonzero pattern are read off the stored lattice
     rows by label propagation, each index ending labelled with the smallest
-    index of its component; those of one size share a batched eigensolve.
-    Returns one ``(idx, block, w, v)`` per component size: ``idx[c]`` lists
-    the indices of component c in increasing order, ``block[c]`` is ``h`` on
-    them, and eigenpair ``w[c, t]``, ``v[c, :, t]`` is filed under index
-    ``idx[c, t]``.  Exact for any Hermitian ``h``; for D every component has
-    at most two indices.
+    index of its component; those of one size share one solve.  Returns one
+    solved batch per component size: ``idx[c]`` lists the indices of
+    component c in increasing order, eigenvalue ``w[c, t]`` is filed under
+    index ``idx[c, t]``, ascending along each component, and each batch
+    gives its residuals and where its eigenvectors are nonzero
+    (``reaches``).  Components of a real ``h`` of one or two indices are
+    solved in closed form (``_Singletons`` and ``_Rotations``), with no
+    LAPACK or BLAS call, and those batches also give ``V f(w) V*`` per
+    component (``apply``); complex and larger components are solved by
+    ``np.linalg.eigh`` (``_Eigh``).  Exact for any Hermitian ``h``; for D
+    every component is real and has at most two indices.
     """
     stored, cols = np.nonzero(h.rows)
     rows = cols + h.lo + stored * h.step
@@ -174,16 +297,11 @@ def _eigensystem(h: op.TruncatedOperator) -> list:
     starts = np.flatnonzero(
         np.concatenate(([True], ordered[1:] != ordered[:-1])))
     sizes = np.diff(np.append(starts, h.dim))
-    count = h.rows.shape[0]
-    parts = []
-    for size in np.flatnonzero(np.bincount(sizes)):
-        idx = order[starts[sizes == size][:, None] + np.arange(size)]
-        # the lattice row of each entry's offset, where it has one
-        j, off = np.divmod(idx[:, :, None] - idx[:, None, :] - h.lo, h.step)
-        picked = h.rows[j.clip(0, count - 1), idx[:, None, :]]
-        block = np.where((off == 0) & (j >= 0) & (j < count), picked, 0)
-        parts.append((idx, block, *np.linalg.eigh(block)))
-    return parts
+    solvers = {1: _Singletons, 2: _Rotations} if h.rows.dtype.kind == "f" \
+        else {}
+    return [solvers.get(size, _Eigh)(
+                h, order[starts[sizes == size][:, None] + np.arange(size)])
+            for size in np.flatnonzero(np.bincount(sizes))]
 
 
 def spectrum(d: op.TruncatedOperator, tol: float = 1e-10) -> SpectrumReport:
@@ -193,20 +311,24 @@ def spectrum(d: op.TruncatedOperator, tol: float = 1e-10) -> SpectrumReport:
     plus a double zero: the true mode 0 (+) e_0 and one spurious mode created
     by cutting the raising image of first-summand ``e_{n-1}``.  The two zero
     modes are separate components of D's nonzero pattern, so the eigensolve
-    returns each as its own basis vector.  A zero mode is flagged spurious
-    when its eigenvector vanishes on the second summand, where the
-    semi-infinite kernel 0 (+) e_0 lives; it sorts before the true zero mode.
+    returns each as its own basis vector, and D's 2 x 2 blocks
+    ``[[0, k], [k, 0]]`` are solved in closed form, with eigenvalues exactly
+    ``-k`` and ``k`` and residuals computed entry by entry.  A zero mode is
+    flagged spurious when its eigenvector vanishes on the second summand,
+    where the semi-infinite kernel 0 (+) e_0 lives; it sorts before the true
+    zero mode.  ``tol``, the width of an eigenvalue cluster (at least 1e-9),
+    must be finite and > 0.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     evals = np.zeros(d.dim)
     residuals = np.zeros(d.dim)
     on_second = np.zeros(d.dim, dtype=bool)
-    for idx, block, w, v in _eigensystem(d):
-        evals[idx] = w
-        residuals[idx] = np.linalg.norm(block @ v - v * w[:, None, :], axis=1)
+    for part in _eigensystem(d):
+        evals[part.idx] = part.w
+        residuals[part.idx] = part.residuals()
         # second-summand indices are the odd ones
-        on_second[idx] = ((idx % 2 == 1)[:, :, None] & (v != 0)).any(axis=1)
+        on_second[part.idx] = part.reaches(part.idx % 2 == 1)
     flags = (np.abs(evals) < ZERO_WINDOW) & ~on_second
     # the true zero mode (index 1) precedes the spurious one (index 2n - 2),
     # so ties go to the flagged mode to keep it first of the double zero
@@ -242,24 +364,33 @@ def polar_parts(n: int) -> tuple[op.TruncatedOperator, op.TruncatedOperator]:
     below ``PINV_CUTOFF`` times the operator norm count as kernel and get
     sign 0, so F vanishes on the kernel of |D|.  Each component's product is
     scattered into the rows of the smallest offset lattice that holds the
-    offsets between indices of one component, so both are banded: for D,
-    offsets -3, 0 and 3 in 3 rows.
+    offsets between indices of one component (-3, 0 and 3 for D), and the
+    operators keep the rows that came out nonzero.  D's 2 x 2 blocks
+    ``[[0, k], [k, 0]]`` are solved in closed form with ``c == s`` and
+    eigenvalues exactly ``-k`` and ``k``, so each block of |D| has an off-
+    diagonal of exactly 0 and each block of F a diagonal of exactly 0: |D|
+    is diagonal, stored as 1 row, and F has offsets -3 and 3, as 2 rows.
     """
     parts = _eigensystem(dirac(n))
-    top = max(np.abs(w).max() for _, _, w, _ in parts)
-    # entry [r, c] of a component has offset idx[r] - idx[c]
-    offsets = [idx[:, :, None] - idx[:, None, :] for idx, _, _, _ in parts]
-    lattice = op._lattice([d for each in offsets for d in op._lattice(each)])
-    f = np.zeros((len(lattice), 2 * n),
-                 dtype=np.result_type(*(v for _, _, _, v in parts)))
+    top = max(np.abs(part.w).max() for part in parts)
+
+    def offsets(idx):
+        # entry [r, c] of a component has offset idx[r] - idx[c]
+        return idx[:, :, None] - idx[:, None, :]
+
+    lattice = op._lattice([d for part in parts
+                           for d in op._lattice(offsets(part.idx))])
+    # D is real and its components have at most two indices, so all of
+    # them are solved in closed form, and F and |D| are real
+    f = np.zeros((len(lattice), 2 * n))
     absd = np.zeros_like(f)
-    for (idx, _, w, v), d in zip(parts, offsets):
-        s = np.abs(w)
-        sign = np.where(s > PINV_CUTOFF * top, np.sign(w), 0.0)
-        vh = v.conj().swapaxes(1, 2)
-        at = ((d - lattice.start) // lattice.step, idx[:, None, :])
-        f[at] = (v * sign[:, None, :]) @ vh
-        absd[at] = (v * s[:, None, :]) @ vh
+    for part in parts:
+        s = np.abs(part.w)
+        sign = np.where(s > PINV_CUTOFF * top, np.sign(part.w), 0.0)
+        at = ((offsets(part.idx) - lattice.start) // lattice.step,
+              part.idx[:, None, :])
+        f[at] = part.apply(sign)
+        absd[at] = part.apply(s)
     return (op.TruncatedOperator(op._Fresh(f, lattice.step), lattice.start),
             op.TruncatedOperator(op._Fresh(absd, lattice.step),
                                  lattice.start))
@@ -275,6 +406,8 @@ def polar_check(n: int, margin: int, tol: float = 1e-10) -> VerificationReport:
     """
     if margin < 1:
         raise ValueError("margin must be >= 1")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if 2 * margin >= n:
         raise ValueError(f"margin {margin} too large for n = {n}")
     f, absd = polar_parts(n)

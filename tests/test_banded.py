@@ -13,7 +13,8 @@ from toeplitz_triple.dirac import dirac, grading, polar_check, polar_parts, \
     represent, spectrum
 from toeplitz_triple.fourier import FourierSeries, coefficient_distance
 from toeplitz_triple.triple import AlgebraElement, boundedness_sweep, \
-    rough_symbol, verify_commutator_dz, verify_delta_k
+    delta_absdirac_spot_check, rough_symbol, verify_commutator_dz, \
+    verify_delta_k
 
 # one nonzero diagonal of real entries: every entry of a product with one of
 # these is a single product, so banded and dense results agree bit for bit
@@ -271,12 +272,15 @@ def test_doubled_space_scales_with_the_band():
 
 @pytest.mark.parametrize("make, bound", [
     # 2 rows of 2n entries; the input band was realised beforehand
-    (lambda n, a: represent(a), 2.0),
+    (lambda n, a: represent(a), lambda n, out: 2.0 * held_bytes(out)),
     # 2 rows of 2n entries, plus dz and dz*, half of that
-    (lambda n, a: dirac(n), 2.5),
-    # F and |D| of 3 rows each beside D, its 2 x 2 eigensystem and the
-    # index arrays of its components, 7.34 stored bands in all
-    (lambda n, a: polar_parts(n)[0], 7.75),
+    (lambda n, a: dirac(n), lambda n, out: 2.5 * held_bytes(out)),
+    # F keeps 2 rows and |D| 1, but both are scattered into 3-row arrays
+    # first, beside D, its 2 x 2 eigensystem and the index arrays of its
+    # components: 9.51 times D's stored rows in all.  The bound is taken from
+    # D, whose rows do not shrink with the factors
+    (lambda n, a: polar_parts(n)[0],
+     lambda n, out: 10.0 * held_bytes(dirac(n))),
 ], ids=["represent", "dirac", "polar_parts"])
 def test_doubled_space_holds_one_band(make, bound):
     # a doubled band is scattered into one array that the operator adopts,
@@ -291,7 +295,7 @@ def test_doubled_space_holds_one_band(make, bound):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound * held_bytes(doubled)
+    assert peak <= bound(n, doubled)
 
 
 def test_norm_scales_with_the_band():
@@ -342,9 +346,34 @@ def test_operators_store_only_their_lattice():
     assert (stored_rows(d), d.step, d.band) == (2, 6, (-3, 3))
     doubled = represent(t16)
     assert (stored_rows(doubled), doubled.step) == (2, 64)
-    # offsets -3, 0 and 3 (held 7 rows each)
-    for factor in polar_parts(n):
-        assert (stored_rows(factor), factor.step, factor.band) == (3, 3, (-3, 3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 1024, 16384])
+def test_polar_factors_store_only_their_nonzero_offsets(n):
+    # D's 2 x 2 blocks are solved in closed form, so |D| has an off-diagonal
+    # of exactly 0 and F a diagonal of exactly 0: F keeps offsets -3 and 3,
+    # |D| offset 0 (each stored 3 rows before, and a contiguous band 7)
+    f, absd = polar_parts(n)
+    assert (f.lo, f.step, f.rows.shape) == (-3, 6, (2, 2 * n))
+    assert (absd.lo, absd.step, absd.rows.shape) == (0, 1, (1, 2 * n))
+
+
+@pytest.mark.parametrize("n", [128, 133])
+def test_absdirac_commutator_stores_few_rows(monkeypatch, n):
+    # with a diagonal |D|, [|D|, a (+) a] keeps the lattice of a (+) a; with
+    # rounding noise on |D|'s offsets -3 and 3 the product's lattice had step
+    # 1 and stored 23, 39, 19 and 71 rows for cos4k:1..4
+    formed = []
+    commutator = op.commutator
+
+    def spy(a, b):
+        formed.append(commutator(a, b))
+        return formed[-1]
+
+    monkeypatch.setattr(op, "commutator", spy)
+    for k in (1, 2, 3, 4):
+        assert delta_absdirac_spot_check(FourierSeries.cosine(4 * k), n).passed
+        assert formed[-1].rows.shape[0] <= 3
 
 
 def test_checks_hold_a_few_lattices():

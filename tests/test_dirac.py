@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toeplitz_triple import operators as op
 from toeplitz_triple.cli import RunConfig, run
@@ -13,6 +15,8 @@ from toeplitz_triple.dirac import (
     SUM_CHUNK,
     FredholmIndexError,
     _eigensystem,
+    _Rotations,
+    _Singletons,
     analytic_eigenvector,
     block_interior_deviation,
     dirac,
@@ -26,6 +30,7 @@ from toeplitz_triple.dirac import (
     summability_report,
 )
 from toeplitz_triple.fourier import FourierSeries
+from toeplitz_triple.triple import delta_absdirac_spot_check
 
 
 # ----------------------------------------------------------------------
@@ -196,14 +201,15 @@ def test_eigensystem_reads_components_off_the_matrix():
     h[1, 6], h[1, 1] = 2.0 - 1.0j, 0.75
     h = h + np.triu(h, 1).conj().T
     parts = _eigensystem(op.finite_rank(h, n))
-    assert [idx.tolist() for idx, _, _, _ in parts] == [[[2], [4]], [[1, 6]],
-                                                        [[0, 3, 5]]]
+    assert [part.idx.tolist() for part in parts] == [[[2], [4]], [[1, 6]],
+                                                     [[0, 3, 5]]]
     evals = np.zeros(n)
     vecs = np.zeros((n, n), dtype=complex)
-    for idx, block, w, v in parts:
-        assert np.array_equal(block, h[idx[:, :, None], idx[:, None, :]])
-        evals[idx] = w
-        vecs[idx[:, :, None], idx[:, None, :]] = v
+    for part in parts:
+        idx = part.idx
+        assert np.array_equal(part.block, h[idx[:, :, None], idx[:, None, :]])
+        evals[idx] = part.w
+        vecs[idx[:, :, None], idx[:, None, :]] = part.v
     assert np.abs(np.sort(evals) - np.linalg.eigvalsh(h)).max() < 1e-12
     assert np.abs(vecs.conj().T @ vecs - np.eye(n)).max() < 1e-12
     assert np.abs(h @ vecs - vecs * evals).max() < 1e-12
@@ -212,9 +218,9 @@ def test_eigensystem_reads_components_off_the_matrix():
     assert not vecs[[0, 2, 3, 4, 5]][:, [1, 6]].any()
     # a tridiagonal path is one component whose far pairs lie off the band
     path = op.TruncatedOperator(np.ones((3, 4)), -1)
-    [(idx, block, _, _)] = _eigensystem(path)
-    assert idx.tolist() == [[0, 1, 2, 3]]
-    assert np.array_equal(block[0], path.dense())
+    [part] = _eigensystem(path)
+    assert part.idx.tolist() == [[0, 1, 2, 3]]
+    assert np.array_equal(part.block[0], path.dense())
 
 
 @pytest.mark.parametrize("n", [2, 8, 64])
@@ -228,10 +234,10 @@ def test_spectrum_ladder(n):
     # the two zero modes are the singleton components: second-summand e_0
     # (index 1, the true mode) and first-summand e_{n-1} (index 2n-2, the
     # flagged one), each its own basis vector
-    idx, block, w, v = _eigensystem(dirac(n))[0]
-    assert idx.tolist() == [[1], [2 * n - 2]]
-    assert not block.any() and not w.any()
-    assert np.array_equal(np.abs(v), np.ones((2, 1, 1)))
+    part = _eigensystem(dirac(n))[0]
+    assert part.idx.tolist() == [[1], [2 * n - 2]]
+    assert not part.w.any() and not part.residuals().any()
+    assert np.array_equal(part.apply(np.ones((2, 1))), np.ones((2, 1, 1)))
 
 
 def test_spectrum_flags_only_zero_modes_off_the_second_summand():
@@ -267,8 +273,81 @@ def test_spectrum_serialization(tmp_path):
 
 
 def test_spectrum_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        spectrum(dirac(4), tol=0.0)
+    # a NaN tolerance split the double zero into two clusters, and an
+    # infinite one put all eight eigenvalues into one
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            spectrum(dirac(4), tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            polar_check(64, 2, tol=tol)
+
+
+# ----------------------------------------------------------------------
+# closed-form solves
+# ----------------------------------------------------------------------
+
+# 0, or either sign with a modulus from 1e-150 to 1e150
+entries = st.one_of(st.just(0.0), st.builds(
+    lambda sign, exponent: sign * 10.0 ** exponent,
+    st.sampled_from([-1.0, 1.0]), st.floats(-150.0, 150.0)))
+# (p, q, r) of a block [[p, q], [q, r]]: drawn, with p = r, or with q = 0
+blocks = st.one_of(st.tuples(entries, entries, entries),
+                   st.builds(lambda p, q: (p, q, p), entries, entries),
+                   st.builds(lambda p, r: (p, 0.0, r), entries, entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(blocks, min_size=1, max_size=8))
+def test_closed_form_solves_match_eigh(triples):
+    # block k sits on indices 2k and 2k + 1 of a tridiagonal operator
+    p, q, r = np.array(triples).T
+    m = len(triples)
+    band = np.zeros((3, 2 * m))
+    band[0, 1::2] = q  # offset -1, above the diagonal
+    band[1, 0::2], band[1, 1::2] = p, r
+    band[2, 0::2] = q  # offset 1, below it
+    h = op.TruncatedOperator(band, -1)
+    idx = np.arange(2 * m).reshape(m, 2)
+    block = np.zeros((m, 2, 2))
+    block[:, 0, 0], block[:, 0, 1], block[:, 1, 0], block[:, 1, 1] = p, q, q, r
+    w, _ = np.linalg.eigh(block)
+    eps = np.finfo(float).eps
+    # the worst of 600 000 random blocks was 2.9 eps |B|
+    scale = 6 * eps * np.abs(w).max(axis=1)
+
+    part = _Rotations(h, idx)
+    assert (part.w[:, 0] <= part.w[:, 1]).all()
+    assert (np.abs(part.w - w) <= scale[:, None]).all()
+    # eigenvectors (c, -s) and (s, c)
+    c, s = part.c, part.s
+    v = np.stack([np.stack([c, s], axis=1), np.stack([-s, c], axis=1)], axis=1)
+    gram = v.swapaxes(1, 2) @ v
+    assert (np.abs(gram - np.eye(2)) <= 4 * eps).all()
+    assert (part.residuals() <= scale[:, None]).all()
+    residuals = np.abs(block @ v - v * part.w[:, None, :]).max(axis=1)
+    assert (residuals <= scale[:, None]).all()
+
+    # the first index of each block on its own is a 1 x 1 block
+    single = _Singletons(op.TruncatedOperator(band[1:2, 0::2], 0),
+                         np.arange(m)[:, None])
+    assert single.w.tolist() == p[:, None].tolist()
+    assert not single.residuals().any()
+
+
+def test_dirac_runs_no_eigh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    report = spectrum(dirac(64))
+    assert report.eigenvalues == sorted(list(range(-63, 64)) + [0])
+    assert not any(report.residuals)
+    f, absd = polar_parts(64)
+    assert (f.band, absd.band) == ((-3, 3), (0, 0))
+    assert fredholm_index(16, 32) == 1
+    assert delta_absdirac_spot_check(FourierSeries.cosine(16), 133).passed
+    with pytest.raises(AssertionError, match="eigh called"):
+        _eigensystem(op.finite_rank(np.ones((3, 3)), 3))
 
 
 # ----------------------------------------------------------------------
