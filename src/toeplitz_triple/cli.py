@@ -47,6 +47,8 @@ DEFAULT_INDEX_SIZES = [16, 32, 64, 128]
 DEFAULT_TOLERANCE = {"spectrum": 1e-10, "verify": 1e-12, "wedge": 1e-9,
                      "polar": 1e-10}
 DEFAULT_POLAR_MARGIN = 2
+# spectrum formats its CSV rows this many at a time
+CSV_CHUNK = 1 << 16
 
 
 @dataclass
@@ -97,8 +99,9 @@ def load_symbol(spec: str) -> FourierSeries:
 
 
 # ----------------------------------------------------------------------
-# commands: each returns (checks, csv header, csv rows, chart), where chart
-# is the keyword arguments of svg.chart or None; only ``run`` writes files
+# commands: each returns (checks, csv header, csv rows, chart), where the
+# rows are any iterable of rows and chart is the keyword arguments of
+# svg.chart or None; only ``run`` writes files
 # ----------------------------------------------------------------------
 
 def _check(name, passed, **extra) -> dict:
@@ -124,31 +127,44 @@ def cmd_spectrum(cfg: RunConfig):
     tol = _tolerance(cfg)
     report = spectrum(dirac(cfg.n), tol)
     n = cfg.n
-    expected = sorted(list(range(-(n - 1), n)) + [0])
-    rounded = [round(v) for v in report.eigenvalues]
-    ladder_ok = rounded == expected and \
-        max(abs(v - r) for v, r in zip(report.eigenvalues, rounded)) < tol
-    nonzero_mults = [m for v, m in zip(report.distinct_values, report.multiplicities)
-                     if abs(v) > 0.5]
+    evals = report.eigenvalues
+    # the integers -(n-1)..(n-1) with a double zero, ascending
+    expected = np.concatenate((np.arange(-(n - 1), 1), np.arange(n)))
+    rounded = np.rint(evals)
+    ladder_ok = np.array_equal(rounded, expected) and \
+        np.abs(evals - rounded).max() < tol
+    max_residual = float(report.residuals.max())
+    nonzero_mults = report.multiplicities[np.abs(report.distinct_values) > 0.5]
     checks = [
         _check("eigenvalue_ladder", ladder_ok,
                expected="integers -(n-1)..(n-1) with a double zero"),
-        _check("eigenpair_residuals", max(report.residuals) < tol,
-               max_residual=max(report.residuals), tolerance=tol),
+        _check("eigenpair_residuals", max_residual < tol,
+               max_residual=max_residual, tolerance=tol),
         _check("single_spurious_zero_mode", len(report.spurious) == 1,
-               spurious_indices=report.spurious),
-        _check("nonzero_multiplicities_one",
-               all(m == 1 for m in nonzero_mults)),
+               spurious_indices=report.spurious.tolist()),
+        _check("nonzero_multiplicities_one", (nonzero_mults == 1).all()),
     ]
-    flags = set(report.spurious)
-    rows = [(i, repr(ev), repr(res), int(i in flags)) for i, (ev, res) in
-            enumerate(zip(report.eigenvalues, report.residuals))]
-    chart = dict(
-        series=[("eigenvalues", range(len(report.eigenvalues)),
-                 report.eigenvalues)],
-        title=f"Eigenvalue ladder of the truncated Dirac block (n={n})",
-        xlabel="index", ylabel="eigenvalue", scatter=True)
-    return checks, ["index", "eigenvalue", "residual", "spurious"], rows, chart
+    # svg.chart reads the array only under --svg
+    chart = dict(series=[("eigenvalues", range(len(evals)), evals)],
+                 title=f"Eigenvalue ladder of the truncated Dirac block (n={n})",
+                 xlabel="index", ylabel="eigenvalue", scatter=True)
+    return checks, ["index", "eigenvalue", "residual", "spurious"], \
+        _spectrum_rows(report), chart
+
+
+def _spectrum_rows(report):
+    """The CSV rows of a spectrum, made CSV_CHUNK at a time: the index, the
+    ``repr`` of the eigenvalue and of its residual as Python floats, and 1
+    for the flagged mode."""
+    indices = range(len(report.eigenvalues))
+    flags = np.zeros(len(indices), dtype=bool)
+    flags[report.spurious] = True
+    for start in indices[::CSV_CHUNK]:
+        part = slice(start, start + CSV_CHUNK)
+        yield from zip(indices[part],
+                       map(repr, report.eigenvalues[part].tolist()),
+                       map(repr, report.residuals[part].tolist()),
+                       map(int, flags[part].tolist()))
 
 
 def cmd_verify(cfg: RunConfig):

@@ -137,13 +137,15 @@ def analytic_eigenvector(k: int, n: int) -> np.ndarray:
 
 @dataclass
 class SpectrumReport:
-    """Eigenvalues, multiplicities and truncation-artifact flags."""
+    """Eigenvalues, multiplicities and truncation-artifact flags, each a
+    one-dimensional numpy array: float64 values, int64 indices and counts.
+    Eight bytes an entry, where Python lists of floats took about 32."""
 
-    eigenvalues: list      # all 2n, sorted ascending
-    residuals: list        # per eigenpair, same order
-    spurious: list         # indices into the sorted list
-    distinct_values: list  # one entry per eigenvalue cluster
-    multiplicities: list   # cluster sizes; sums to 2n
+    eigenvalues: np.ndarray      # all 2n, sorted ascending
+    residuals: np.ndarray        # per eigenpair, same order
+    spurious: np.ndarray         # indices into the sorted eigenvalues
+    distinct_values: np.ndarray  # one entry per eigenvalue cluster
+    multiplicities: np.ndarray   # cluster sizes; sums to 2n
 
 
 def _entries(h: op.TruncatedOperator, r: np.ndarray,
@@ -335,21 +337,40 @@ def spectrum(d: op.TruncatedOperator, tol: float = 1e-10) -> SpectrumReport:
     order = np.lexsort((~flags, evals))
     evals, residuals, flags = evals[order], residuals[order], flags[order]
 
-    distinct, mults = [], []
-    group_tol = max(tol, 1e-9)
-    for ev in evals:
-        if distinct and abs(ev - distinct[-1]) <= group_tol:
-            mults[-1] += 1
-        else:
-            distinct.append(float(ev))
-            mults.append(1)
+    starts = _cluster_starts(evals, max(tol, 1e-9))
     return SpectrumReport(
-        eigenvalues=[float(v) for v in evals],
-        residuals=[float(r) for r in residuals],
-        spurious=[int(i) for i in np.where(flags)[0]],
-        distinct_values=distinct,
-        multiplicities=mults,
+        eigenvalues=evals,
+        residuals=residuals,
+        spurious=np.flatnonzero(flags),
+        distinct_values=evals[starts],
+        multiplicities=np.diff(np.append(starts, len(evals))),
     )
+
+
+def _cluster_starts(evals: np.ndarray, tol: float) -> np.ndarray:
+    """Where each cluster of the ascending ``evals`` starts: a value joins
+    the cluster of the value before it when it lies within ``tol`` of that
+    cluster's first value.
+
+    A gap of more than ``tol`` to the value before always starts a
+    cluster.  Between those starts, a run whose last value lies within
+    ``tol`` of its first is one cluster, since rounding a difference is
+    monotone; only a run that spans more, which the integer ladder of D
+    never has, is scanned value by value.
+    """
+    starts = np.flatnonzero(np.concatenate(([True], ~(np.diff(evals) <= tol))))
+    ends = np.append(starts[1:], len(evals))
+    wide = ~(evals[ends - 1] - evals[starts] <= tol)
+    if not wide.any():
+        return starts
+    more = []
+    for start, end in zip(starts[wide], ends[wide]):
+        first = evals[start]
+        for i in range(start + 1, end):
+            if not evals[i] - first <= tol:
+                more.append(i)
+                first = evals[i]
+    return np.sort(np.concatenate((starts, more)).astype(np.intp))
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,10 @@ step of ``operator_norm``, which applies the banded Gram operator ``A* A``
 (or A and then A*, for wide bands) by stored diagonals through
 matrix-vector plans built once per norm, in the band's own dtype, and
 checks its stop rule once per block of steps; only
-``TruncatedOperator.dense`` forms an ``n x n`` array.
+``TruncatedOperator.dense`` forms an ``n x n`` array.  A plan reads the
+rows it is given: the A* plan of a real wide band reads A's own rows, so
+its norm holds one copy of the band, A's transpose (for real data its
+adjoint), which also carries the power-of-two scale of both plans.
 
 Transient memory is bounded by the lattice rows too: an operation allocates
 its result's lattice once and the new operator adopts it without a copy,
@@ -244,22 +247,12 @@ class TruncatedOperator:
         return out
 
     def adjoint(self) -> "TruncatedOperator":
-        """``A*[c - d, c] = conj(A[c, c - d])``, one conjugating slice per
-        stored diagonal.
-
-        The diagonal of offset d holds ``A[m + d, m]`` at column m, so it
-        becomes the diagonal of offset -d read ``d`` columns later: column c
-        of the result takes the conjugate of column ``c - d``, for the
-        columns c where both lie inside ``0..n-1``.  The lattice is mirrored,
-        and the conjugates go straight into the result's rows.
-        """
-        count, n = self.rows.shape
-        out = np.zeros((count, n), dtype=self.rows.dtype)
-        for j, (d, diagonal) in enumerate(zip(self._offsets(), self.rows)):
-            first, stop = max(d, 0), n + min(d, 0)
-            np.conjugate(diagonal[first - d:stop - d],
-                         out=out[count - 1 - j, first:stop])
-        return TruncatedOperator(_Fresh(out, self.step), -self.band[1])
+        """``A*[c - d, c] = conj(A[c, c - d])``: the mirrored rows (see
+        ``_mirrored``), conjugated in place when they are complex."""
+        rows = _mirrored(self)
+        if rows.dtype.kind == "c":
+            np.conjugate(rows, out=rows)
+        return TruncatedOperator(_Fresh(rows, self.step), -self.band[1])
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -305,6 +298,24 @@ class TruncatedOperator:
     def _check_dim(self, other):
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+
+
+def _mirrored(a: TruncatedOperator) -> np.ndarray:
+    """The conjugates of the rows of ``A*``, in a new writable array: the
+    transpose of A stored by diagonals.
+
+    The diagonal of offset d holds ``A[m + d, m]`` at column m, so it
+    becomes the diagonal of offset -d read ``d`` columns later: column c of
+    the result takes column ``c - d``, for the columns c where both lie
+    inside ``0..n-1``.  The lattice is mirrored, and the entries go straight
+    into the new rows.
+    """
+    count, n = a.rows.shape
+    out = np.zeros((count, n), dtype=a.rows.dtype)
+    for j, (d, diagonal) in enumerate(zip(a._offsets(), a.rows)):
+        first, stop = max(d, 0), n + min(d, 0)
+        out[count - 1 - j, first:stop] = diagonal[first - d:stop - d]
+    return out
 
 
 def _columns(a: TruncatedOperator, start: int, stop: int) -> TruncatedOperator:
@@ -456,44 +467,42 @@ def delta(x: TruncatedOperator, k: int) -> TruncatedOperator:
 
 
 class _MatvecPlan:
-    """``v -> 2**-exponent * X* v`` from the stored diagonals of X, in
-    O(n * lattice rows); a plan for ``A v`` is built from ``A.adjoint()``.
+    """``v -> X* v`` from ``rows``, the conjugates of the stored diagonals
+    of X on the lattice ``lo, lo + step, ...``, in O(n * lattice rows).
 
     Row r of ``X*`` is the conjugate of column r of X, which X's rows store
     as it is: the rows of the plan are X's conjugated rows, with no shift,
     on X's lattice of step g.  So ``rows[i, r]`` is the entry
     ``[r, r - d_i]`` of ``X*`` at offset ``d_i = hi - i*g``, with
-    ``hi = -X.lo``, 0 where that column is outside ``0..n-1``, and
+    ``hi = -lo``, 0 where that column is outside ``0..n-1``, and
     ``(X* v)[r]`` is ``sum_i rows[i, r] * v[r - d_i]``.  The terms
     ``v[r - d_i]`` for all i form one strided view of a zero-padded row
     holding v: ``bind`` makes the view once, and each call is one
-    ``einsum``.  The scaled copy of the rows is the only band a plan keeps.
-    The rows are scaled by ``2**-exponent``, the least even power of two
-    above their largest absolute row sum.  The scaling is exact, and it
-    keeps a step of ``operator_norm`` from lengthening the vector: a
-    Hermitian G has 2-norm at most its largest row sum, and
-    ``||A||^2 <= ||A||_1 ||A||_inf``, the row sums of A* being the column
-    sums of A.  The rows keep the band's dtype: a float64 band, which real
-    data gives, makes a float64 plan, which takes real vectors only.
+    ``einsum``.  The plan keeps ``rows`` as it is given, with no copy and no
+    scale: the plan of a real operator X applies X* from X's own rows
+    (``of``), and the rows of ``A*``'s conjugates, the transpose of A that
+    ``_mirrored`` makes, apply A.  A float64 plan, which real data gives,
+    takes real vectors only.
     """
 
-    __slots__ = ("rows", "hi", "step", "lead", "trail", "exponent")
+    __slots__ = ("rows", "hi", "step", "lead", "trail")
 
-    def __init__(self, x: TruncatedOperator):
-        rows = x.rows.conj()
-        exponent = math.frexp(float(np.abs(rows).sum(axis=0).max()))[1]
-        exponent += exponent % 2
-        self.rows = rows * 2.0 ** -exponent
-        self.hi, self.step = -x.lo, x.step
+    def __init__(self, rows: np.ndarray, lo: int, step: int):
+        self.rows = rows
+        self.hi, self.step = -lo, step
         self.lead = max(self.hi, 0)
-        self.trail = max(x.band[1], 0)
-        self.exponent = exponent
+        self.trail = max(lo + (rows.shape[0] - 1) * step, 0)
+
+    @classmethod
+    def of(cls, x: TruncatedOperator) -> "_MatvecPlan":
+        """The plan applying X*; it holds X's rows themselves when they are
+        real, and their conjugates otherwise."""
+        return cls(x.rows.conj(), x.lo, x.step)
 
     def bind(self, source: np.ndarray, lead: int, target: np.ndarray):
-        """A call that writes ``2**-exponent * X* v`` into ``target``, for the
-        v held at ``source[lead:lead + n]``.  ``source`` is one contiguous
-        row, with at least ``self.lead`` zeros before v and ``self.trail``
-        after it."""
+        """A call that writes ``X* v`` into ``target``, for the v held at
+        ``source[lead:lead + n]``.  ``source`` is one contiguous row, with at
+        least ``self.lead`` zeros before v and ``self.trail`` after it."""
         count, n = self.rows.shape
         size = source.itemsize
         # the view below reads memory unchecked, so the row must cover it
@@ -505,6 +514,65 @@ class _MatvecPlan:
             source[lead - self.hi:], shape=(count, n),
             strides=(self.step * size, size), writeable=False)
         return partial(np.einsum, "ij,ij->j", self.rows, window, out=target)
+
+
+def _exponent(rows: np.ndarray) -> int:
+    """The least even e with ``2**e`` above the largest absolute column sum
+    of ``rows``.  The sums are accumulated over chunks of NORM_BLOCK rows,
+    each chunk's reduction starting from the sums so far, so the rows are
+    added one after another as one ``np.abs(rows).sum(axis=0)`` adds them,
+    with no band-sized temporary."""
+    count, n = rows.shape
+    sums = np.zeros(n)
+    part = np.empty((min(count, NORM_BLOCK) + 1, n))
+    for start in range(0, count, NORM_BLOCK):
+        chunk = rows[start:start + NORM_BLOCK]
+        block = part[:len(chunk) + 1]
+        block[0] = sums
+        np.abs(chunk, out=block[1:])
+        block.sum(axis=0, out=sums)
+    exponent = math.frexp(float(sums.max()))[1]
+    return exponent + exponent % 2
+
+
+def _scale(rows: np.ndarray, exponent: int) -> None:
+    """Multiply writable rows by ``2**exponent`` in place: exact in binary
+    floating point barring overflow and underflow, on the real and
+    imaginary parts alike."""
+    flat = rows.view(np.float64)
+    np.ldexp(flat, exponent, out=flat)
+
+
+def _norm_plans(a: TruncatedOperator) -> tuple[list, int]:
+    """The plans whose composition applies ``2**-exponent * A* A``, and that
+    even exponent.
+
+    When A's lattice has at most ``2 * NORM_BLOCK`` rows, one plan applies
+    the Gram operator ``G = A* A``, which is self-adjoint; its rows are a
+    copy of G's, scaled by ``2**-e`` for the least even power of two above
+    their largest absolute row sum, which bounds the 2-norm of a Hermitian
+    G.  Otherwise A is applied and then A*.  The A* plan reads A's own rows
+    (conjugated into one copy when they are complex, since ``einsum``
+    cannot conjugate), and the A plan the rows of ``A*``'s conjugates, the
+    one copy of the band, which carry the scale of both plans,
+    ``2**-(e1 + e2)`` for the even powers above the largest absolute row
+    and column sums of A: ``||A||^2 <= ||A||_1 ||A||_inf``, so a step cannot
+    lengthen the vector.  Scaling by a power of two is exact, so each
+    intermediate vector is ``2**-e2`` times that of plans scaled one by
+    one, and each iterate the same.
+    """
+    if a.rows.shape[0] <= 2 * NORM_BLOCK:
+        g = a.adjoint() @ a
+        exponent = _exponent(g.rows)
+        # the ufunc returns a new array, for real rows too
+        rows = np.conjugate(g.rows)
+        _scale(rows, -exponent)
+        return [_MatvecPlan(rows, g.lo, g.step)], exponent
+    transposed = _mirrored(a)
+    exponent = _exponent(transposed) + _exponent(a.rows)
+    _scale(transposed, -exponent)
+    return [_MatvecPlan(transposed, -a.band[1], a.step), _MatvecPlan.of(a)], \
+        exponent
 
 
 def operator_norm(a: TruncatedOperator, tol: float = 1e-10) -> float:
@@ -519,13 +587,14 @@ def operator_norm(a: TruncatedOperator, tol: float = 1e-10) -> float:
     then A*: the product loops over the k nonzero rows of A's lattice, each
     pass over all b lattice rows, so it costs b * k length-n products
     against ``2 * NORM_BLOCK * k`` for the block, and G is formed when
-    ``b <= 2 * NORM_BLOCK``.  Otherwise each step applies A and then A*.
-    The iteration runs in the band's dtype: on a float64 band, which real
-    data gives, the iterates are real, and in exact arithmetic it is the
-    same iteration as in complex.
+    ``b <= 2 * NORM_BLOCK``.  Otherwise each step applies A and then A*,
+    and the norm holds, besides A, one copy of its band, a real band none
+    other (see ``_norm_plans``).  The iteration runs in the band's dtype: on
+    a float64 band, which real data gives, the iterates are real, and in
+    exact arithmetic it is the same iteration as in complex.
 
     Steps run in blocks of up to NORM_BLOCK, written into one array without
-    normalisation; each plan is scaled by a power of two, so the iterates
+    normalisation; the plans carry a power-of-two scale, so the iterates
     cannot grow.  A block holds about NORM_BLOCK_WORK multiply-adds, so a
     step whose arithmetic outweighs the call overhead runs in a block of its
     own, and the steps a block runs past the stop cost little.  After a
@@ -549,11 +618,7 @@ def operator_norm(a: TruncatedOperator, tol: float = 1e-10) -> float:
     n = a.dim
     if n <= FULL_SVD_DIM:
         return float(np.linalg.svd(a.dense(), compute_uv=False)[0])
-    if a.rows.shape[0] <= 2 * NORM_BLOCK:
-        # G is self-adjoint, so its plan applies G
-        plans = [_MatvecPlan(a.adjoint() @ a)]
-    else:
-        plans = [_MatvecPlan(a.adjoint()), _MatvecPlan(a)]
+    plans, exponent = _norm_plans(a)
     size = max(1, min(NORM_BLOCK,
                       NORM_BLOCK_WORK // sum(p.rows.size for p in plans)))
     lead = max(p.lead for p in plans)
@@ -574,7 +639,7 @@ def operator_norm(a: TruncatedOperator, tol: float = 1e-10) -> float:
     # complex entries read as (real, imaginary) pairs, so the dot product of
     # two rows is the real part of their inner product
     flat = iterates.view(np.float64)
-    unscale = 2.0 ** (sum(p.exponent for p in plans) // 2)
+    unscale = 2.0 ** (exponent // 2)
     iterates[0, body] = 1.0 / math.sqrt(n)
     previous = -1.0
     done = 0

@@ -399,32 +399,71 @@ class SweepReport:
     which: str
 
 
+def _collar(word: AlgebraElement) -> int:
+    """A collar c such that the leading n x n block of
+    ``word.realize(n + c)`` is that of the semi-infinite operator, for
+    every n.
+
+    A generator's leading block is exact at any size, and sums, scalars and
+    adjoints keep it exact.  In a product ``a . b`` the entry ``[r, c]``
+    sums ``a[r, k] b[k, c]`` over every k that column c of b reaches,
+    ``k <= c + b.band_spread() + b.compact_support()``: so for the leading
+    n x n block both factors must be exact on their leading blocks of
+    ``n`` plus b's reach, which the realisation at the factors' larger
+    collar plus that reach makes them.  The collar is 0 for a word without
+    products.
+    """
+    if word.kind == "mul":
+        left, right = word.children
+        return max(_collar(left), _collar(right)) + \
+            right.band_spread() + right.compact_support()
+    return max((_collar(c) for c in word.children), default=0)
+
+
 def _sweep_blocks(word: AlgebraElement, which: str, order: int,
-                  m: int) -> list[op.TruncatedOperator]:
+                  n: int) -> list[op.TruncatedOperator]:
+    """The leading n x n blocks of a sweep target, each exactly that of the
+    semi-infinite model.
+
+    They are computed at the size n plus a collar, or at the word's
+    ``compact_support()`` when that is larger, since a corner block must fit
+    in the realisation, and cut to their leading blocks.  The collar keeps
+    them exact: ``_collar(word)``, one more under "dirac" and "delta_dz",
+    whose commutators with dz and dz* read one row and column of the word
+    past the block.  ``delta`` scales each entry by its offset, so it is
+    taken of the leading block; the inflated band is dropped first, so two
+    bands of the inflated size are never held at once.
+    """
+    if which not in ("dirac", "delta", "delta_dz"):
+        raise ValueError(f"unknown sweep target {which!r}")
+    m = max(n + _collar(word) + (which != "delta"), word.compact_support())
+
+    def cut(x):
+        return x if m == n else op._columns(x, 0, n)
+
     a = word.realize(m)
-    if which == "dirac":
-        return [op.commutator(op.dz(m), a),
-                op.commutator(op.dz_star(m), a)]
     if which == "delta":
-        return [op.delta(a, order)]
-    if which == "delta_dz":
-        return [op.delta(op.commutator(op.dz(m), a), order)]
-    raise ValueError(f"unknown sweep target {which!r}")
+        lead = cut(a)
+        del a
+        return [op.delta(lead, order)]
+    # each commutator is dropped once its leading block is cut
+    generators = (op.dz, op.dz_star) if which == "dirac" else (op.dz,)
+    leads = [cut(op.commutator(g(m), a)) for g in generators]
+    del a
+    return leads if which == "dirac" else [op.delta(leads[0], order)]
 
 
 def _sweep_value(word: AlgebraElement, n: int, which: str,
                  order: int) -> tuple[float, float]:
-    # compute at an inflated size and keep the leading block, so every entry
-    # measured equals the semi-infinite model exactly; the inflated blocks
-    # are dropped once their leading blocks are copied, before any norm runs
-    collar = word.band_spread() + word.compact_support() + order + 4
-    leads = [op._columns(x, 0, n)
-             for x in _sweep_blocks(word, which, order, n + collar)]
+    """The sweep value and raw section norm of a target at size n, from the
+    leading blocks of ``_sweep_blocks``: every entry measured equals the
+    semi-infinite model's, and the norms run after the inflated blocks are
+    dropped."""
     value = 0.0
     raw = 0.0
     spread = word.band_spread() + (0 if which == "delta" else 1)
     max_freq = min(spread, n // 4 - 1)
-    for lead in leads:
+    for lead in _sweep_blocks(word, which, order, n):
         section = op.operator_norm(lead, NORM_TOL)
         raw = max(raw, section)
         sup = 0.0

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import inspect
 import json
 import os
@@ -9,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from itertools import groupby
 from pathlib import Path
@@ -100,6 +102,68 @@ def test_spectrum_command(tmp_path):
     assert "data.csv" in report["artifacts"]
     assert "plot.svg" in report["artifacts"]
     ET.fromstring((tmp_path / "plot.svg").read_text())  # valid XML
+
+
+# SHA-256 of the files each line writes, with report.json's timestamp
+# emptied and its output directory written as OUT.  They were taken while
+# the spectrum report held Python lists: holding it in arrays and writing
+# the rows in chunks changes no byte
+SPECTRUM_DIGESTS = {
+    ("spectrum", "--n", "256", "--svg"): {
+        "data.csv": "f8a5062fa189db49e35bed2898f18013"
+                    "783a8fa01d14e146e1839ce75dd9a15c",
+        "plot.svg": "b27f7cfe2d856a652a22795c7bf77ee0"
+                    "9ce3ac61edcce56453c0b22a5f36c5a0",
+        "report.json": "0e649ba07a85bbde45525c5cc76a2e55"
+                       "3fe0bee67091647f2331c1d8eae9749e"},
+    ("spectrum", "--n", "768"): {
+        "data.csv": "44f23e3476784d45566a7fcd37771922"
+                    "5fcb376e96eac38143ea466febb33d78",
+        "report.json": "e5413a3d07f3b9e73fe4a891488e11df"
+                       "4b3b9fded6b97afae1c2d475625e8589"},
+}
+
+
+@pytest.mark.parametrize("argv", list(SPECTRUM_DIGESTS))
+def test_spectrum_outputs_are_unchanged(argv, tmp_path):
+    assert exit_code(list(argv), tmp_path) == EXIT_OK
+    digests = {}
+    for path in tmp_path.iterdir():
+        data = path.read_bytes()
+        if path.name == "report.json":
+            data = re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', data)
+            data = data.replace(str(tmp_path).encode(), b"OUT")
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    assert digests == SPECTRUM_DIGESTS[argv]
+
+
+def test_spectrum_rows_do_not_depend_on_the_chunk(tmp_path, monkeypatch):
+    # 32 rows in chunks of 7, the last one short, write the same file
+    cfg = make_config("spectrum", tmp_path, n=16)
+    assert run(cfg) == EXIT_OK
+    whole = (tmp_path / "data.csv").read_bytes()
+    monkeypatch.setattr(cli, "CSV_CHUNK", 7)
+    assert run(cfg) == EXIT_OK
+    assert (tmp_path / "data.csv").read_bytes() == whole
+    assert len(whole.splitlines()) == 33
+
+
+def test_spectrum_holds_a_few_arrays():
+    # D, its closed-form eigensystem and the report's arrays peak at 18.7
+    # times the bytes of the eigenvalues; a report of Python lists, its row
+    # tuples and the chart's copy of the eigenvalues took it to 51 times
+    n = 16384
+    cfg = RunConfig(command="spectrum", n=n)
+    tracemalloc.start()
+    try:
+        checks, _, rows, _ = cli.cmd_spectrum(cfg)
+        for _ in rows:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c["passed"] for c in checks)
+    assert peak <= 24 * 2 * n * 8
 
 
 def test_report_schema_stable_and_reproducible(tmp_path):

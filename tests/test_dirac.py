@@ -17,6 +17,7 @@ from toeplitz_triple.dirac import (
     _eigensystem,
     _Rotations,
     _Singletons,
+    _cluster_starts,
     analytic_eigenvector,
     block_interior_deviation,
     dirac,
@@ -229,7 +230,7 @@ def test_spectrum_ladder(n):
     assert [round(v) for v in report.eigenvalues] == sorted(
         list(range(-(n - 1), n)) + [0])
     assert max(report.residuals) < 1e-10
-    assert report.spurious == [n - 1]
+    assert report.spurious.tolist() == [n - 1]
     assert report.eigenvalues[n - 1] == 0.0
     # the two zero modes are the singleton components: second-summand e_0
     # (index 1, the true mode) and first-summand e_{n-1} (index 2n-2, the
@@ -244,10 +245,11 @@ def test_spectrum_flags_only_zero_modes_off_the_second_summand():
     # diagonal operators with one zero mode: on second-summand e_0 (index 1)
     # it is the true kernel; on first-summand e_1 (index 2) it is flagged
     kept = spectrum(op.TruncatedOperator([[3.0, 0.0, -2.0, 1.0]], 0))
-    assert kept.eigenvalues == [-2.0, 0.0, 1.0, 3.0] and kept.spurious == []
+    assert kept.eigenvalues.tolist() == [-2.0, 0.0, 1.0, 3.0]
+    assert kept.spurious.tolist() == []
     flagged = spectrum(op.TruncatedOperator([[3.0, 1.0, 0.0, -2.0]], 0))
-    assert flagged.eigenvalues == [-2.0, 0.0, 1.0, 3.0]
-    assert flagged.spurious == [1]
+    assert flagged.eigenvalues.tolist() == [-2.0, 0.0, 1.0, 3.0]
+    assert flagged.spurious.tolist() == [1]
 
 
 def test_spectrum_n2():
@@ -263,6 +265,39 @@ def test_spectrum_nonzero_multiplicities_one():
         else:
             assert mult == 2
     assert sum(report.multiplicities) == 64
+
+
+def test_spectrum_report_holds_arrays():
+    report = spectrum(dirac(16))
+    for name in ("eigenvalues", "residuals", "distinct_values"):
+        assert getattr(report, name).dtype == np.float64
+    for name in ("spurious", "multiplicities"):
+        assert getattr(report, name).dtype.kind == "i"
+    assert report.eigenvalues.shape == report.residuals.shape == (32,)
+    assert report.multiplicities.sum() == 32
+
+
+def sequential_clusters(values, tol):
+    """The starts of the clusters as a loop over the values finds them: a
+    value joins the current cluster when it lies within ``tol`` of the
+    cluster's first value."""
+    starts = []
+    for i, v in enumerate(values):
+        if not starts or not abs(v - values[starts[-1]]) <= tol:
+            starts.append(i)
+    return starts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-8, 8) | st.sampled_from([0.0, 1.0, 1.5, 2.0]),
+                min_size=1, max_size=40),
+       st.sampled_from([1e-9, 0.25, 0.5, 1.0, 3.0]))
+def test_cluster_starts_follow_the_sequential_rule(values, tol):
+    # runs of small gaps that span more than tol split where the loop
+    # splits them, not at every gap
+    values = np.sort(np.array(values))
+    assert _cluster_starts(values, tol).tolist() == \
+        sequential_clusters(values.tolist(), tol)
 
 
 def test_spectrum_serialization(tmp_path):
@@ -340,7 +375,7 @@ def test_dirac_runs_no_eigh(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     report = spectrum(dirac(64))
-    assert report.eigenvalues == sorted(list(range(-63, 64)) + [0])
+    assert report.eigenvalues.tolist() == sorted(list(range(-63, 64)) + [0])
     assert not any(report.residuals)
     f, absd = polar_parts(64)
     assert (f.band, absd.band) == ((-3, 3), (0, 0))

@@ -244,32 +244,26 @@ def cos4_with_complex_corner(n):
     pytest.param(op.number, toeplitz_of(FourierSeries.cosine(16)), True,
                  id="number-16"),
 ])
-def test_banded_norm_follows_the_dense_gram_iteration(n, make, operand, real,
-                                                      monkeypatch):
+def test_banded_norm_follows_the_dense_gram_iteration(n, make, operand, real):
     # the sweep values of the benchmark references were taken with the dense
     # iteration, and the gate holds them to 1e-9 relative
     a = op.commutator(make(n), operand(n))
     # real data gives a float64 band, and the matrix-vector plan runs in the
     # band's dtype
     assert (a.diagonals.dtype == np.float64) == real
-    assert op._MatvecPlan(a).rows.dtype == a.diagonals.dtype
-    built = []
-
-    class Recording(op._MatvecPlan):
-        def __init__(self, x):
-            built.append(x)
-            super().__init__(x)
-
-    monkeypatch.setattr(op, "_MatvecPlan", Recording)
+    assert op._MatvecPlan.of(a).rows.dtype == a.diagonals.dtype
     expected, steps = dense_gram_norm(a, 1e-9)
     assert expected is not None
     assert op.operator_norm(a, 1e-9) == pytest.approx(expected, rel=1e-12)
     # every band here has at most 2 * NORM_BLOCK lattice rows, so G = A* A
-    # is formed and one plan applies it
+    # is formed and one plan applies it, from G's conjugated rows scaled by
+    # 2**-exponent
     m = a.dense()
     gram = m.conj().T @ m
-    assert len(built) == 1
-    assert np.abs(built[0].dense() - gram).max() <= 1e-14 * np.abs(gram).max()
+    [plan], exponent = op._norm_plans(a)
+    built = op.TruncatedOperator(
+        op._Fresh(plan.rows.conj() * 2.0 ** exponent, plan.step), -plan.hi)
+    assert np.abs(built.dense() - gram).max() <= 1e-14 * np.abs(gram).max()
     # the banded iteration stops at the same step: a cap of exactly that many
     # steps (rarely a multiple of the block) suffices, and one fewer does not
     for cap in (steps, steps + 1, steps + op.NORM_BLOCK + 3):
@@ -298,6 +292,36 @@ def test_norm_of_zero_matrix():
     # the first product is zero, so one step decides
     with power_cap(1):
         assert op.operator_norm(z, 1e-10) == 0.0
+
+
+def rough_delta():
+    """[N, T_f] for the rough control's symbol at n = 256: 129 real lattice
+    rows."""
+    from toeplitz_triple.triple import rough_symbol
+    return op.delta(op.toeplitz(rough_symbol(256), 256), 1)
+
+
+def complex_band():
+    """A seeded complex Toeplitz band of 81 diagonals at n = 300."""
+    rng = np.random.default_rng(81)
+    f = FourierSeries({k: complex(*rng.standard_normal(2))
+                       for k in range(-40, 41)})
+    return op.toeplitz(f, 300)
+
+
+@pytest.mark.parametrize("make, values", [
+    (rough_delta, (15.744588636248102, 15.744588629279377)),
+    (complex_band, (34.43806484279293, 34.438064592983004)),
+], ids=["rough_delta", "complex_band"])
+def test_wide_norm_values_are_pinned(make, values):
+    # the values at tol 1e-10 and 1e-9 when each plan of A and A* carried
+    # its own power-of-two scale on its own scaled copy of the rows; the
+    # scale now rides on the one copy, and scaling by a power of two is
+    # exact, so every iterate is the same, bit for bit
+    a = make()
+    assert a.rows.shape[0] > 2 * op.NORM_BLOCK
+    assert len(op._norm_plans(a)[0]) == 2
+    assert (op.operator_norm(a), op.operator_norm(a, 1e-9)) == values
 
 
 @pytest.mark.parametrize("k", [2, 20])

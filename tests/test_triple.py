@@ -11,6 +11,8 @@ from toeplitz_triple.cli import RunConfig, run
 from toeplitz_triple.fourier import FourierSeries, coefficient_distance
 from toeplitz_triple.triple import (
     AlgebraElement,
+    _collar,
+    _sweep_blocks,
     boundedness_sweep,
     delta_absdirac_spot_check,
     evenness_check,
@@ -373,6 +375,54 @@ def test_sweep_delta_of_dz_commutator_for_random_words():
                                        order=order)
             assert report.stabilized
             assert report.trend == "bounded"
+
+
+def generous_blocks(word, which, order, n):
+    """The leading blocks of a sweep target as the sweep cut them at the
+    generous collar ``band_spread + compact_support + order + 4``, with
+    ``delta`` taken of the inflated band."""
+    m = n + word.band_spread() + word.compact_support() + order + 4
+    a = word.realize(m)
+    if which == "dirac":
+        blocks = [op.commutator(op.dz(m), a), op.commutator(op.dz_star(m), a)]
+    elif which == "delta":
+        blocks = [op.delta(a, order)]
+    else:
+        blocks = [op.delta(op.commutator(op.dz(m), a), order)]
+    return [op._columns(x, 0, n) for x in blocks]
+
+
+@pytest.mark.parametrize("which, order", [
+    ("dirac", 1), ("delta", 1), ("delta", 2), ("delta_dz", 1)])
+@pytest.mark.parametrize("n", [64, 128])
+def test_sweep_blocks_are_exact_at_the_sweep_collar(which, order, n):
+    # both are exact, so the leading blocks at the sweep's collar equal
+    # those at the generous one entry for entry
+    words = random_words(np.random.default_rng(7), 40)
+    assert max(_collar(w) for w in words) > 0
+    for word in words:
+        least = _sweep_blocks(word, which, order, n)
+        wide = generous_blocks(word, which, order, n)
+        assert len(least) == len(wide)
+        for x, y in zip(least, wide):
+            assert x.dim == y.dim == n
+            assert (x.lo, x.step) == (y.lo, y.step)
+            assert np.array_equal(x.rows, y.rows)
+
+
+def test_sweep_collar_of_products():
+    t4 = AlgebraElement.toeplitz(FourierSeries.cosine(4))
+    k = AlgebraElement.finite_rank(np.eye(3))
+    assert _collar(t4) == _collar(k) == _collar(t4 + k.adjoint()) == 0
+    # a product adds the reach of its right factor to its factors' collars
+    assert _collar(t4 * k) == 3
+    assert _collar(k * t4) == 4
+    # (k . t4) reaches 4 + (3 + 4) rows past a column
+    assert _collar((t4 * t4) * (k * t4)) == 4 + 4 + 7
+    # a corner block larger than n + collar still fits in the realisation
+    big = AlgebraElement.finite_rank(np.ones((40, 40)))
+    [lead] = _sweep_blocks(big, "delta", 1, 32)
+    assert lead.dim == 32
 
 
 def test_sweep_negative_control_grows():
