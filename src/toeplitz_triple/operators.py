@@ -21,9 +21,9 @@ step of ``operator_norm``, which applies the banded Gram operator ``A* A``
 matrix-vector plans built once per norm, in the band's own dtype, and
 checks its stop rule once per block of steps; only
 ``TruncatedOperator.dense`` forms an ``n x n`` array.  A plan reads the
-rows it is given: the A* plan of a real wide band reads A's own rows, so
-its norm holds one copy of the band, A's transpose (for real data its
-adjoint), which also carries the power-of-two scale of both plans.
+rows it is given: the plans of a wide band, A's and A*'s, both read A's
+own rows, A* conjugating vectors when they are complex, so its norm holds
+no copy of the band, only buffers of NORM_BLOCK rows.
 
 Transient memory is bounded by the lattice rows too: an operation allocates
 its result's lattice once and the new operator adopts it without a copy,
@@ -460,49 +460,98 @@ def delta(x: TruncatedOperator, k: int) -> TruncatedOperator:
     smaller one when the diagonal of offset 0, which it zeroes, was at an
     end of it.
     """
+    return TruncatedOperator(_Fresh(x.rows * _offset_powers(x, k), x.step),
+                             x.lo)
+
+
+def _delta_in_place(x: TruncatedOperator, k: int) -> TruncatedOperator:
+    """``delta(x, k)``, bit for bit, in x's own rows, for a caller that owns
+    x and holds no other reference to it: x gives its rows up and cannot be
+    used again.  Rows that share memory with another array are copied
+    instead."""
+    scale, rows = _offset_powers(x, k), x.rows
+    del x.rows
+    if rows.flags.owndata:
+        rows.setflags(write=True)
+    else:
+        rows = np.array(rows)
+    np.multiply(rows, scale, out=rows)
+    return TruncatedOperator(_Fresh(rows, x.step), x.lo)
+
+
+def _offset_powers(x: TruncatedOperator, k: int) -> np.ndarray:
+    """A column of the offsets of x's stored rows to the k-th power."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    scale = np.array(x._offsets(), dtype=float)[:, None] ** k
-    return TruncatedOperator(_Fresh(x.rows * scale, x.step), x.lo)
+    return np.array(x._offsets(), dtype=float)[:, None] ** k
 
 
 class _MatvecPlan:
-    """``v -> X* v`` from ``rows``, the conjugates of the stored diagonals
-    of X on the lattice ``lo, lo + step, ...``, in O(n * lattice rows).
+    """A matrix-vector product by ``rows``, the stored diagonals of an
+    operator X on the lattice ``lo, lo + step, ...``, in O(n * lattice
+    rows), in one of two directions; ``d_i = lo + i*step`` is the offset of
+    row i.
 
-    Row r of ``X*`` is the conjugate of column r of X, which X's rows store
-    as it is: the rows of the plan are X's conjugated rows, with no shift,
-    on X's lattice of step g.  So ``rows[i, r]`` is the entry
-    ``[r, r - d_i]`` of ``X*`` at offset ``d_i = hi - i*g``, with
-    ``hi = -lo``, 0 where that column is outside ``0..n-1``, and
-    ``(X* v)[r]`` is ``sum_i rows[i, r] * v[r - d_i]``.  The terms
-    ``v[r - d_i]`` for all i form one strided view of a zero-padded row
-    holding v: ``bind`` makes the view once, and each call is one
-    ``einsum``.  The plan keeps ``rows`` as it is given, with no copy and no
-    scale: the plan of a real operator X applies X* from X's own rows
-    (``of``), and the rows of ``A*``'s conjugates, the transpose of A that
-    ``_mirrored`` makes, apply A.  A float64 plan, which real data gives,
-    takes real vectors only.
+    A gather plan applies X's transpose.  Row r of ``Xᵀ`` is column r of X,
+    which X's rows store as it is, with no shift: ``(Xᵀ v)[r]`` is
+    ``sum_i rows[i, r] * v[r + d_i]``, where ``rows[i, r]`` is 0 when row
+    ``r + d_i`` is outside ``0..n-1``.  The terms ``v[r + d_i]`` for all i
+    form one strided view of a zero-padded row holding v: ``bind`` makes
+    the view once, and each call is one ``einsum``.  A ``conjugate`` plan
+    applies ``X* v = conj(Xᵀ conj v)`` from X's rows as they are, and
+    conjugates only vectors; a real one applies ``X* = Xᵀ``.  So the plan
+    of the conjugated rows of X applies X*, and that of X's own rows, from
+    ``of``, does too, with no copy.
+
+    A ``scatter`` plan applies X itself: ``(X v)[r]`` is
+    ``sum_i rows[i, r - d_i] * v[r - d_i]``.  For each chunk of NORM_BLOCK
+    rows, a call multiplies the rows by v, column by column, into a
+    zero-padded buffer and sums the products through one strided view that
+    moves row i by ``d_i`` (see ``_scatter_chunks``).  The chunks run from
+    the highest offset down, each sum starting from the sums so far, so the
+    terms of each entry are added one after another in the order of the
+    gather plan of X's transpose, whose rows ``_mirrored`` makes; no
+    transposed copy of X is formed.  Its result is multiplied by
+    ``2**-exponent``, which is exact.
+
+    The plan keeps ``rows`` as it is given, with no copy.  A float64 plan,
+    which real data gives, takes real vectors only.
     """
 
-    __slots__ = ("rows", "hi", "step", "lead", "trail")
+    __slots__ = ("rows", "lo", "step", "scatter", "conjugate", "exponent",
+                 "lead", "trail", "parts", "product")
 
-    def __init__(self, rows: np.ndarray, lo: int, step: int):
+    def __init__(self, rows: np.ndarray, lo: int, step: int,
+                 scatter: bool = False, conjugate: bool = False,
+                 exponent: int = 0):
         self.rows = rows
-        self.hi, self.step = -lo, step
-        self.lead = max(self.hi, 0)
-        self.trail = max(lo + (rows.shape[0] - 1) * step, 0)
+        self.lo, self.step = lo, step
+        self.scatter, self.conjugate = scatter, conjugate
+        self.exponent = exponent
+        hi = lo + (rows.shape[0] - 1) * step
+        # a scatter plan reads v unpadded; it asks for the padding of the
+        # gather plan of X's transpose, so the vectors of operator_norm
+        # are laid out alike whichever direction applies X
+        self.lead, self.trail = (max(hi, 0), max(-lo, 0)) if scatter else \
+            (max(-lo, 0), max(hi, 0))
+        # the buffers of a scatter plan, which all its calls share
+        self.parts = _scatter_chunks(rows, lo, step, rows.dtype) \
+            if scatter else None
+        self.product = _unfused_product if rows.dtype.kind == "c" else \
+            np.multiply
 
     @classmethod
     def of(cls, x: TruncatedOperator) -> "_MatvecPlan":
-        """The plan applying X*; it holds X's rows themselves when they are
-        real, and their conjugates otherwise."""
-        return cls(x.rows.conj(), x.lo, x.step)
+        """The plan applying X* from X's own rows, conjugating vectors when
+        the rows are complex."""
+        return cls(x.rows, x.lo, x.step, conjugate=x.rows.dtype.kind == "c")
 
     def bind(self, source: np.ndarray, lead: int, target: np.ndarray):
-        """A call that writes ``X* v`` into ``target``, for the v held at
-        ``source[lead:lead + n]``.  ``source`` is one contiguous row, with at
-        least ``self.lead`` zeros before v and ``self.trail`` after it."""
+        """A call that writes the plan's product with v into ``target``, for
+        the v held at ``source[lead:lead + n]``.  ``source`` is one
+        contiguous row, with at least ``self.lead`` zeros before v and
+        ``self.trail`` after it; a conjugating plan conjugates it in
+        place."""
         count, n = self.rows.shape
         size = source.itemsize
         # the view below reads memory unchecked, so the row must cover it
@@ -510,27 +559,103 @@ class _MatvecPlan:
                 lead < self.lead or source.size < lead + n + self.trail:
             raise ValueError("source must be a contiguous row holding the "
                              "vector and the plan's zero padding")
+        if self.scatter:
+            return partial(self._scatter, source[lead:lead + n], target)
         window = np.lib.stride_tricks.as_strided(
-            source[lead - self.hi:], shape=(count, n),
+            source[lead + self.lo:], shape=(count, n),
             strides=(self.step * size, size), writeable=False)
-        return partial(np.einsum, "ij,ij->j", self.rows, window, out=target)
+        product = partial(np.einsum, "ij,ij->j", self.rows, window,
+                          out=target)
+        if not self.conjugate:
+            return product
+        return partial(_conjugated, product, source, target)
+
+    def _scatter(self, v: np.ndarray, target: np.ndarray):
+        """Write ``2**-exponent * X v`` into ``target``."""
+        _add_shifted(self.parts, target, self.product, v)
+        if self.exponent:
+            flat = target.view(np.float64)
+            np.ldexp(flat, -self.exponent, out=flat)
 
 
-def _exponent(rows: np.ndarray) -> int:
-    """The least even e with ``2**e`` above the largest absolute column sum
-    of ``rows``.  The sums are accumulated over chunks of NORM_BLOCK rows,
-    each chunk's reduction starting from the sums so far, so the rows are
-    added one after another as one ``np.abs(rows).sum(axis=0)`` adds them,
-    with no band-sized temporary."""
+def _conjugated(product, source: np.ndarray, target: np.ndarray):
+    """``conj(product(conj source))``, with source conjugated in place."""
+    np.conjugate(source, out=source)
+    product()
+    np.conjugate(target, out=target)
+
+
+def _unfused_product(x: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """``x * v`` for complex x and v, each part of each product made from
+    two real products rounded on their own, as ``einsum`` makes it; the
+    complex ``np.multiply`` may fuse them into one rounding."""
+    np.multiply(x.real, v.real, out=out.real)
+    np.subtract(out.real, x.imag * v.imag, out=out.real)
+    np.multiply(x.real, v.imag, out=out.imag)
+    np.add(out.imag, x.imag * v.real, out=out.imag)
+
+
+def _scatter_chunks(rows: np.ndarray, lo: int, step: int, dtype) -> list:
+    """Buffers for sums over the rows moved by their offsets: for each chunk
+    of up to NORM_BLOCK rows, from the highest offset down, the chunk (its
+    rows in reverse), where its products go, where the sums so far go, and
+    the strided view whose row 0 reads those sums and whose row j reads row
+    j of the products moved right by the offset of its diagonal.
+
+    The chunks share one flat zeroed buffer of rows ``width`` long, each
+    holding its products from ``origin`` on; the view's row pitch is
+    ``width + step``, so it starts lower for a chunk that ends higher.
+    ``width`` keeps every view inside the buffer and makes every entry that
+    a product row of a view reads outside its own products, where ``r - d``
+    is outside ``0..n-1``, a zero that no call writes: the products of the
+    other rows and the sums of every chunk lie outside what it reads."""
     count, n = rows.shape
-    sums = np.zeros(n)
-    part = np.empty((min(count, NORM_BLOCK) + 1, n))
-    for start in range(0, count, NORM_BLOCK):
-        chunk = rows[start:start + NORM_BLOCK]
-        block = part[:len(chunk) + 1]
-        block[0] = sums
-        np.abs(chunk, out=block[1:])
-        block.sum(axis=0, out=sums)
+    hi = lo + (count - 1) * step
+    width = n + max(hi, 0) + max(-lo, 0)
+    origin = max(hi + step, 0)
+    buffer = np.zeros((min(count, NORM_BLOCK) + 1) * width + origin,
+                      dtype=dtype)
+    size = buffer.itemsize
+    parts = []
+    for stop in range(count, 0, -NORM_BLOCK):
+        start = max(stop - NORM_BLOCK, 0)
+        k = stop - start
+        products = buffer[width + origin:(k + 1) * width + origin]
+        # view[j, r] is buffer[j*width + origin + r - d] for the offset d of
+        # row stop - j, and its row 0 the sums at buffer[first:first + n]
+        first = origin - lo - stop * step
+        window = np.lib.stride_tricks.as_strided(
+            buffer[first:], shape=(k + 1, n),
+            strides=((width + step) * size, size), writeable=False)
+        parts.append((rows[start:stop][::-1],
+                      products.reshape(k, width)[:, :n],
+                      buffer[first:first + n], window))
+    return parts
+
+
+def _add_shifted(parts: list, out: np.ndarray, ufunc, *operands) -> None:
+    """Write into ``out`` the sum over the rows of ``_scatter_chunks``, from
+    the highest offset down, of ``ufunc(row, *operands)`` moved right by
+    the row's offset: each chunk's sum starts from the sums so far, so the
+    terms of each entry are added one after another."""
+    out[...] = 0
+    for chunk, products, sums, window in parts:
+        sums[...] = out
+        ufunc(chunk, *operands, out=products)
+        window.sum(axis=0, out=out)
+
+
+def _exponent(rows: np.ndarray, lo: int, step: int) -> int:
+    """The least even e with ``2**e`` above the largest absolute row sum of
+    the operator whose stored diagonals ``rows`` lie at the offsets ``lo,
+    lo + step, ...``; with step 0, which puts every row at offset 0, above
+    the largest absolute column sum of ``rows``.  The sums are added by
+    ``_add_shifted``, with no band-sized temporary.  The exponent bounds
+    the iterates of ``operator_norm``, which any even power of two above
+    the sums scales exactly, so the order of the additions changes no
+    value."""
+    sums = np.zeros(rows.shape[1])
+    _add_shifted(_scatter_chunks(rows, lo, step, np.float64), sums, np.abs)
     exponent = math.frexp(float(sums.max()))[1]
     return exponent + exponent % 2
 
@@ -549,30 +674,27 @@ def _norm_plans(a: TruncatedOperator) -> tuple[list, int]:
 
     When A's lattice has at most ``2 * NORM_BLOCK`` rows, one plan applies
     the Gram operator ``G = A* A``, which is self-adjoint; its rows are a
-    copy of G's, scaled by ``2**-e`` for the least even power of two above
-    their largest absolute row sum, which bounds the 2-norm of a Hermitian
-    G.  Otherwise A is applied and then A*.  The A* plan reads A's own rows
-    (conjugated into one copy when they are complex, since ``einsum``
-    cannot conjugate), and the A plan the rows of ``A*``'s conjugates, the
-    one copy of the band, which carry the scale of both plans,
+    copy of G's, conjugated and scaled by ``2**-e`` for the least even
+    power of two above their largest absolute row sum, which bounds the
+    2-norm of a Hermitian G.  Otherwise a scatter plan applies A and a
+    gather plan A*, both from A's own rows, complex ones too, so the norm
+    holds no copy of the band.  The plan of A scales its result by
     ``2**-(e1 + e2)`` for the even powers above the largest absolute row
-    and column sums of A: ``||A||^2 <= ||A||_1 ||A||_inf``, so a step cannot
-    lengthen the vector.  Scaling by a power of two is exact, so each
-    intermediate vector is ``2**-e2`` times that of plans scaled one by
-    one, and each iterate the same.
+    and column sums of A: ``||A||^2 <= ||A||_1 ||A||_inf``, so a step
+    cannot lengthen the vector.  Scaling by a power of two is exact, so
+    each intermediate vector is ``2**-e2`` times that of plans scaled one
+    by one, and each iterate the same.
     """
     if a.rows.shape[0] <= 2 * NORM_BLOCK:
         g = a.adjoint() @ a
-        exponent = _exponent(g.rows)
+        exponent = _exponent(g.rows, 0, 0)
         # the ufunc returns a new array, for real rows too
         rows = np.conjugate(g.rows)
         _scale(rows, -exponent)
         return [_MatvecPlan(rows, g.lo, g.step)], exponent
-    transposed = _mirrored(a)
-    exponent = _exponent(transposed) + _exponent(a.rows)
-    _scale(transposed, -exponent)
-    return [_MatvecPlan(transposed, -a.band[1], a.step), _MatvecPlan.of(a)], \
-        exponent
+    exponent = _exponent(a.rows, a.lo, a.step) + _exponent(a.rows, 0, 0)
+    return [_MatvecPlan(a.rows, a.lo, a.step, scatter=True,
+                        exponent=exponent), _MatvecPlan.of(a)], exponent
 
 
 def operator_norm(a: TruncatedOperator, tol: float = 1e-10) -> float:
@@ -588,10 +710,11 @@ def operator_norm(a: TruncatedOperator, tol: float = 1e-10) -> float:
     pass over all b lattice rows, so it costs b * k length-n products
     against ``2 * NORM_BLOCK * k`` for the block, and G is formed when
     ``b <= 2 * NORM_BLOCK``.  Otherwise each step applies A and then A*,
-    and the norm holds, besides A, one copy of its band, a real band none
-    other (see ``_norm_plans``).  The iteration runs in the band's dtype: on
-    a float64 band, which real data gives, the iterates are real, and in
-    exact arithmetic it is the same iteration as in complex.
+    both from A's own rows, and the norm holds, besides A, its vectors and
+    buffers of NORM_BLOCK rows, no copy of the band (see ``_norm_plans``).
+    The iteration runs in the band's dtype: on a float64 band, which real
+    data gives, the iterates are real, and in exact arithmetic it is the
+    same iteration as in complex.
 
     Steps run in blocks of up to NORM_BLOCK, written into one array without
     normalisation; the plans carry a power-of-two scale, so the iterates

@@ -431,8 +431,12 @@ def _sweep_blocks(word: AlgebraElement, which: str, order: int,
     them exact: ``_collar(word)``, one more under "dirac" and "delta_dz",
     whose commutators with dz and dz* read one row and column of the word
     past the block.  ``delta`` scales each entry by its offset, so it is
-    taken of the leading block; the inflated band is dropped first, so two
-    bands of the inflated size are never held at once.
+    taken of the leading block, in the rows of that block: the sweep made
+    it, as the realisation itself when there is no collar and as a copy of
+    its leading columns otherwise, and holds the only reference to it.  So
+    a "delta" target of a word without products, such as the rough
+    control, holds one band; with a collar, the inflated band and its
+    leading columns are held together only while they are cut.
     """
     if which not in ("dirac", "delta", "delta_dz"):
         raise ValueError(f"unknown sweep target {which!r}")
@@ -445,12 +449,13 @@ def _sweep_blocks(word: AlgebraElement, which: str, order: int,
     if which == "delta":
         lead = cut(a)
         del a
-        return [op.delta(lead, order)]
+        return [op._delta_in_place(lead, order)]
     # each commutator is dropped once its leading block is cut
     generators = (op.dz, op.dz_star) if which == "dirac" else (op.dz,)
     leads = [cut(op.commutator(g(m), a)) for g in generators]
     del a
-    return leads if which == "dirac" else [op.delta(leads[0], order)]
+    return leads if which == "dirac" else \
+        [op._delta_in_place(leads[0], order)]
 
 
 def _sweep_value(word: AlgebraElement, n: int, which: str,

@@ -262,7 +262,7 @@ def test_banded_norm_follows_the_dense_gram_iteration(n, make, operand, real):
     gram = m.conj().T @ m
     [plan], exponent = op._norm_plans(a)
     built = op.TruncatedOperator(
-        op._Fresh(plan.rows.conj() * 2.0 ** exponent, plan.step), -plan.hi)
+        op._Fresh(plan.rows.conj() * 2.0 ** exponent, plan.step), plan.lo)
     assert np.abs(built.dense() - gram).max() <= 1e-14 * np.abs(gram).max()
     # the banded iteration stops at the same step: a cap of exactly that many
     # steps (rarely a multiple of the block) suffices, and one fewer does not

@@ -410,6 +410,55 @@ def test_sweep_blocks_are_exact_at_the_sweep_collar(which, order, n):
             assert np.array_equal(x.rows, y.rows)
 
 
+@pytest.mark.parametrize("word", [
+    # a word without products, realised with no collar, as the rough control
+    AlgebraElement.toeplitz(FourierSeries.cosine(4)),
+    # a product, whose leading block is a copy of the realisation's columns
+    AlgebraElement.toeplitz(FourierSeries.cosine(4))
+    * AlgebraElement.finite_rank(np.eye(3) * (1 + 2j)),
+], ids=["no_collar", "product"])
+@pytest.mark.parametrize("which", ["delta", "delta_dz"])
+def test_sweep_delta_scales_only_its_own_band(word, which):
+    # the sweep scales by delta, in place, the band that it made itself; a
+    # band the caller holds and the operators outside stay as they were
+    n, order = 96, 2
+    held = word.realize(n)
+    rows = held.rows.copy()
+    boundedness_sweep(word, [n, 2 * n], which, order=order)
+    assert np.array_equal(held.rows, rows)
+    assert not held.rows.flags.writeable
+    [block] = _sweep_blocks(word, which, order, n)
+    m = n + _collar(word) + (which != "delta")
+    inner = word.realize(m)
+    if which == "delta_dz":
+        inner = op.commutator(op.dz(m), inner)
+    expected = op.delta(op._columns(inner, 0, n), order)
+    assert (block.lo, block.step) == (expected.lo, expected.step)
+    assert np.array_equal(block.rows, expected.rows)
+    assert not block.rows.flags.writeable
+    if which == "delta" and _collar(word) == 0:
+        assert np.array_equal(block.rows, op.delta(held, order).rows)
+
+
+def test_delta_in_place_takes_the_rows_over():
+    a = op.toeplitz(FourierSeries.cosine(4), 40) + \
+        op.finite_rank(np.ones((3, 3)) * 1j, 40)
+    expected = op.delta(a, 3)
+    result = op._delta_in_place(a, 3)
+    assert (result.lo, result.step) == (expected.lo, expected.step)
+    assert np.array_equal(result.rows, expected.rows)
+    assert not result.rows.flags.writeable
+    # the operator gave its rows up
+    with pytest.raises(AttributeError):
+        a.rows
+    # rows that share memory with another array are copied, not scaled
+    base = np.array([[1.0, 2.0, 0.0, 0.0]])
+    view = op.TruncatedOperator(op._Fresh(base[:, :]), 2)
+    assert not view.rows.flags.owndata
+    assert np.array_equal(op._delta_in_place(view, 1).rows, 2 * base)
+    assert np.array_equal(base, [[1.0, 2.0, 0.0, 0.0]])
+
+
 def test_sweep_collar_of_products():
     t4 = AlgebraElement.toeplitz(FourierSeries.cosine(4))
     k = AlgebraElement.finite_rank(np.eye(3))
