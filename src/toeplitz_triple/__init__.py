@@ -7,16 +7,16 @@ derivative: commutator formulas, grading relations, polar decomposition,
 integer spectrum, Fredholm index and summability of the resolvent weights.
 
 The package runs OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS``,
-``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set.  Its BLAS and LAPACK calls
-are all small: the ``exp(...) @ cs`` of ``FourierSeries.evaluate`` (1024
-angles) and dense SVDs of dimension at most 64; ``dirac`` solves D's 2 x 2
-blocks in closed form, with neither.  None of them gains from a second thread, while the
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set.  Its BLAS calls are
+small, the largest the ``exp(...) @ cs`` of ``FourierSeries.evaluate`` (1024
+angles), and the command line makes no LAPACK call: ``operator_norm``
+certifies its small norms by a banded bisection, and ``dirac`` solves D's
+2 x 2 blocks in closed form.  No call gains from a second thread, while the
 worker thread that numpy's OpenBLAS starts at import, on a host with two or
 more CPUs, costs about 0.12 s of CPU time in every run of the command line
-(2 vCPU).  The one path that is slower on one thread is the dense-SVD
-fallback that ``operator_norm`` takes when the power iteration stalls.  To
-get threads back, set one of the three variables, or import numpy before the
-package; the variable set here is inherited by child processes.
+(2 vCPU).  To get threads back, set one of the three variables, or import
+numpy before the package; the variable set here is inherited by child
+processes.
 """
 
 import os

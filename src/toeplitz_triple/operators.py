@@ -23,7 +23,10 @@ checks its stop rule once per block of steps; only
 ``TruncatedOperator.dense`` forms an ``n x n`` array.  A plan reads the
 rows it is given: the plans of a wide band, A's and A*'s, both read A's
 own rows, A* conjugating vectors when they are complex, so its norm holds
-no copy of the band, only buffers of NORM_BLOCK rows.
+no copy of the band, only buffers of NORM_BLOCK rows.  The norm's other
+route, at dimension 64 or less and after a stalled iteration, bisects on
+banded LDL* tests of ``A* A`` (the private ``_bisection`` module), which
+also forms no ``n x n`` array.
 
 Transient memory is bounded by the lattice rows too: an operation allocates
 its result's lattice once and the new operator adopts it without a copy,
@@ -82,8 +85,9 @@ __all__ = [
     "rectangular_kernel_dims",
 ]
 
-# Below this dimension operator_norm uses a full singular value decomposition.
-FULL_SVD_DIM = 64
+# Up to this dimension operator_norm takes the certified bisection of
+# ``_bisection.gram_norm``, with no power steps.
+EXACT_NORM_DIM = 64
 POWER_ITERATION_CAP = 10_000
 # operator_norm runs its power steps in blocks of at most NORM_BLOCK steps
 # and about NORM_BLOCK_WORK multiply-adds
@@ -700,9 +704,12 @@ def _norm_plans(a: TruncatedOperator) -> tuple[list, int]:
 def operator_norm(a: TruncatedOperator, tol: float = 1e-10) -> float:
     """Largest singular value.
 
-    Uses a full decomposition for ``dim <= 64``, otherwise power iteration on
-    ``A* A`` started from the normalized all-ones vector (deterministic, so
-    reports are reproducible).  Each step applies matrix-vector plans by
+    For ``dim <= 64`` the value is certified: ``_bisection.gram_norm``
+    brackets the largest eigenvalue of the banded Gram operator ``A* A`` by
+    bisection on banded LDL* tests to within 4 ulps, with no dense matrix
+    and no LAPACK call.  Otherwise it runs power iteration on ``A* A``
+    started from the normalized all-ones vector (deterministic, so reports
+    are reproducible).  Each step applies matrix-vector plans by
     stored diagonals, so it costs O(n * lattice rows) and no ``n x n`` array
     is formed.  The Gram operator ``G = A* A`` is formed once, as a banded
     product, when that costs no more than one block of steps through A and
@@ -730,17 +737,20 @@ def operator_norm(a: TruncatedOperator, tol: float = 1e-10) -> float:
     moves by at most ``tol`` (relative) between steps,
     and the result can then fall short of the norm by far more than ``tol``;
     for ``[N, T_f]`` with ``f = cos(4 theta)`` at n = 128 and ``tol`` 1e-9
-    it is 1.8e-8 relative below the dense SVD value.
+    it is 1.8e-8 relative below the certified value.
     Nearly degenerate top singular values slow the iteration down;
     when POWER_ITERATION_CAP steps do not meet the rule, a warning is logged
-    and the value is that of a full decomposition.  A step whose product is
-    exactly zero ends the iteration with the value 0.
+    and the value is the certified one of ``_bisection.gram_norm``.  A step
+    whose product is exactly zero ends the iteration with the value 0.
     """
     if not math.isfinite(tol) or tol <= 0:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     n = a.dim
-    if n <= FULL_SVD_DIM:
-        return float(np.linalg.svd(a.dense(), compute_uv=False)[0])
+    if n <= EXACT_NORM_DIM:
+        # the bisection, like logging below, is imported on its two paths
+        # only, which keeps it out of the CLI's start-up
+        from . import _bisection
+        return _bisection.gram_norm(a)
     plans, exponent = _norm_plans(a)
     size = max(1, min(NORM_BLOCK,
                       NORM_BLOCK_WORK // sum(p.rows.size for p in plans)))
@@ -787,13 +797,12 @@ def operator_norm(a: TruncatedOperator, tol: float = 1e-10) -> float:
         done += count
         previous = float(sigma[-1])
         np.divide(iterates[count], math.sqrt(squares[count]), out=iterates[0])
-    # logging is imported on this path only, which keeps it out of the
-    # CLI's start-up
     import logging
+    from . import _bisection
     logging.getLogger(__name__).warning(
         "power iteration did not converge within %d iterations at dim %d; "
-        "falling back to a dense SVD", POWER_ITERATION_CAP, n)
-    return float(np.linalg.svd(a.dense(), compute_uv=False)[0])
+        "falling back to a certified bisection", POWER_ITERATION_CAP, n)
+    return _bisection.gram_norm(a)
 
 
 def interior_block(a: TruncatedOperator, margin: int) -> TruncatedOperator:

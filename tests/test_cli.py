@@ -723,7 +723,8 @@ def test_verify_tolerance_reaches_the_six_checks_its_help_names(tmp_path):
 
 
 # loaded only on the paths that need them, so start-up stays light
-LAZY_MODULES = ("logging", "numpy.fft", "scipy", "cmath")
+LAZY_MODULES = ("logging", "numpy.fft", "scipy", "cmath",
+                "toeplitz_triple._bisection")
 
 
 def json_from_child(code, env=os.environ):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toeplitz_triple.fourier import FourierSeries, coefficient_distance
+from toeplitz_triple import _bisection
 from toeplitz_triple import operators as op
 
 
@@ -179,21 +180,21 @@ def test_norm_rejects_bad_tolerance():
 
 
 class Stalled(Exception):
-    """Raised by ``TruncatedOperator.dense`` under ``power_cap``: above
-    dim 64 only the dense-SVD fallback of ``operator_norm`` calls it, so it
-    marks an iteration whose steps did not meet the stop rule."""
+    """Raised by ``_bisection.gram_norm`` under ``power_cap``: above dim 64
+    only the fallback of ``operator_norm`` calls it, so it marks an
+    iteration whose steps did not meet the stop rule."""
 
 
 @contextlib.contextmanager
 def power_cap(cap):
     """``operator_norm`` with at most ``cap`` power steps, raising Stalled
-    where it would fall back to the dense SVD."""
-    def stalled(self):
+    where it would fall back to the certified bisection."""
+    def stalled(a):
         raise Stalled
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(op, "POWER_ITERATION_CAP", cap)
-        patch.setattr(op.TruncatedOperator, "dense", stalled)
+        patch.setattr(_bisection, "gram_norm", stalled)
         yield
 
 
@@ -289,6 +290,7 @@ def test_norm_forms_no_dense_matrix(monkeypatch):
 def test_norm_of_zero_matrix():
     z = op.finite_rank(np.zeros((80, 80)), 80)
     assert op.operator_norm(z) == 0.0
+    assert op.operator_norm(op.finite_rank(np.zeros((3, 3)), 20)) == 0.0
     # the first product is zero, so one step decides
     with power_cap(1):
         assert op.operator_norm(z, 1e-10) == 0.0
@@ -380,6 +382,73 @@ def test_blocked_norm_follows_the_dense_gram_iteration(a, power):
             with power_cap(steps - 1), pytest.raises(Stalled):
                 op.operator_norm(scaled, 1e-9)
     assert value == pytest.approx(expected, rel=1e-12)
+
+
+def dense_norm(a):
+    return float(np.linalg.svd(a.dense(), compute_uv=False)[0])
+
+
+@st.composite
+def lattice_with_corner(draw):
+    """A band on a lattice of step 1 to 5 plus a corner block whose entries
+    lie on the same lattice, real or complex, with n up to 40 or n = 64: the
+    Gram operator keeps the step, so it splits into that many classes."""
+    n = draw(st.one_of(st.integers(1, 40), st.just(op.EXACT_NORM_DIM)))
+    step = draw(st.integers(1, 5))
+    count = draw(st.integers(1, 8))
+    lo = draw(st.integers(-count * step, 4))
+    k = draw(st.integers(0, min(n, 8)))
+    real = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def entries(*shape):
+        x = rng.uniform(-1, 1, shape)
+        return x if real else x + 1j * rng.uniform(-1, 1, shape)
+
+    band = op.TruncatedOperator(op._Fresh(entries(count, n), step), lo)
+    corner = entries(k, k)
+    offsets = np.subtract.outer(np.arange(k), np.arange(k))
+    corner[(offsets - lo) % step != 0] = 0.0
+    return band + op.finite_rank(corner, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_with_corner())
+def test_certified_norm_matches_the_dense_svd(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = op.operator_norm(a)
+    assert value == pytest.approx(dense_norm(a), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("power", [300, -300])
+@pytest.mark.parametrize("n", [40, 64])
+def test_certified_norm_scales_exactly(n, power):
+    # G scales by 2**(2 * power) and its exponent by 2 * power, so the
+    # bisection runs on the same scaled band, bit for bit
+    a = cos4_with_complex_corner(n) + op.commutator(op.dz(n),
+                                                    op.toeplitz(cos4(), n))
+    assert op.operator_norm(a * 2.0 ** power) == \
+        math.ldexp(op.operator_norm(a), power)
+
+
+def test_certified_norm_calls_no_lapack_and_forms_no_matrix(monkeypatch):
+    small = op.commutator(op.dz(64), op.toeplitz(FourierSeries.cosine(8), 64))
+    stalled = op.commutator(op.number(128), op.toeplitz(cos4(), 128))
+    expected = [dense_norm(small), dense_norm(stalled)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(op.TruncatedOperator, "dense", refuse)
+    # a cap of one step stalls the block at dim 128, which then takes the
+    # same route as the one at dim 64
+    monkeypatch.setattr(op, "POWER_ITERATION_CAP", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [op.operator_norm(small), op.operator_norm(stalled)]
+    assert values == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 # ----------------------------------------------------------------------

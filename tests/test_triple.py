@@ -482,7 +482,7 @@ def test_sweep_negative_control_grows():
     assert report.values == sorted(report.values)
 
 
-def test_sweep_logs_svd_fallback(monkeypatch, caplog):
+def test_sweep_logs_bisection_fallback(monkeypatch, caplog):
     # one power step never meets the stop rule, so every section norm above
     # dim 64 runs the real fallback of operator_norm
     monkeypatch.setattr(op, "POWER_ITERATION_CAP", 1)
@@ -491,14 +491,14 @@ def test_sweep_logs_svd_fallback(monkeypatch, caplog):
     # one block per size
     assert [r.getMessage() for r in caplog.records] == [
         f"power iteration did not converge within 1 iterations at dim {size}; "
-        "falling back to a dense SVD" for size in (96, 128)]
-    # the fallback is the full decomposition of the section, which for
-    # [N, T_f] is the commutator of the truncations
+        "falling back to a certified bisection" for size in (96, 128)]
+    # the fallback brackets the norm of the section, which for [N, T_f] is
+    # the commutator of the truncations, to 4 ulps of its square
     f = FourierSeries.cosine(4)
-    assert report.raw_values == [
+    assert report.raw_values == pytest.approx([
         float(np.linalg.svd(op.commutator(op.number(n), op.toeplitz(f, n)).dense(),
                             compute_uv=False)[0])
-        for n in (96, 128)]
+        for n in (96, 128)], rel=1e-14, abs=0.0)
 
 
 def test_sweep_rejects_bad_sizes():
