@@ -34,10 +34,13 @@ column shifts are slices of the rows, and no integer index array of their
 shape is ever formed.  A product loops over the nonzero stored diagonals of
 its right factor, each step vectorised across all rows of the left one, and
 a commutator adds its two products into one result through that loop.  So
-besides its operands an operation holds its result, the partial products
-of one step (at most the left factor's rows) and boolean masks of a
-sixteenth of the rows.  ``delta``, the iterated commutator with N, takes no
-product: it scales each stored diagonal.
+besides its operands an operation holds its result and the partial products
+of one step (at most the left factor's rows).  The constructor zeroes the
+entries outside the matrix by slices of each row and checks the rows finite
+by reductions, so it adds O(n) bytes to the rows it adopts, and
+``interior_deviation`` compares two operators diagonal by diagonal, with no
+copy of either and no difference band.  ``delta``, the iterated commutator
+with N, takes no product: it scales each stored diagonal.
 
 Besides the concrete matrices, ``BandPattern`` describes a weighted shift
 ``e_m -> w(m) e_{m+offset}`` of the semi-infinite model exactly (a polynomial
@@ -95,15 +98,15 @@ NORM_BLOCK = 16
 NORM_BLOCK_WORK = 2 ** 18
 
 
-def _outside(lo: int, step: int, count: int, n: int) -> np.ndarray:
-    """Mask of the lattice entries ``[j, m]`` whose row ``m + lo + j*step``
-    is outside ``0..n-1``, broadcast from a column of offsets and a row of
-    column indices."""
-    offsets = np.arange(lo, lo + count * step, step)[:, None]
-    columns = np.arange(n)
-    mask = columns < -offsets
-    mask |= columns >= n - offsets
-    return mask
+def _finite(rows: np.ndarray) -> bool:
+    """Whether every entry of rows contiguous along their last axis is
+    finite, from the least and greatest real and imaginary parts:
+    reductions that allocate nothing of the rows' shape, and that a NaN
+    turns into NaN."""
+    if rows.size == 0:
+        return True
+    parts = rows.view(np.float64)
+    return math.isfinite(parts.min()) and math.isfinite(parts.max())
 
 
 def _lattice(offsets) -> range:
@@ -163,9 +166,11 @@ class TruncatedOperator:
     which adopts them without a second copy and still zeroes them outside
     the matrix, checks them finite, drops the lattice rows that came out
     zero at either end or on a coarser lattice, and makes them read-only.
-    So an operation holds, besides its operands, its result, in a product
-    or commutator the partial products of one step (at most the left
-    factor's rows), and the boolean masks of those checks.
+    The zeroing writes two slices of each row and the check reads the least
+    and greatest entries, so neither allocates anything of the rows' shape.
+    So an operation holds, besides its operands, its result and, in a
+    product or commutator, the partial products of one step (at most the
+    left factor's rows).
     """
 
     __slots__ = ("lo", "step", "rows")
@@ -183,14 +188,19 @@ class TruncatedOperator:
         count, n = band.shape
         lo = int(lo)
         dtype = np.complex128 if band.dtype.kind == "c" else np.float64
-        # the lattice rows whose offset lies in 1-n..n-1, perhaps none
+        # the lattice rows first..stop-1, whose offsets lie in 1-n..n-1,
+        # perhaps none
         first = max(0, -((lo + n - 1) // step))
-        last = min(count - 1, (n - 1 - lo) // step)
-        if not fresh or first > 0 or last < count - 1 or band.dtype != dtype:
-            band = np.array(band[first:last + 1], dtype=dtype)
+        stop = max(first, min(count, (n - 1 - lo) // step + 1))
+        if not fresh or first > 0 or stop < count or band.dtype != dtype:
+            band = np.array(band[first:stop], dtype=dtype)
         lo += first * step
-        band[_outside(lo, step, band.shape[0], n)] = 0
-        if not np.isfinite(band).all():
+        # the entries whose row m + d is outside 0..n-1, zeroed before the
+        # check, so that input there is dropped whatever it holds
+        for d, row in zip(range(lo, lo + band.shape[0] * step, step), band):
+            row[:max(0, -d)] = 0
+            row[n - max(0, d):] = 0
+        if not _finite(band):
             raise ValueError("matrix entries must be finite")
         used = np.flatnonzero(band.any(axis=1))
         if used.size == 0:
@@ -232,6 +242,13 @@ class TruncatedOperator:
     def _offsets(self):
         """The offset of each stored row, in order."""
         return range(self.lo, self.band[1] + 1, self.step)
+
+    def _row(self, d: int):
+        """The stored diagonal of offset d, or None when d is off the
+        lattice."""
+        j, rest = divmod(d - self.lo, self.step)
+        return self.rows[j] if rest == 0 and 0 <= j < self.rows.shape[0] \
+            else None
 
     def __repr__(self):
         return f"TruncatedOperator(dim={self.dim}, band={self.band})"
@@ -812,20 +829,52 @@ def interior_block(a: TruncatedOperator, margin: int) -> TruncatedOperator:
     a boundary collar whose width is set by the band widths involved; this is
     the tool that removes the collar.
     """
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    if 2 * margin >= a.dim:
-        raise ValueError(f"margin {margin} too large for dim {a.dim}")
+    _check_margin(a, margin)
     if margin == 0:
         return a
     return _columns(a, margin, a.dim - margin)
 
 
+def _check_margin(a: TruncatedOperator, margin: int) -> None:
+    if margin < 0:
+        raise ValueError("margin must be >= 0")
+    if 2 * margin >= a.dim:
+        raise ValueError(f"margin {margin} too large for dim {a.dim}")
+
+
 def interior_deviation(a: TruncatedOperator, b: TruncatedOperator,
                        margin: int) -> float:
-    """Largest entry of ``|a - b|`` on the interior blocks at ``margin``."""
-    diff = interior_block(a, margin) - interior_block(b, margin)
-    return float(np.abs(diff.rows).max())
+    """Largest entry of ``|a - b|`` on the interior blocks at ``margin``.
+
+    Read from both operands' stored rows: for each offset on either
+    lattice, the entries at the interior columns whose row is interior too,
+    a diagonal off a lattice being zero.  Each entry of ``a - b`` rounds
+    once, and abs and max are exact, so the value is that of the difference
+    of the two ``interior_block`` copies, bit for bit, with only one
+    diagonal's difference held at a time.  A difference that is not finite
+    raises the constructor's ValueError.
+    """
+    _check_margin(a, margin)
+    _check_margin(b, margin)
+    n = a.dim
+    if n != b.dim:
+        raise ValueError(f"dimension mismatch: {n - 2 * margin} vs "
+                         f"{b.dim - 2 * margin}")
+    worst = 0.0
+    # the offsets on a's lattice, then those on b's alone
+    for second, (x, y) in enumerate(((a, b), (b, a))):
+        for d, row in zip(x._offsets(), x.rows):
+            other = y._row(d)
+            first, stop = margin + max(0, -d), n - margin - max(0, d)
+            if first >= stop or second and other is not None:
+                continue
+            diff = row[first:stop] if other is None else \
+                row[first:stop] - other[first:stop]
+            top = float(np.abs(diff).max())
+            if not math.isfinite(top) and not _finite(diff):
+                raise ValueError("matrix entries must be finite")
+            worst = max(worst, top)
+    return worst
 
 
 def symbol_estimate(a: TruncatedOperator, max_freq: int) -> FourierSeries:

@@ -351,9 +351,9 @@ def test_doubled_space_scales_with_the_band():
 
 @pytest.mark.parametrize("make, bound", [
     # 2 rows of 2n entries; the input band was realised beforehand
-    (lambda n, a: represent(a), lambda n, out: 2.0 * held_bytes(out)),
+    (lambda n, a: represent(a), lambda n, out: 1.25 * held_bytes(out)),
     # 2 rows of 2n entries, plus dz and dz*, half of that
-    (lambda n, a: dirac(n), lambda n, out: 2.5 * held_bytes(out)),
+    (lambda n, a: dirac(n), lambda n, out: 1.75 * held_bytes(out)),
     # F keeps 2 rows and |D| 1, but both are scattered into 3-row arrays
     # first, beside D, its 2 x 2 eigensystem and the index arrays of its
     # components: 9.51 times D's stored rows in all.  The bound is taken from
@@ -363,9 +363,11 @@ def test_doubled_space_scales_with_the_band():
 ], ids=["represent", "dirac", "polar_parts"])
 def test_doubled_space_holds_one_band(make, bound):
     # a doubled band is scattered into one array that the operator adopts,
-    # so the peak is those stored rows and the boolean masks of the
-    # constructor's checks, an eighth of them each; a copy of the rows in
-    # the constructor would take it a band higher
+    # and the constructor's checks add O(n) bytes, so the peak is those
+    # stored rows: 1.02 of them for represent, 1.52 for dirac.  The boolean
+    # masks of the checks, an eighth of the rows each, took them to 1.76
+    # and 2.26, and a copy of the rows in the constructor would take them a
+    # band higher
     n = 16384
     a = op.toeplitz(FourierSeries.cosine(16), n)
     tracemalloc.start()
@@ -535,6 +537,105 @@ def test_lattice_operations_match_dense(pair, scalar, k):
         assert not stored_outside(result).any()
 
 
+# ----------------------------------------------------------------------
+# construction and interior comparison
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("lo, step", [
+    (5, 1), (8, 1), (-7, 1), (-30, 1), (5, 4), (-40, 6)],
+    ids=["just_below", "far_below", "just_above", "far_above",
+         "below_on_a_lattice", "above_on_a_lattice"])
+def test_diagonals_beyond_the_matrix_give_zero(lo, step):
+    # every offset of the 3 rows lies beyond +-(n-1) = +-4, so no row is
+    # kept; NaN there is dropped with the rest
+    n = 5
+    for rows in (np.ones((3, n)), np.full((3, n), np.nan),
+                 np.full((3, n), 1j)):
+        a = op.TruncatedOperator(op._Fresh(rows, step), lo)
+        assert (a.lo, a.step, a.band) == (0, 1, (0, 0))
+        assert a.rows.shape == (1, n) and not a.rows.any()
+        assert a.rows.dtype == rows.dtype
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 3), (1, 0), (2, 3)])
+def test_non_finite_entries_inside_are_refused(bad, where):
+    # rows at offsets -1, 0 and 1: each entry named is inside the matrix
+    rows = np.ones((3, 5))
+    rows[where] = bad
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        op.TruncatedOperator(rows, -1)
+    # a complex band whose only bad value is an imaginary part
+    rows = np.ones((3, 5), dtype=complex)
+    rows[where] = complex(1.0, bad)
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        op.TruncatedOperator(rows, -1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
+                                 complex(np.inf, 1.0)])
+def test_non_finite_entries_outside_are_zeroed(bad):
+    # rows at offsets -2 to 1: entry [m - 2, m] is outside for m < 2, and
+    # entry [m + 1, m] for m = n - 1
+    n = 5
+    rows = np.ones((4, n), dtype=type(bad))
+    rows[0, :2] = bad
+    rows[3, n - 1] = bad
+    a = op.TruncatedOperator(op._Fresh(rows, 1), -2)
+    expected = np.ones((4, n), dtype=rows.dtype)
+    expected[0, :2] = expected[1, 0] = expected[3, n - 1] = 0
+    assert a.lo == -2
+    assert np.array_equal(a.diagonals, expected)
+
+
+def reference_deviation(a, b, margin):
+    """The deviation from copies of both interior blocks and their
+    difference band."""
+    diff = op.interior_block(a, margin) - op.interior_block(b, margin)
+    return float(np.abs(diff.rows).max())
+
+
+def refusal(call, *args):
+    """The message of the ValueError that a call raises."""
+    with pytest.raises(ValueError) as raised:
+        call(*args)
+    return str(raised.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(sizes, st.booleans(), st.booleans()).flatmap(
+    lambda nrr: st.tuples(on_lattice(nrr[0], nrr[1]),
+                          on_lattice(nrr[0], nrr[2]))), st.data())
+def test_interior_deviation_matches_the_interior_blocks(pair, data):
+    (a, _), (b, _) = pair
+    n = a.dim
+    margin = data.draw(st.integers(0, (n - 1) // 2))
+    # bit for bit
+    assert op.interior_deviation(a, b, margin).hex() == \
+        reference_deviation(a, b, margin).hex()
+    other, _ = data.draw(on_lattice(n + data.draw(st.integers(1, 3)), True))
+    for x, y, m in ((a, other, margin), (other, a, margin), (a, b, -1),
+                    (a, b, (n + 1) // 2), (a, other, (n + 1) // 2)):
+        assert refusal(op.interior_deviation, x, y, m) == \
+            refusal(reference_deviation, x, y, m)
+
+
+def test_interior_deviation_refuses_a_difference_that_is_not_finite():
+    n = 8
+    huge = op.TruncatedOperator(np.full((1, n), 1.5e308), 0)
+    with np.errstate(over="ignore"):
+        for margin in (0, 2):
+            assert refusal(op.interior_deviation, huge, -1.0 * huge,
+                           margin) == refusal(reference_deviation, huge,
+                                              -1.0 * huge, margin)
+        # a finite complex difference whose modulus overflows reads inf, as
+        # the absolute values of the difference band read
+        wide = (1 + 1j) * huge
+        zero = op.TruncatedOperator(np.zeros((1, n)), 0)
+        assert op.interior_deviation(wide, zero, 1) == np.inf
+        assert reference_deviation(wide, zero, 1) == np.inf
+
+
 @pytest.fixture(scope="module")
 def rough_band():
     """The rough control's band at the largest size of the benchmark's
@@ -549,21 +650,24 @@ def rough_band():
     # holds one band of partial products beside it
     (lambda a: op.commutator(op.number(a.dim), a), 2.5),
     # one step per diagonal of a, each holding one diagonal of products
-    (lambda a: op.number(a.dim) @ a, 1.5),
+    (lambda a: op.number(a.dim) @ a, 1.1),
     # one step, holding one band of partial products
     (lambda a: a @ op.number(a.dim), 2.5),
     # each diagonal scaled by its offset squared, straight into the result
-    (lambda a: op.delta(a, 2), 1.5),
-    (lambda a: a - a, 1.5),
-    (lambda a: op.TruncatedOperator(a.diagonals, a.lo), 1.5),
-    (lambda a: a.adjoint(), 2.0),
+    (lambda a: op.delta(a, 2), 1.1),
+    (lambda a: a - a, 1.1),
+    (lambda a: op.TruncatedOperator(a.diagonals, a.lo), 1.1),
+    (lambda a: a.adjoint(), 1.1),
 ], ids=["commutator", "number_times_band", "band_times_number", "delta_2",
         "difference", "constructor", "adjoint"])
 def test_band_operations_hold_about_one_extra_band(rough_band, make, bound):
-    # the result band, masks of a sixteenth of a band and, in a product, the
-    # partial products of one step, at most one band of the left factor's
-    # size; no shifted or gathered copies, no int64 index arrays, no second
-    # product and no second copy of the result
+    # the result band, O(n) bytes of the constructor's checks and, in a
+    # product, the partial products of one step, at most one band of the
+    # left factor's size; no shifted or gathered copies, no int64 index
+    # arrays, no second product and no second copy of the result.  The
+    # operations without partial products peak at 1.01 bands (1.02 for
+    # delta); the two boolean masks of the checks, an eighth of a band
+    # each, took them to 1.30
     tracemalloc.start()
     try:
         make(rough_band)
@@ -571,6 +675,42 @@ def test_band_operations_hold_about_one_extra_band(rough_band, make, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * rough_band.diagonals.nbytes
+
+
+@pytest.mark.parametrize("scale", [1.0, 1j], ids=["real", "complex"])
+def test_constructor_adds_no_array_of_the_rows_shape(rough_band, scale):
+    # the entries outside the matrix are zeroed by slices and the rows are
+    # checked finite by reductions, so fresh rows are adopted with O(n)
+    # bytes beside them; the boolean masks of those checks, an eighth of a
+    # float64 band each, took it to 914 n bytes for the real band
+    rows = scale * rough_band.rows
+    n = rough_band.dim
+    tracemalloc.start()
+    try:
+        a = op.TruncatedOperator(op._Fresh(rows, rough_band.step),
+                                 rough_band.lo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.rows is rows
+    assert peak <= 64 * n
+
+
+@pytest.mark.parametrize("scale", [1.0, 1j], ids=["real", "complex"])
+def test_interior_deviation_adds_no_band(rough_band, scale):
+    # one difference of two diagonals and its absolute values at a time; the
+    # copies of both interior blocks, their difference band and its
+    # absolute values took it to 10092 n bytes for the real bands
+    b = scale * op.delta(rough_band, 1)
+    n = rough_band.dim
+    tracemalloc.start()
+    try:
+        value = op.interior_deviation(rough_band, b, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value > 0
+    assert peak <= 64 * n
 
 
 @pytest.mark.parametrize("make", [
@@ -611,17 +751,20 @@ def rough_sweep_peak(sizes):
 
 def test_rough_sweep_holds_about_one_band():
     # a word without products is exact at collar 0, so the sweep realises
-    # the rough band at n and scales it by delta in place, beside the
-    # boolean masks of the constructor's checks; the norm then reads the
-    # band itself, with buffers of NORM_BLOCK rows (1.39 bands).  It held
-    # 2.38 when delta wrote a scaled copy beside the band and the norm kept
-    # a transposed copy for its plan of A
-    assert rough_sweep_peak([512, 768]) <= 1.6
+    # the rough band at n and scales it by delta in place, and the
+    # constructor zeroes and checks the band with O(n) bytes beside it; the
+    # norm then reads the band itself, with buffers of NORM_BLOCK rows
+    # (1.25 bands).  It held 1.39 with the boolean masks of the
+    # constructor's checks, an eighth of a band each, and 2.38 when delta
+    # also wrote a scaled copy beside the band and the norm kept a
+    # transposed copy for its plan of A
+    assert rough_sweep_peak([512, 768]) <= 1.3
 
 
 def test_rough_sweep_at_scale_holds_about_one_band():
-    # 1.27 bands, 2.28 with delta's copy and the transposed band
-    assert rough_sweep_peak([1024, 2048]) <= 1.5
+    # 1.06 bands, 1.27 with the constructor's masks and 2.28 with delta's
+    # copy and the transposed band as well
+    assert rough_sweep_peak([1024, 2048]) <= 1.2
 
 
 # ----------------------------------------------------------------------
