@@ -253,15 +253,22 @@ class _Rotations:
     def apply(self, values: np.ndarray) -> np.ndarray:
         # V diag(f) V* entry by entry: c^2 f1 + s^2 f2 and s^2 f1 + c^2 f2 on
         # the diagonal, c s (f2 - f1) off it, so equal values give an exactly
-        # zero off-diagonal and, where c == |s|, opposite ones an exactly zero
-        # diagonal
+        # zero off-diagonal.  Where |c| == |s|, as in every block of D, c^2,
+        # s^2 and c s are +-1/2 rounded; taken as +-1/2 exactly, in place,
+        # they make the entries (f1 + f2)/2 and +-(f2 - f1)/2, one rounding
+        # and an exact halving each, so |D| and F come out exact
         c, s = self.c, self.s
-        cc, ss = c * c, s * s
+        even = np.abs(c) == np.abs(s)
+
+        def halved(product):
+            return np.copysign(0.5, product, out=product, where=even)
+
+        cc, ss = halved(c * c), halved(s * s)
         low, high = values.T
         out = np.empty((len(c), 2, 2), dtype=values.dtype)
         out[:, 0, 0] = cc * low + ss * high
         out[:, 1, 1] = ss * low + cc * high
-        out[:, 0, 1] = out[:, 1, 0] = c * s * (high - low)
+        out[:, 0, 1] = out[:, 1, 0] = halved(c * s) * (high - low)
         return out
 
 
@@ -388,9 +395,11 @@ def polar_parts(n: int) -> tuple[op.TruncatedOperator, op.TruncatedOperator]:
     offsets between indices of one component (-3, 0 and 3 for D), and the
     operators keep the rows that came out nonzero.  D's 2 x 2 blocks
     ``[[0, k], [k, 0]]`` are solved in closed form with ``c == s`` and
-    eigenvalues exactly ``-k`` and ``k``, so each block of |D| has an off-
-    diagonal of exactly 0 and each block of F a diagonal of exactly 0: |D|
-    is diagonal, stored as 1 row, and F has offsets -3 and 3, as 2 rows.
+    eigenvalues exactly ``-k`` and ``k``, and their entries are written as
+    exact halves (see ``_Rotations.apply``), so |D| is ``diag(N + 1, N)``
+    and F is ``[[0, S*], [S, 0]]`` bit for bit, but for the spurious zero
+    mode: |D| is diagonal, stored as 1 row, and F has offsets -3 and 3, as
+    2 rows.
     """
     parts = _eigensystem(dirac(n))
     top = max(np.abs(part.w).max() for part in parts)

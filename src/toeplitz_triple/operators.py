@@ -20,13 +20,15 @@ step of ``operator_norm``, which applies the banded Gram operator ``A* A``
 (or A and then A*, for wide bands) by stored diagonals through
 matrix-vector plans built once per norm, in the band's own dtype, and
 checks its stop rule once per block of steps; only
-``TruncatedOperator.dense`` forms an ``n x n`` array.  A plan reads the
-rows it is given: the plans of a wide band, A's and A*'s, both read A's
-own rows, A* conjugating vectors when they are complex, so its norm holds
-no copy of the band, only buffers of NORM_BLOCK rows.  The norm's other
-route, at dimension 64 or less and after a stalled iteration, bisects on
-banded LDL* tests of ``A* A`` (the private ``_bisection`` module), which
-also forms no ``n x n`` array.
+``TruncatedOperator.dense`` forms an ``n x n`` array.  A plan is one
+``einsum`` over a strided view of the rows it is given and one of a
+zero-padded vector: the plans of a wide band, A's and A*'s, both read A's
+own rows, A through a skewed view and A* conjugating vectors when they are
+complex, so its norm holds no copy of the band and no buffer besides its
+vectors and A's row and column sums.  The norm's other route, at dimension
+64 or less and after a stalled iteration, bisects on banded LDL* tests of
+``A* A`` (the private ``_bisection`` module), which also forms no
+``n x n`` array.
 
 Transient memory is bounded by the lattice rows too: an operation allocates
 its result's lattice once and the new operator adopts it without a copy,
@@ -192,7 +194,9 @@ class TruncatedOperator:
         # perhaps none
         first = max(0, -((lo + n - 1) // step))
         stop = max(first, min(count, (n - 1 - lo) // step + 1))
-        if not fresh or first > 0 or stop < count or band.dtype != dtype:
+        # the rows are kept C-contiguous, as the views of _MatvecPlan read
+        if not fresh or first > 0 or stop < count or band.dtype != dtype \
+                or not band.flags.c_contiguous:
             band = np.array(band[first:stop], dtype=dtype)
         lo += first * step
         # the entries whose row m + d is outside 0..n-1, zeroed before the
@@ -508,13 +512,13 @@ def _offset_powers(x: TruncatedOperator, k: int) -> np.ndarray:
 
 
 class _MatvecPlan:
-    """A matrix-vector product by ``rows``, the stored diagonals of an
-    operator X on the lattice ``lo, lo + step, ...``, in O(n * lattice
-    rows), in one of two directions; ``d_i = lo + i*step`` is the offset of
-    row i.
+    """A matrix-vector product by ``rows``, the C-contiguous stored diagonals
+    of an operator X on the lattice ``lo, lo + step, ...``, in O(n * lattice
+    rows), as one ``einsum`` over two strided views with no buffers; ``d_i =
+    lo + i*step`` is the offset of row i.
 
-    A gather plan applies X's transpose.  Row r of ``Xᵀ`` is column r of X,
-    which X's rows store as it is, with no shift: ``(Xᵀ v)[r]`` is
+    By default the plan applies X's transpose.  Row r of ``Xᵀ`` is column r
+    of X, which X's rows store as it is, with no shift: ``(Xᵀ v)[r]`` is
     ``sum_i rows[i, r] * v[r + d_i]``, where ``rows[i, r]`` is 0 when row
     ``r + d_i`` is outside ``0..n-1``.  The terms ``v[r + d_i]`` for all i
     form one strided view of a zero-padded row holding v: ``bind`` makes
@@ -524,42 +528,45 @@ class _MatvecPlan:
     of the conjugated rows of X applies X*, and that of X's own rows, from
     ``of``, does too, with no copy.
 
-    A ``scatter`` plan applies X itself: ``(X v)[r]`` is
-    ``sum_i rows[i, r - d_i] * v[r - d_i]``.  For each chunk of NORM_BLOCK
-    rows, a call multiplies the rows by v, column by column, into a
-    zero-padded buffer and sums the products through one strided view that
-    moves row i by ``d_i`` (see ``_scatter_chunks``).  The chunks run from
-    the highest offset down, each sum starting from the sums so far, so the
-    terms of each entry are added one after another in the order of the
-    gather plan of X's transpose, whose rows ``_mirrored`` makes; no
-    transposed copy of X is formed.  Its result is multiplied by
-    ``2**-exponent``, which is exact.
+    A ``direct`` plan applies X itself: ``(X v)[r]`` is
+    ``sum_i rows[i, r - d_i] * v[r - d_i]``.  Row j of its view of the
+    rows reads row ``i = count - 1 - j`` moved right by ``d_i``: a skewed
+    view of the rows with row pitch ``step - n``, starting at the highest
+    offset, beside the view of v with pitch ``step``.  So each entry adds
+    its terms from the highest offset down, in the order of the plan of
+    X's transpose, whose rows ``_mirrored`` makes, and no transposed copy
+    of X is formed.  For the output rows r in ``max(lo, 0)`` to
+    ``n + min(hi, 0) - 1``, where hi is the highest offset, every entry the
+    skewed view reads lies inside the rows, and a term whose column
+    ``r - d_i`` is outside the matrix multiplies a stored entry of another
+    column, finite as the constructor makes every one, by a zero of the
+    padding.  No term reaches the other rows, which each call writes as 0.
+    The result is multiplied by ``2**-exponent``, which is exact.
 
     The plan keeps ``rows`` as it is given, with no copy.  A float64 plan,
     which real data gives, takes real vectors only.
     """
 
-    __slots__ = ("rows", "lo", "step", "scatter", "conjugate", "exponent",
-                 "lead", "trail", "parts", "product")
+    __slots__ = ("rows", "lo", "step", "direct", "conjugate", "exponent",
+                 "lead", "trail")
 
     def __init__(self, rows: np.ndarray, lo: int, step: int,
-                 scatter: bool = False, conjugate: bool = False,
+                 direct: bool = False, conjugate: bool = False,
                  exponent: int = 0):
+        count, n = rows.shape
+        hi = lo + (count - 1) * step
+        # the views of ``bind`` read the rows unchecked, as one block whose
+        # rows lie inside the matrix
+        if not rows.flags.c_contiguous or lo <= -n or hi >= n:
+            raise ValueError("a plan needs C-contiguous rows at offsets "
+                             "inside the matrix")
         self.rows = rows
         self.lo, self.step = lo, step
-        self.scatter, self.conjugate = scatter, conjugate
+        self.direct, self.conjugate = direct, conjugate
         self.exponent = exponent
-        hi = lo + (rows.shape[0] - 1) * step
-        # a scatter plan reads v unpadded; it asks for the padding of the
-        # gather plan of X's transpose, so the vectors of operator_norm
-        # are laid out alike whichever direction applies X
-        self.lead, self.trail = (max(hi, 0), max(-lo, 0)) if scatter else \
+        # the zeros that the view of v needs before and after it
+        self.lead, self.trail = (max(hi, 0), max(-lo, 0)) if direct else \
             (max(-lo, 0), max(hi, 0))
-        # the buffers of a scatter plan, which all its calls share
-        self.parts = _scatter_chunks(rows, lo, step, rows.dtype) \
-            if scatter else None
-        self.product = _unfused_product if rows.dtype.kind == "c" else \
-            np.multiply
 
     @classmethod
     def of(cls, x: TruncatedOperator) -> "_MatvecPlan":
@@ -575,28 +582,45 @@ class _MatvecPlan:
         place."""
         count, n = self.rows.shape
         size = source.itemsize
-        # the view below reads memory unchecked, so the row must cover it
+        # the view of v reads memory unchecked, so the row must cover it
         if source.ndim != 1 or source.strides[0] != size or \
                 lead < self.lead or source.size < lead + n + self.trail:
             raise ValueError("source must be a contiguous row holding the "
                              "vector and the plan's zero padding")
-        if self.scatter:
-            return partial(self._scatter, source[lead:lead + n], target)
+        if self.direct:
+            hi = self.lo + (count - 1) * self.step
+            first, stop = max(self.lo, 0), n + min(hi, 0)
+            start, pitch, shift = (count - 1) * n - hi + first, \
+                self.step - n, first - hi
+        else:
+            first, stop, start, pitch, shift = 0, n, 0, n, self.lo
+        shape, item = (count, stop - first), self.rows.itemsize
+        rows = np.lib.stride_tricks.as_strided(
+            self.rows.reshape(-1)[start:], shape=shape,
+            strides=(pitch * item, item), writeable=False)
         window = np.lib.stride_tricks.as_strided(
-            source[lead + self.lo:], shape=(count, n),
+            source[lead + shift:], shape=shape,
             strides=(self.step * size, size), writeable=False)
-        product = partial(np.einsum, "ij,ij->j", self.rows, window,
-                          out=target)
-        if not self.conjugate:
-            return product
-        return partial(_conjugated, product, source, target)
+        product = partial(np.einsum, "ij,ij->j", rows, window,
+                          out=target[first:stop])
+        if self.direct:
+            product = partial(_direct, product, target, first, stop,
+                              self.exponent)
+        if self.conjugate:
+            product = partial(_conjugated, product, source, target)
+        return product
 
-    def _scatter(self, v: np.ndarray, target: np.ndarray):
-        """Write ``2**-exponent * X v`` into ``target``."""
-        _add_shifted(self.parts, target, self.product, v)
-        if self.exponent:
-            flat = target.view(np.float64)
-            np.ldexp(flat, -self.exponent, out=flat)
+
+def _direct(product, target: np.ndarray, first: int, stop: int,
+            exponent: int):
+    """Zero ``target`` outside ``first..stop-1``, run ``product``, which
+    writes inside, and multiply the whole by ``2**-exponent``."""
+    target[:first] = 0
+    target[stop:] = 0
+    product()
+    if exponent:
+        flat = target.view(np.float64)
+        np.ldexp(flat, -exponent, out=flat)
 
 
 def _conjugated(product, source: np.ndarray, target: np.ndarray):
@@ -606,77 +630,22 @@ def _conjugated(product, source: np.ndarray, target: np.ndarray):
     np.conjugate(target, out=target)
 
 
-def _unfused_product(x: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
-    """``x * v`` for complex x and v, each part of each product made from
-    two real products rounded on their own, as ``einsum`` makes it; the
-    complex ``np.multiply`` may fuse them into one rounding."""
-    np.multiply(x.real, v.real, out=out.real)
-    np.subtract(out.real, x.imag * v.imag, out=out.real)
-    np.multiply(x.real, v.imag, out=out.imag)
-    np.add(out.imag, x.imag * v.real, out=out.imag)
-
-
-def _scatter_chunks(rows: np.ndarray, lo: int, step: int, dtype) -> list:
-    """Buffers for sums over the rows moved by their offsets: for each chunk
-    of up to NORM_BLOCK rows, from the highest offset down, the chunk (its
-    rows in reverse), where its products go, where the sums so far go, and
-    the strided view whose row 0 reads those sums and whose row j reads row
-    j of the products moved right by the offset of its diagonal.
-
-    The chunks share one flat zeroed buffer of rows ``width`` long, each
-    holding its products from ``origin`` on; the view's row pitch is
-    ``width + step``, so it starts lower for a chunk that ends higher.
-    ``width`` keeps every view inside the buffer and makes every entry that
-    a product row of a view reads outside its own products, where ``r - d``
-    is outside ``0..n-1``, a zero that no call writes: the products of the
-    other rows and the sums of every chunk lie outside what it reads."""
-    count, n = rows.shape
-    hi = lo + (count - 1) * step
-    width = n + max(hi, 0) + max(-lo, 0)
-    origin = max(hi + step, 0)
-    buffer = np.zeros((min(count, NORM_BLOCK) + 1) * width + origin,
-                      dtype=dtype)
-    size = buffer.itemsize
-    parts = []
-    for stop in range(count, 0, -NORM_BLOCK):
-        start = max(stop - NORM_BLOCK, 0)
-        k = stop - start
-        products = buffer[width + origin:(k + 1) * width + origin]
-        # view[j, r] is buffer[j*width + origin + r - d] for the offset d of
-        # row stop - j, and its row 0 the sums at buffer[first:first + n]
-        first = origin - lo - stop * step
-        window = np.lib.stride_tricks.as_strided(
-            buffer[first:], shape=(k + 1, n),
-            strides=((width + step) * size, size), writeable=False)
-        parts.append((rows[start:stop][::-1],
-                      products.reshape(k, width)[:, :n],
-                      buffer[first:first + n], window))
-    return parts
-
-
-def _add_shifted(parts: list, out: np.ndarray, ufunc, *operands) -> None:
-    """Write into ``out`` the sum over the rows of ``_scatter_chunks``, from
-    the highest offset down, of ``ufunc(row, *operands)`` moved right by
-    the row's offset: each chunk's sum starts from the sums so far, so the
-    terms of each entry are added one after another."""
-    out[...] = 0
-    for chunk, products, sums, window in parts:
-        sums[...] = out
-        ufunc(chunk, *operands, out=products)
-        window.sum(axis=0, out=out)
-
-
 def _exponent(rows: np.ndarray, lo: int, step: int) -> int:
     """The least even e with ``2**e`` above the largest absolute row sum of
     the operator whose stored diagonals ``rows`` lie at the offsets ``lo,
     lo + step, ...``; with step 0, which puts every row at offset 0, above
-    the largest absolute column sum of ``rows``.  The sums are added by
-    ``_add_shifted``, with no band-sized temporary.  The exponent bounds
-    the iterates of ``operator_norm``, which any even power of two above
-    the sums scales exactly, so the order of the additions changes no
-    value."""
-    sums = np.zeros(rows.shape[1])
-    _add_shifted(_scatter_chunks(rows, lo, step, np.float64), sums, np.abs)
+    the largest absolute column sum of ``rows``.  The sums are added one
+    stored row at a time, with no band-sized temporary.  The exponent
+    bounds the iterates of ``operator_norm``, which any even power of two
+    above the sums scales exactly, so the order of the additions changes
+    no value."""
+    n = rows.shape[1]
+    sums = np.zeros(n)
+    for i, row in enumerate(rows):
+        # entry [r, r - d] of the diagonal of offset d is in row r's sum
+        d = lo + i * step
+        first, stop = max(d, 0), n + min(d, 0)
+        sums[first:stop] += np.abs(row[first - d:stop - d])
     exponent = math.frexp(float(sums.max()))[1]
     return exponent + exponent % 2
 
@@ -697,9 +666,9 @@ def _norm_plans(a: TruncatedOperator) -> tuple[list, int]:
     the Gram operator ``G = A* A``, which is self-adjoint; its rows are a
     copy of G's, conjugated and scaled by ``2**-e`` for the least even
     power of two above their largest absolute row sum, which bounds the
-    2-norm of a Hermitian G.  Otherwise a scatter plan applies A and a
-    gather plan A*, both from A's own rows, complex ones too, so the norm
-    holds no copy of the band.  The plan of A scales its result by
+    2-norm of a Hermitian G.  Otherwise a direct plan applies A and a plan
+    of A's transpose A*, both from A's own rows, complex ones too, so the
+    norm holds no copy of the band.  The plan of A scales its result by
     ``2**-(e1 + e2)`` for the even powers above the largest absolute row
     and column sums of A: ``||A||^2 <= ||A||_1 ||A||_inf``, so a step
     cannot lengthen the vector.  Scaling by a power of two is exact, so
@@ -714,7 +683,7 @@ def _norm_plans(a: TruncatedOperator) -> tuple[list, int]:
         _scale(rows, -exponent)
         return [_MatvecPlan(rows, g.lo, g.step)], exponent
     exponent = _exponent(a.rows, a.lo, a.step) + _exponent(a.rows, 0, 0)
-    return [_MatvecPlan(a.rows, a.lo, a.step, scatter=True,
+    return [_MatvecPlan(a.rows, a.lo, a.step, direct=True,
                         exponent=exponent), _MatvecPlan.of(a)], exponent
 
 
@@ -735,7 +704,8 @@ def operator_norm(a: TruncatedOperator, tol: float = 1e-10) -> float:
     against ``2 * NORM_BLOCK * k`` for the block, and G is formed when
     ``b <= 2 * NORM_BLOCK``.  Otherwise each step applies A and then A*,
     both from A's own rows, and the norm holds, besides A, its vectors and
-    buffers of NORM_BLOCK rows, no copy of the band (see ``_norm_plans``).
+    A's row and column sums, no copy of the band and no buffer of its rows
+    (see ``_norm_plans``).
     The iteration runs in the band's dtype: on a float64 band, which real
     data gives, the iterates are real, and in exact arithmetic it is the
     same iteration as in complex.

@@ -53,7 +53,9 @@ STABILIZATION_TOL = 1e-6  # relative change of the last two sweep values
 GROWTH_TOL = 1e-2
 NORM_TOL = 1e-9  # relative stop rule of the section norms
 WEDGE_TOLERANCE = 1e-9  # of the generator guard and verify's wedge_gluing
-ABSDIRAC_TOLERANCE = 1e-10  # looser: |D| comes from an eigensolve
+# |D| comes out exact (see dirac.polar_parts), so the spot check could decide
+# exactly; the tolerance stays until that change (ROADMAP item 16)
+ABSDIRAC_TOLERANCE = 1e-10
 # membership_check's tolerance of the estimated symbol's wedge check, of its
 # distance to the exact symbol and of the compact part's symbol
 MEMBERSHIP_TOLERANCE = 1e-8
@@ -291,7 +293,7 @@ def delta_absdirac_spot_check(f: FourierSeries, n: int) -> VerificationReport:
 
     |D| = diag(N+1, N) and the +1 drops out of commutators, so
     [|D|, a (+) a] should be block diagonal with both blocks equal to
-    [N, a] = -i T_{f'}; |D| is formed numerically from the eigensystem of D.
+    [N, a] = -i T_{f'}; |D| is formed from the eigensystem of D, exactly.
     """
     margin = _margin(None, f.bandwidth + 1, n, "bandwidth + 1")
     _, absd = polar_parts(n)

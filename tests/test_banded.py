@@ -194,9 +194,11 @@ def bound_plan(plan, dtype, pad=3):
 
 
 def applied(plan, v):
-    """``X* v`` through the plan of X."""
+    """The plan's product with v (``X* v`` through the plan of X), written
+    over a target of NaN, so that an entry the call leaves unwritten shows."""
     call, source, body, target = bound_plan(plan, v.dtype)
     source[body] = v
+    target[...] = np.nan
     call()
     return target.copy()
 
@@ -263,11 +265,10 @@ def test_apply_matches_dense_matvec(case, real):
 
 
 @st.composite
-def chunked_cases(draw):
-    """An operator of 17 to 47 stored diagonals, so a scatter plan sums them
-    in two chunks or more, on a lattice of step 1 to 3 wholly below the
-    diagonal (lo > 0), wholly above it (hi < 0) or across it, at n <= 40,
-    real or complex, with a vector of its dtype."""
+def lattice_cases(draw):
+    """An operator of 17 to 47 stored diagonals on a lattice of step 1 to 3
+    wholly below the diagonal (lo > 0), wholly above it (hi < 0) or across
+    it, at n <= 40, real or complex, with two vectors of its dtype."""
     step = draw(st.integers(1, 3))
     # a one-sided lattice of 17 rows needs offsets 1..16*step + 1 inside n
     sides = ("across", "below", "above") if 16 * step + 2 <= 40 else \
@@ -295,24 +296,28 @@ def chunked_cases(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(chunked_cases())
-def test_scatter_plan_applies_a_from_its_own_rows(case):
+@given(lattice_cases())
+def test_direct_plan_applies_a_from_its_own_rows(case):
     a, v, u = case
-    plan = op._MatvecPlan(a.rows, a.lo, a.step, scatter=True)
-    assert len(plan.parts) >= 2
+    plan = op._MatvecPlan(a.rows, a.lo, a.step, direct=True)
     w = applied(plan, v)
     bound = 1e-13 * a.rows.shape[0] * np.abs(v).max()
     assert np.abs(w - a.dense() @ v).max() <= bound
-    # the chunks add each entry's terms from the highest offset down, as
-    # the gather plan of A's transpose adds them, bit for bit
+    # the skewed view adds each entry's terms from the highest offset down,
+    # as the plan of A's transpose adds them, bit for bit
     transposed = op._MatvecPlan(op._mirrored(a), -a.band[1], a.step)
     assert np.array_equal(w, applied(transposed, v))
-    # the calls share the plan's buffers, and one call leaves nothing that
-    # the next reads
-    assert np.array_equal(applied(plan, u), applied(transposed, u))
-    assert np.array_equal(applied(plan, v), w)
+    # one bound call run on two vectors writes the whole target each time,
+    # the rows that no term reaches as well (a one-sided lattice has them),
+    # and reads nothing that the call before it left
+    call, source, body, target = bound_plan(plan, v.dtype)
+    for x in (u, v):
+        source[body] = x
+        target[...] = np.nan
+        call()
+        assert np.array_equal(target, applied(transposed, x))
     # the power-of-two scale on the result is exact
-    scaled = op._MatvecPlan(a.rows, a.lo, a.step, scatter=True, exponent=6)
+    scaled = op._MatvecPlan(a.rows, a.lo, a.step, direct=True, exponent=6)
     assert np.array_equal(applied(scaled, v), w / 64)
     # the exponents of the norm's scale: even powers of two above the
     # largest absolute row sum of A, and with step 0 above the largest
@@ -323,6 +328,26 @@ def test_scatter_plan_applies_a_from_its_own_rows(case):
         assert exponent % 2 == 0
         assert sums.max() * (1 - 1e-12) < 2.0 ** exponent <= \
             4 * sums.max() * (1 + 1e-12)
+
+
+def test_plan_refuses_rows_it_cannot_view():
+    # a plan reads its rows through views that are not bounds-checked, so
+    # it takes only C-contiguous rows at offsets inside the matrix
+    a = op.toeplitz(FourierSeries({-3: 1.0, 0: 2.0, 5: 0.5}), 12)
+    strided = np.zeros((a.rows.shape[0], 2 * a.dim))[:, ::2]
+    for rows in (np.asfortranarray(a.rows), strided):
+        for direct in (False, True):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                op._MatvecPlan(rows, a.lo, a.step, direct=direct)
+    for lo in (-a.dim, a.dim - 2 * a.step):
+        with pytest.raises(ValueError, match="inside the matrix"):
+            op._MatvecPlan(a.rows, lo, a.step, direct=True)
+    # the constructor keeps adopted rows C-contiguous, so every operator's
+    # norm can view them
+    strided[...] = a.rows
+    b = op.TruncatedOperator(op._Fresh(strided, a.step), a.lo)
+    assert b.rows.flags.c_contiguous
+    assert np.array_equal(b.rows, a.rows)
 
 
 def held_bytes(a):
@@ -719,10 +744,13 @@ def test_interior_deviation_adds_no_band(rough_band, scale):
 ], ids=["real", "complex"])
 def test_wide_norm_holds_no_copy_of_the_band(rough_band, make):
     # besides A, the norm of a band of more than 2 * NORM_BLOCK lattice rows
-    # holds the iterates, A's absolute row and column sums and buffers of
-    # NORM_BLOCK rows: both plans read A's own rows, and a complex A* plan
-    # conjugates vectors, not the band.  The transposed rows of the A plan
-    # took it to 1.05 bands (2.01 for complex data, with a conjugated copy)
+    # holds the iterates and A's absolute row and column sums: both plans
+    # read A's own rows through strided views, A's skewed, and a complex A*
+    # plan conjugates vectors, not the band (0.014 bands real, 0.012
+    # complex).  The buffers of 16 rows through which A was once applied
+    # took it to 0.149 and 0.121, and the transposed rows of the A plan
+    # before them to 1.05 bands (2.01 for complex data, with a conjugated
+    # copy)
     a = make(rough_band)
     tracemalloc.start()
     try:
@@ -730,7 +758,7 @@ def test_wide_norm_holds_no_copy_of_the_band(rough_band, make):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.25 * a.rows.nbytes
+    assert peak <= 0.05 * a.rows.nbytes
 
 
 def rough_sweep_peak(sizes):
@@ -753,17 +781,19 @@ def test_rough_sweep_holds_about_one_band():
     # a word without products is exact at collar 0, so the sweep realises
     # the rough band at n and scales it by delta in place, and the
     # constructor zeroes and checks the band with O(n) bytes beside it; the
-    # norm then reads the band itself, with buffers of NORM_BLOCK rows
-    # (1.25 bands).  It held 1.39 with the boolean masks of the
-    # constructor's checks, an eighth of a band each, and 2.38 when delta
-    # also wrote a scaled copy beside the band and the norm kept a
-    # transposed copy for its plan of A
-    assert rough_sweep_peak([512, 768]) <= 1.3
+    # norm then reads the band itself through strided views, with no buffer
+    # of its rows.  It held 1.25 bands while the norm applied A through
+    # buffers of 16 rows, 1.39 with the boolean masks of the constructor's
+    # checks, an eighth of a band each, and 2.38 when delta also wrote a
+    # scaled copy beside the band and the norm kept a transposed copy for
+    # its plan of A
+    assert rough_sweep_peak([512, 768]) <= 1.2
 
 
 def test_rough_sweep_at_scale_holds_about_one_band():
-    # 1.06 bands, 1.27 with the constructor's masks and 2.28 with delta's
-    # copy and the transposed band as well
+    # 1.02 bands, 1.06 with the norm's buffers of 16 rows, 1.27 with the
+    # constructor's masks as well and 2.28 with delta's copy and the
+    # transposed band too
     assert rough_sweep_peak([1024, 2048]) <= 1.2
 
 

@@ -18,6 +18,7 @@ from toeplitz_triple.dirac import (
     _Rotations,
     _Singletons,
     _cluster_starts,
+    _double,
     analytic_eigenvector,
     block_interior_deviation,
     dirac,
@@ -408,6 +409,26 @@ def test_polar_check_passes_at_64():
     assert report.details["recomposition_interior_deviation"] < 1e-10
     # the boundary collar carries an O(n) artifact the margin removes
     assert report.details["absdirac_full_deviation_with_collar"] > 1.0
+
+
+@pytest.mark.parametrize("n", [64, 768, 16384])
+def test_polar_parts_are_exact(n):
+    # D's blocks [[0, k], [k, 0]] are solved with |c| == |s|, where apply
+    # writes (f1 + f2)/2 and +-(f2 - f1)/2, so |D| is diag(N + 1, N) and F
+    # is [[0, S*], [S, 0]] bit for bit: no margin, no tolerance.  The one
+    # exception is the spurious zero mode, first-summand e_{n-1}, where |D|
+    # is 0.  c^2 k + s^2 k, with c = s = 1/sqrt(2) rounded, left |D|
+    # 7.3e-12 off at n = 16384
+    f, absd = polar_parts(n)
+    top = np.arange(1.0, n + 1)
+    top[-1] = 0.0
+    expected = (
+        _double({(0, 1): op.shift_adjoint(n), (1, 0): op.shift(n)}, n),
+        _double({(0, 0): op.TruncatedOperator(top[None, :], 0),
+                 (1, 1): op.number(n)}, n))
+    for got, want in zip((f, absd), expected):
+        assert (got.lo, got.step) == (want.lo, want.step)
+        assert np.array_equal(got.rows, want.rows)
 
 
 def test_polar_check_preconditions():
