@@ -43,9 +43,9 @@ OUTPUT_DIR_ENV = "TOEPLITZ_TRIPLE_OUTPUT_DIR"
 DEFAULT_N = 256
 DEFAULT_SWEEP_SIZES = [64, 128, 256, 512]
 DEFAULT_INDEX_SIZES = [16, 32, 64, 128]
-# the tolerance of each command that reads --tolerance, when it is absent
-DEFAULT_TOLERANCE = {"spectrum": 1e-10, "verify": 1e-12, "wedge": 1e-9,
-                     "polar": 1e-10}
+# the tolerance of each command that reads --tolerance, when it is absent;
+# spectrum and polar take none, since D's eigensystem, |D| and F are exact
+DEFAULT_TOLERANCE = {"verify": 1e-12, "wedge": 1e-9}
 DEFAULT_POLAR_MARGIN = 2
 # spectrum formats its CSV rows this many at a time
 CSV_CHUNK = 1 << 16
@@ -124,22 +124,18 @@ def _tolerance(cfg: RunConfig) -> float:
 
 
 def cmd_spectrum(cfg: RunConfig):
-    tol = _tolerance(cfg)
-    report = spectrum(dirac(cfg.n), tol)
+    report = spectrum(dirac(cfg.n))
     n = cfg.n
     evals = report.eigenvalues
     # the integers -(n-1)..(n-1) with a double zero, ascending
     expected = np.concatenate((np.arange(-(n - 1), 1), np.arange(n)))
-    rounded = np.rint(evals)
-    ladder_ok = np.array_equal(rounded, expected) and \
-        np.abs(evals - rounded).max() < tol
     max_residual = float(report.residuals.max())
-    nonzero_mults = report.multiplicities[np.abs(report.distinct_values) > 0.5]
+    nonzero_mults = report.multiplicities[report.distinct_values != 0]
     checks = [
-        _check("eigenvalue_ladder", ladder_ok,
+        _check("eigenvalue_ladder", np.array_equal(evals, expected),
                expected="integers -(n-1)..(n-1) with a double zero"),
-        _check("eigenpair_residuals", max_residual < tol,
-               max_residual=max_residual, tolerance=tol),
+        _check("eigenpair_residuals", max_residual == 0.0,
+               max_residual=max_residual, tolerance=0.0),
         _check("single_spurious_zero_mode", len(report.spurious) == 1,
                spurious_indices=report.spurious.tolist()),
         _check("nonzero_multiplicities_one", (nonzero_mults == 1).all()),
@@ -306,8 +302,7 @@ def cmd_wedge(cfg: RunConfig):
 
 def cmd_polar(cfg: RunConfig):
     margin = cfg.margin if cfg.margin is not None else DEFAULT_POLAR_MARGIN
-    tol = _tolerance(cfg)
-    report = polar_check(cfg.n, margin, tol)
+    report = polar_check(cfg.n, margin)
     rows = [(k, repr(v)) for k, v in sorted(report.details.items())]
     return [asdict(report)], ["quantity", "value"], rows, None
 
@@ -434,9 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         return f"tolerance of {what} (default {DEFAULT_TOLERANCE[name]:g})"
 
     command("spectrum", "eigenvalue ladder and residuals", {
-        "--n": size_help, "--svg": svg_help,
-        "--tolerance": tolerance_help(
-            "spectrum", "the eigenvalue ladder and the eigenpair residuals")})
+        "--n": size_help, "--svg": svg_help})
     command("verify", "commutator/grading/membership suite", {
         "--n": size_help,
         "--tolerance": tolerance_help(
@@ -470,9 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--symbol": symbol_help})
     command("polar", "polar decomposition check", {
         "--n": size_help,
-        "--tolerance": tolerance_help(
-            "polar", "the interior deviations of F, |D| and F |D| from "
-                     "their closed forms"),
         "--margin": f"interior margin (default {DEFAULT_POLAR_MARGIN})"})
     return parser
 

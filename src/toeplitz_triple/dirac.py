@@ -19,6 +19,11 @@ have real entries, so their bands are float64, and D's 2 x 2 blocks are
 solved in closed form, by one Jacobi rotation each, with no LAPACK or BLAS
 call.  Only this module knows the order; others compare through
 ``block_interior_deviation``.
+
+D's spectrum, |D| and F come out exact: the eigenvalues are the integers,
+every residual is 0.0 and |D| and F match their closed forms bit for bit.
+So ``spectrum``, ``polar_check`` and ``fredholm_index`` decide exactly,
+with no tolerance.
 """
 
 from __future__ import annotations
@@ -46,14 +51,6 @@ __all__ = [
     "summability_partial_sums",
     "summability_report",
 ]
-
-# The semi-infinite spectrum is integral, so anything inside (-1/2, 1/2)
-# belongs to the zero cluster of a truncation.
-ZERO_WINDOW = 0.5
-
-# Kernel cutoff for forming the polar factor: eigenvalues of D below this
-# fraction of the operator norm are treated as kernel directions.
-PINV_CUTOFF = 1e-8
 
 # Summability partial sums hold at most this many terms at once.
 SUM_CHUNK = 1_000_000
@@ -139,7 +136,8 @@ def analytic_eigenvector(k: int, n: int) -> np.ndarray:
 class SpectrumReport:
     """Eigenvalues, multiplicities and truncation-artifact flags, each a
     one-dimensional numpy array: float64 values, int64 indices and counts.
-    Eight bytes an entry, where Python lists of floats took about 32."""
+    Eight bytes an entry, where Python lists of floats took about 32.  A
+    cluster is a run of equal eigenvalues."""
 
     eigenvalues: np.ndarray      # all 2n, sorted ascending
     residuals: np.ndarray        # per eigenpair, same order
@@ -313,7 +311,7 @@ def _eigensystem(h: op.TruncatedOperator) -> list:
             for size in np.flatnonzero(np.bincount(sizes))]
 
 
-def spectrum(d: op.TruncatedOperator, tol: float = 1e-10) -> SpectrumReport:
+def spectrum(d: op.TruncatedOperator) -> SpectrumReport:
     """Full Hermitian eigendecomposition with the boundary zero mode flagged.
 
     The truncation has the exact eigenvalues ``+-1, ..., +-(n-1)`` once each,
@@ -325,11 +323,14 @@ def spectrum(d: op.TruncatedOperator, tol: float = 1e-10) -> SpectrumReport:
     ``-k`` and ``k`` and residuals computed entry by entry.  A zero mode is
     flagged spurious when its eigenvector vanishes on the second summand,
     where the semi-infinite kernel 0 (+) e_0 lives; it sorts before the true
-    zero mode.  ``tol``, the width of an eigenvalue cluster (at least 1e-9),
-    must be finite and > 0.
+    zero mode.
+
+    Clusters and zero modes are compared exactly: a cluster is a run of
+    equal eigenvalues and a zero mode an eigenvalue equal to 0, which D's
+    closed-form solve satisfies.  A batch solved by ``np.linalg.eigh``
+    (complex components or larger ones) rounds, so its nearly equal
+    eigenvalues count as distinct.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
     evals = np.zeros(d.dim)
     residuals = np.zeros(d.dim)
     on_second = np.zeros(d.dim, dtype=bool)
@@ -338,13 +339,13 @@ def spectrum(d: op.TruncatedOperator, tol: float = 1e-10) -> SpectrumReport:
         residuals[part.idx] = part.residuals()
         # second-summand indices are the odd ones
         on_second[part.idx] = part.reaches(part.idx % 2 == 1)
-    flags = (np.abs(evals) < ZERO_WINDOW) & ~on_second
+    flags = (evals == 0) & ~on_second
     # the true zero mode (index 1) precedes the spurious one (index 2n - 2),
     # so ties go to the flagged mode to keep it first of the double zero
     order = np.lexsort((~flags, evals))
     evals, residuals, flags = evals[order], residuals[order], flags[order]
 
-    starts = _cluster_starts(evals, max(tol, 1e-9))
+    starts = np.flatnonzero(np.concatenate(([True], evals[1:] != evals[:-1])))
     return SpectrumReport(
         eigenvalues=evals,
         residuals=residuals,
@@ -352,32 +353,6 @@ def spectrum(d: op.TruncatedOperator, tol: float = 1e-10) -> SpectrumReport:
         distinct_values=evals[starts],
         multiplicities=np.diff(np.append(starts, len(evals))),
     )
-
-
-def _cluster_starts(evals: np.ndarray, tol: float) -> np.ndarray:
-    """Where each cluster of the ascending ``evals`` starts: a value joins
-    the cluster of the value before it when it lies within ``tol`` of that
-    cluster's first value.
-
-    A gap of more than ``tol`` to the value before always starts a
-    cluster.  Between those starts, a run whose last value lies within
-    ``tol`` of its first is one cluster, since rounding a difference is
-    monotone; only a run that spans more, which the integer ladder of D
-    never has, is scanned value by value.
-    """
-    starts = np.flatnonzero(np.concatenate(([True], ~(np.diff(evals) <= tol))))
-    ends = np.append(starts[1:], len(evals))
-    wide = ~(evals[ends - 1] - evals[starts] <= tol)
-    if not wide.any():
-        return starts
-    more = []
-    for start, end in zip(starts[wide], ends[wide]):
-        first = evals[start]
-        for i in range(start + 1, end):
-            if not evals[i] - first <= tol:
-                more.append(i)
-                first = evals[i]
-    return np.sort(np.concatenate((starts, more)).astype(np.intp))
 
 
 # ----------------------------------------------------------------------
@@ -388,12 +363,13 @@ def polar_parts(n: int) -> tuple[op.TruncatedOperator, op.TruncatedOperator]:
     """(F, |D|) of the polar decomposition D = F |D|.
 
     Both come from the eigensystem of D, one component at a time:
-    ``|D| = V |lambda| V*`` and ``F = V sign(lambda) V*``, where eigenvalues
-    below ``PINV_CUTOFF`` times the operator norm count as kernel and get
-    sign 0, so F vanishes on the kernel of |D|.  Each component's product is
-    scattered into the rows of the smallest offset lattice that holds the
-    offsets between indices of one component (-3, 0 and 3 for D), and the
-    operators keep the rows that came out nonzero.  D's 2 x 2 blocks
+    ``|D| = V |lambda| V*`` and ``F = V sign(lambda) V*``.  D's zero
+    eigenvalues are exactly 0.0 and every other one has modulus at least 1,
+    so ``sign`` alone decides the kernel: F vanishes on the kernel of |D|.
+    Each component's product is scattered into the rows of the smallest
+    offset lattice that holds the offsets between indices of one component
+    (-3, 0 and 3 for D), and the operators keep the rows that came out
+    nonzero.  D's 2 x 2 blocks
     ``[[0, k], [k, 0]]`` are solved in closed form with ``c == s`` and
     eigenvalues exactly ``-k`` and ``k``, and their entries are written as
     exact halves (see ``_Rotations.apply``), so |D| is ``diag(N + 1, N)``
@@ -402,7 +378,6 @@ def polar_parts(n: int) -> tuple[op.TruncatedOperator, op.TruncatedOperator]:
     2 rows.
     """
     parts = _eigensystem(dirac(n))
-    top = max(np.abs(part.w).max() for part in parts)
 
     def offsets(idx):
         # entry [r, c] of a component has offset idx[r] - idx[c]
@@ -415,37 +390,39 @@ def polar_parts(n: int) -> tuple[op.TruncatedOperator, op.TruncatedOperator]:
     f = np.zeros((len(lattice), 2 * n))
     absd = np.zeros_like(f)
     for part in parts:
-        s = np.abs(part.w)
-        sign = np.where(s > PINV_CUTOFF * top, np.sign(part.w), 0.0)
         at = ((offsets(part.idx) - lattice.start) // lattice.step,
               part.idx[:, None, :])
-        f[at] = part.apply(sign)
-        absd[at] = part.apply(s)
+        f[at] = part.apply(np.sign(part.w))
+        absd[at] = part.apply(np.abs(part.w))
     return (op.TruncatedOperator(op._Fresh(f, lattice.step), lattice.start),
             op.TruncatedOperator(op._Fresh(absd, lattice.step),
                                  lattice.start))
 
 
-def polar_check(n: int, margin: int, tol: float = 1e-10) -> VerificationReport:
+def _shift_factor(n: int) -> op.TruncatedOperator:
+    """The closed form ``[[0, S*], [S, 0]]`` of the polar factor F."""
+    return _double({(0, 1): op.shift_adjoint(n), (1, 0): op.shift(n)}, n)
+
+
+def polar_check(n: int, margin: int) -> VerificationReport:
     """Verify D = F |D| with |D| = diag(N+1, N) and F = [[0, S*], [S, 0]].
 
     All comparisons run on interior blocks of each n x n sub-block: the
     boundary column ``e_{n-1}`` of the first summand is corrupted by the
     truncation (its raising image is cut), which turns the last diagonal
-    entry of the N+1 block into a kernel direction.
+    entry of the N+1 block into a kernel direction.  ``polar_parts`` is
+    exact, so the check passes only at deviation 0.0 and reports
+    tolerance 0.0.
     """
     if margin < 1:
         raise ValueError("margin must be >= 1")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if 2 * margin >= n:
         raise ValueError(f"margin {margin} too large for n = {n}")
     f, absd = polar_parts(n)
     num = op.number(n)
     expected_absd = _double({(0, 0): num + op.identity(n), (1, 1): num}, n)
-    expected_f = _double({(0, 1): op.shift_adjoint(n), (1, 0): op.shift(n)}, n)
     dev_absd = block_interior_deviation(absd, expected_absd, margin)
-    dev_f = block_interior_deviation(f, expected_f, margin)
+    dev_f = block_interior_deviation(f, _shift_factor(n), margin)
     dev_rec = block_interior_deviation(f @ absd, dirac(n), margin)
     # full-matrix deviation, collar included: shows the boundary artifact size
     full_absd_dev = block_interior_deviation(absd, expected_absd, 0)
@@ -453,9 +430,9 @@ def polar_check(n: int, margin: int, tol: float = 1e-10) -> VerificationReport:
     worst = max(dev_absd, dev_f, dev_rec)
     return VerificationReport(
         name="polar_decomposition",
-        passed=worst < tol,
+        passed=worst == 0.0,
         max_deviation=worst,
-        tolerance=tol,
+        tolerance=0.0,
         n=n,
         margin=margin,
         details={
@@ -477,17 +454,16 @@ def fredholm_index(n_small: int, n_large: int) -> int:
     The polar factor F that ``polar_parts`` builds from the eigensystem of D
     is matched, all four blocks, against ``[[0, S*], [S, 0]]``, whose
     top-right block maps the negative graded summand to the positive one
-    with the adjoint-shift band pattern.  The index of that pattern is then
-    computed (a) on the semi-infinite pattern and (b) from rectangular
-    truncations at both sizes, both exactly; all three must agree.
+    with the adjoint-shift band pattern; ``polar_parts`` is exact, so any
+    deviation raises.  The index of that pattern is then computed (a) on
+    the semi-infinite pattern and (b) from rectangular truncations at both
+    sizes, both exactly; all three must agree.
     """
     if not (2 <= n_small < n_large):
         raise ValueError("need 2 <= n_small < n_large")
     f, _ = polar_parts(n_small)
-    expected = _double({(0, 1): op.shift_adjoint(n_small),
-                        (1, 0): op.shift(n_small)}, n_small)
-    pattern_dev = block_interior_deviation(f, expected, 0)
-    if pattern_dev > 1e-6:
+    pattern_dev = block_interior_deviation(f, _shift_factor(n_small), 0)
+    if pattern_dev != 0.0:
         raise FredholmIndexError(
             f"polar factor deviates from [[0, S*], [S, 0]] by {pattern_dev:.3e}")
 

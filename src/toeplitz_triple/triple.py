@@ -53,8 +53,11 @@ STABILIZATION_TOL = 1e-6  # relative change of the last two sweep values
 GROWTH_TOL = 1e-2
 NORM_TOL = 1e-9  # relative stop rule of the section norms
 WEDGE_TOLERANCE = 1e-9  # of the generator guard and verify's wedge_gluing
-# |D| comes out exact (see dirac.polar_parts), so the spot check could decide
-# exactly; the tolerance stays until that change (ROADMAP item 16)
+# |D| comes out exact (see dirac.polar_parts), but the fused commutator forms
+# (m + 1) x and m x, which grow with n and cancel, so the spot check rounds:
+# 64 samples of cos 16t + 0.5 cos 8t read 3.6e-15, 5.3e-14 and 2.2e-13 at
+# n = 128, 1024 and 4096, and 1e3 times them 2.3e-10 at n = 4096.
+# Commutators taken by offsets (ROADMAP item 7) would make it exact
 ABSDIRAC_TOLERANCE = 1e-10
 # membership_check's tolerance of the estimated symbol's wedge check, of its
 # distance to the exact symbol and of the compact part's symbol

@@ -39,7 +39,7 @@ def report(number, description, passed):
 
 def test_criterion_01_spectrum():
     n = 256
-    rep = spectrum(dirac(n), tol=1e-10)
+    rep = spectrum(dirac(n))
     expected = sorted(list(range(-(n - 1), n)) + [0])
     ladder = [round(v) for v in rep.eigenvalues] == expected
     close = max(abs(v - round(v)) for v in rep.eigenvalues) < 1e-10

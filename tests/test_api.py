@@ -74,7 +74,7 @@ SIGNATURES = {
     "number": "(n)",
     "operator_norm": "(a, tol=1e-10)",
     "pattern_kernel_dims": "(p)",
-    "polar_check": "(n, margin, tol=1e-10)",
+    "polar_check": "(n, margin)",
     "polar_parts": "(n)",
     "random_words": "(rng, count)",
     "rectangular_kernel_dims": "(p, n)",
@@ -84,7 +84,7 @@ SIGNATURES = {
     "shift_adjoint": "(n)",
     "shift_adjoint_pattern": "()",
     "shift_pattern": "()",
-    "spectrum": "(d, tol=1e-10)",
+    "spectrum": "(d)",
     "summability_partial_sums": "(epsilon, cutoffs)",
     "summability_report": "(epsilon, big_k)",
     "symbol_estimate": "(a, max_freq)",

@@ -35,6 +35,7 @@ from toeplitz_triple.cli import (
     run,
 )
 from toeplitz_triple.dirac import FredholmIndexError
+from toeplitz_triple.dirac import spectrum as dirac_spectrum
 from toeplitz_triple.fourier import FourierSeries, coefficient_distance
 
 
@@ -104,23 +105,40 @@ def test_spectrum_command(tmp_path):
     ET.fromstring((tmp_path / "plot.svg").read_text())  # valid XML
 
 
+@pytest.mark.parametrize("field, index, value, check", [
+    # one ulp above the top of the ladder at n = 16
+    ("eigenvalues", -1, np.nextafter(15.0, 16.0), "eigenvalue_ladder"),
+    ("residuals", 0, 5e-324, "eigenpair_residuals"),
+])
+def test_spectrum_decides_exactly(field, index, value, check, monkeypatch):
+    def changed(d):
+        report = dirac_spectrum(d)
+        getattr(report, field)[index] = value
+        return report
+
+    monkeypatch.setattr(cli, "spectrum", changed)
+    checks, _, _, _ = cli.cmd_spectrum(RunConfig(command="spectrum", n=16))
+    assert [c["name"] for c in checks if not c["passed"]] == [check]
+
+
 # SHA-256 of the files each line writes, with report.json's timestamp
 # emptied and its output directory written as OUT.  They were taken while
 # the spectrum report held Python lists: holding it in arrays and writing
-# the rows in chunks changes no byte
+# the rows in chunks changes no byte.  Deciding exactly changed only the
+# tolerance of eigenpair_residuals in report.json, from 1e-10 to 0.0
 SPECTRUM_DIGESTS = {
     ("spectrum", "--n", "256", "--svg"): {
         "data.csv": "f8a5062fa189db49e35bed2898f18013"
                     "783a8fa01d14e146e1839ce75dd9a15c",
         "plot.svg": "b27f7cfe2d856a652a22795c7bf77ee0"
                     "9ce3ac61edcce56453c0b22a5f36c5a0",
-        "report.json": "0e649ba07a85bbde45525c5cc76a2e55"
-                       "3fe0bee67091647f2331c1d8eae9749e"},
+        "report.json": "a0b25155f3451f458fae4f15794a24ea"
+                       "174f2287a611f748435823ee2d7d40a3"},
     ("spectrum", "--n", "768"): {
         "data.csv": "44f23e3476784d45566a7fcd37771922"
                     "5fcb376e96eac38143ea466febb33d78",
-        "report.json": "e5413a3d07f3b9e73fe4a891488e11df"
-                       "4b3b9fded6b97afae1c2d475625e8589"},
+        "report.json": "244cec27d9720806daaf5a62ae6ac603"
+                       "fce3674dc664216abadfd0b2036c9f71"},
 }
 
 
@@ -528,10 +546,10 @@ def exit_code(argv, tmp_path):
 @pytest.mark.parametrize("argv", [
     # an infinite tolerance used to pass any deviation, and a nan one or a
     # nan epsilon to fail every comparison with exit 1
-    ["polar", "--n", "64", "--tolerance", "inf"],
+    ["verify", "--n", "64", "--tolerance", "inf"],
     ["verify", "--n", "64", "--tolerance", "nan"],
     ["summability", "--epsilon", "nan", "--K", "100"],
-    ["spectrum", "--n", "16", "--tolerance", "0"],
+    ["wedge", "--tolerance", "0"],
     ["wedge", "--tolerance=-1e-9"],
     ["wedge", "--tolerance=-inf"],
     ["summability", "--epsilon", "inf", "--K", "100"],
@@ -539,6 +557,13 @@ def exit_code(argv, tmp_path):
 ])
 def test_bad_tolerance_or_epsilon_is_a_usage_error(argv, tmp_path):
     assert exit_code(argv, tmp_path) == EXIT_USAGE
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "polar"])
+def test_exact_commands_take_no_tolerance(command, tmp_path):
+    # D's eigensystem, |D| and F are exact, so both decide at 0
+    assert exit_code([command, "--tolerance", "1e-10"], tmp_path) == EXIT_USAGE
     assert not (tmp_path / "report.json").exists()
 
 
@@ -583,13 +608,13 @@ def test_smallest_sizes_run(tmp_path):
 
 # the options each command reads, and no others
 SUBCOMMAND_OPTIONS = {
-    "spectrum": {"--n", "--output-dir", "--svg", "--tolerance"},
+    "spectrum": {"--n", "--output-dir", "--svg"},
     "verify": {"--n", "--output-dir", "--tolerance", "--margin", "--symbol"},
     "index": {"--output-dir", "--sizes"},
     "summability": {"--output-dir", "--svg", "--epsilon", "--K"},
     "sweep": {"--output-dir", "--svg", "--symbol", "--sizes", "--rough"},
     "wedge": {"--output-dir", "--svg", "--tolerance", "--symbol"},
-    "polar": {"--n", "--output-dir", "--tolerance", "--margin"},
+    "polar": {"--n", "--output-dir", "--margin"},
 }
 
 
@@ -690,8 +715,6 @@ def test_margin_help_names_the_default_each_command_uses(tmp_path):
 
 
 @pytest.mark.parametrize("command, name", [
-    ("spectrum", "eigenpair_residuals"),
-    ("polar", "polar_decomposition"),
     ("wedge", "wedge_gluing"),
 ])
 def test_tolerance_help_names_the_default_each_command_uses(command, name,

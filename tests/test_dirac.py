@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 from toeplitz_triple import operators as op
 from toeplitz_triple.cli import RunConfig, run
 from toeplitz_triple.dirac import (
-    PINV_CUTOFF,
     SUM_CHUNK,
     FredholmIndexError,
     _eigensystem,
     _Rotations,
     _Singletons,
-    _cluster_starts,
     _double,
     analytic_eigenvector,
     block_interior_deviation,
@@ -119,7 +117,7 @@ def test_doubled_space_is_in_kronecker_order(n):
     # both polar factors against a dense eigensolve of D
     w, v = np.linalg.eigh(dirac(n).dense())
     s = np.abs(w)
-    sign = np.where(s > PINV_CUTOFF * s.max(), np.sign(w), 0.0)
+    sign = np.where(s > 1e-8 * s.max(), np.sign(w), 0.0)
     f, absd = polar_parts(n)
     assert np.abs(f.dense() - (v * sign) @ v.conj().T).max() < 1e-12
     assert np.abs(absd.dense() - (v * s) @ v.conj().T).max() < 1e-12
@@ -225,12 +223,12 @@ def test_eigensystem_reads_components_off_the_matrix():
     assert np.array_equal(part.block[0], path.dense())
 
 
-@pytest.mark.parametrize("n", [2, 8, 64])
+@pytest.mark.parametrize("n", [2, 8, 64, 16384])
 def test_spectrum_ladder(n):
     report = spectrum(dirac(n))
-    assert [round(v) for v in report.eigenvalues] == sorted(
-        list(range(-(n - 1), n)) + [0])
-    assert max(report.residuals) < 1e-10
+    assert np.array_equal(report.eigenvalues, sorted(
+        list(range(-(n - 1), n)) + [0]))
+    assert (report.residuals == 0.0).all()
     assert report.spurious.tolist() == [n - 1]
     assert report.eigenvalues[n - 1] == 0.0
     # the two zero modes are the singleton components: second-summand e_0
@@ -251,6 +249,16 @@ def test_spectrum_flags_only_zero_modes_off_the_second_summand():
     flagged = spectrum(op.TruncatedOperator([[3.0, 1.0, 0.0, -2.0]], 0))
     assert flagged.eigenvalues.tolist() == [-2.0, 0.0, 1.0, 3.0]
     assert flagged.spurious.tolist() == [1]
+
+
+def test_spectrum_clusters_are_runs_of_equal_eigenvalues():
+    # one ulp apart is two clusters, and 5e-324 on first-summand e_0 is no
+    # zero mode, so nothing is flagged
+    above = np.nextafter(1.0, 2.0)
+    report = spectrum(op.TruncatedOperator([[5e-324, 1.0, above, 1.0]], 0))
+    assert report.distinct_values.tolist() == [5e-324, 1.0, above]
+    assert report.multiplicities.tolist() == [1, 2, 1]
+    assert report.spurious.tolist() == []
 
 
 def test_spectrum_n2():
@@ -278,44 +286,11 @@ def test_spectrum_report_holds_arrays():
     assert report.multiplicities.sum() == 32
 
 
-def sequential_clusters(values, tol):
-    """The starts of the clusters as a loop over the values finds them: a
-    value joins the current cluster when it lies within ``tol`` of the
-    cluster's first value."""
-    starts = []
-    for i, v in enumerate(values):
-        if not starts or not abs(v - values[starts[-1]]) <= tol:
-            starts.append(i)
-    return starts
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(-8, 8) | st.sampled_from([0.0, 1.0, 1.5, 2.0]),
-                min_size=1, max_size=40),
-       st.sampled_from([1e-9, 0.25, 0.5, 1.0, 3.0]))
-def test_cluster_starts_follow_the_sequential_rule(values, tol):
-    # runs of small gaps that span more than tol split where the loop
-    # splits them, not at every gap
-    values = np.sort(np.array(values))
-    assert _cluster_starts(values, tol).tolist() == \
-        sequential_clusters(values.tolist(), tol)
-
-
 def test_spectrum_serialization(tmp_path):
     assert run(RunConfig("spectrum", n=4, output_dir=str(tmp_path))) == 0
     lines = (tmp_path / "data.csv").read_text().splitlines()
     assert lines[0] == "index,eigenvalue,residual,spurious"
     assert len(lines) == 9
-
-
-def test_spectrum_rejects_bad_tolerance():
-    # a NaN tolerance split the double zero into two clusters, and an
-    # infinite one put all eight eigenvalues into one
-    for tol in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="tol must be finite and > 0"):
-            spectrum(dirac(4), tol=tol)
-        with pytest.raises(ValueError, match="tol must be finite and > 0"):
-            polar_check(64, 2, tol=tol)
 
 
 # ----------------------------------------------------------------------
@@ -403,12 +378,29 @@ def test_abs_dirac_matches_number_blocks_interior():
 def test_polar_check_passes_at_64():
     report = polar_check(64, 2)
     assert report.passed
-    assert report.max_deviation < 1e-10
-    assert report.details["absdirac_interior_deviation"] < 1e-10
-    assert report.details["factor_interior_deviation"] < 1e-10
-    assert report.details["recomposition_interior_deviation"] < 1e-10
+    assert report.max_deviation == report.tolerance == 0.0
+    assert report.details["absdirac_interior_deviation"] == 0.0
+    assert report.details["factor_interior_deviation"] == 0.0
+    assert report.details["recomposition_interior_deviation"] == 0.0
     # the boundary collar carries an O(n) artifact the margin removes
     assert report.details["absdirac_full_deviation_with_collar"] > 1.0
+
+
+def test_polar_check_fails_one_ulp_off(monkeypatch):
+    def nudged(n):
+        f, absd = polar_parts(n)
+        # one ulp onto first-summand e_{n/2}, well inside the margin, where
+        # |D| holds n/2 + 1
+        bump = np.zeros((1, 2 * n))
+        bump[0, n] = np.spacing(n / 2 + 1)
+        return f, absd + op.TruncatedOperator(bump, 0)
+
+    # the package exports a function named dirac, so the module is looked up
+    monkeypatch.setattr(sys.modules[polar_check.__module__], "polar_parts",
+                        nudged)
+    report = polar_check(64, 2)
+    assert not report.passed
+    assert report.max_deviation == np.spacing(33.0) > 0.0
 
 
 @pytest.mark.parametrize("n", [64, 768, 16384])
@@ -475,16 +467,19 @@ def test_fredholm_index_refuses_counts_that_disagree(monkeypatch, dims, message)
 
 def test_fredholm_index_refuses_a_polar_factor_off_the_shift_pattern(
         monkeypatch):
-    def with_corner(n):
-        f, absd = polar_parts(n)
-        return f + op.finite_rank(0.5 * np.eye(2), 2 * n), absd
+    # F is exact, so a corner of 1e-7 is refused as a corner of 0.5 is
+    for corner, shown in ((0.5, r"5\.000e-01"), (1e-7, r"1\.000e-07")):
+        def with_corner(n):
+            f, absd = polar_parts(n)
+            return f + op.finite_rank(corner * np.eye(2), 2 * n), absd
 
-    # the package exports a function named dirac, so the module is looked up
-    monkeypatch.setattr(sys.modules[fredholm_index.__module__], "polar_parts",
-                        with_corner)
-    with pytest.raises(FredholmIndexError,
-                       match=r"polar factor deviates .* by 5\.000e-01"):
-        fredholm_index(16, 32)
+        # the package exports a function named dirac, so the module is
+        # looked up
+        monkeypatch.setattr(sys.modules[fredholm_index.__module__],
+                            "polar_parts", with_corner)
+        with pytest.raises(FredholmIndexError,
+                           match=rf"polar factor deviates .* by {shown}"):
+            fredholm_index(16, 32)
 
 
 # ----------------------------------------------------------------------
