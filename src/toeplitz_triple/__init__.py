@@ -9,7 +9,7 @@ integer spectrum, Fredholm index and summability of the resolvent weights.
 The package runs OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS``,
 ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set.  Its BLAS calls are
 small, the largest the ``exp(...) @ cs`` of ``FourierSeries.evaluate`` (1024
-angles), and the command line makes no LAPACK call: ``operator_norm``
+angles), and the package makes no LAPACK call: ``operator_norm``
 certifies its small norms by a banded bisection, and ``dirac`` solves D's
 2 x 2 blocks in closed form.  No call gains from a second thread, while the
 worker thread that numpy's OpenBLAS starts at import, on a host with two or

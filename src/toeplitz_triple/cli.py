@@ -361,7 +361,7 @@ def run(cfg: RunConfig) -> int:
     except ValueError as exc:
         error, code = {"type": "config", "message": str(exc)}, EXIT_USAGE
         print(f"error: {exc}", file=sys.stderr)
-    except (FredholmIndexError, np.linalg.LinAlgError) as exc:
+    except FredholmIndexError as exc:
         error, code = {"type": "numerical", "message": str(exc)}, EXIT_NUMERICAL
         print(f"numerical failure: {exc}", file=sys.stderr)
     try:

@@ -156,27 +156,6 @@ def _entries(h: op.TruncatedOperator, r: np.ndarray,
     return np.where(stored, h.rows[j.clip(0, count - 1), c], 0)
 
 
-class _Eigh:
-    """Components of one size solved by one batched ``np.linalg.eigh``:
-    ``block[c]`` is the operator on indices ``idx[c]``, and eigenpair
-    ``w[c, t]``, ``v[c, :, t]`` is filed under index ``idx[c, t]``."""
-
-    def __init__(self, h: op.TruncatedOperator, idx: np.ndarray):
-        self.idx = idx
-        self.block = _entries(h, idx[:, :, None], idx[:, None, :])
-        self.w, self.v = np.linalg.eigh(self.block)
-
-    def residuals(self) -> np.ndarray:
-        """``|block v - w v|`` of each eigenpair."""
-        v = self.v
-        return np.linalg.norm(self.block @ v - v * self.w[:, None, :], axis=1)
-
-    def reaches(self, where: np.ndarray) -> np.ndarray:
-        """Whether each eigenvector is nonzero at an index where ``where``,
-        a mask shaped like ``idx``, holds."""
-        return (where[:, :, None] & (self.v != 0)).any(axis=1)
-
-
 class _Singletons:
     """Components of one index of a real operator: ``e_i`` is an
     eigenvector, with eigenvalue the diagonal entry ``w[c, 0]``."""
@@ -271,48 +250,47 @@ class _Rotations:
 
 
 def _eigensystem(h: op.TruncatedOperator) -> list:
-    """Eigensystem of Hermitian ``h``, one component at a time.
+    """Eigensystem of real symmetric ``h`` whose components are pairs and
+    singletons, as D's are.
 
-    The components of the nonzero pattern are read off the stored lattice
-    rows by label propagation, each index ending labelled with the smallest
-    index of its component; those of one size share one solve.  Returns one
-    solved batch per component size: ``idx[c]`` lists the indices of
-    component c in increasing order, eigenvalue ``w[c, t]`` is filed under
-    index ``idx[c, t]``, ascending along each component, and each batch
-    gives its residuals and where its eigenvectors are nonzero
-    (``reaches``).  Components of a real ``h`` of one or two indices are
-    solved in closed form (``_Singletons`` and ``_Rotations``), with no
-    LAPACK or BLAS call, and those batches also give ``V f(w) V*`` per
-    component (``apply``); complex and larger components are solved by
-    ``np.linalg.eigh`` (``_Eigh``).  Exact for any Hermitian ``h``; for D
-    every component is real and has at most two indices.
+    Each nonzero entry of a stored row below the diagonal, at offset
+    ``d > 0`` and column c, pairs index c with index ``c + d``; every index
+    in no pair is a singleton.  Returns the singletons' batch
+    (``_Singletons``) and the pairs' (``_Rotations``), both solved in
+    closed form with no LAPACK or BLAS call: ``idx[c]`` lists the indices
+    of component c in increasing order, components ordered by their first
+    index, eigenvalue ``w[c, t]`` is filed under index ``idx[c, t]``,
+    ascending along each component, and each batch gives its residuals,
+    where its eigenvectors are nonzero (``reaches``) and ``V f(w) V*`` per
+    component (``apply``).  An operator that is complex, whose pattern
+    above the diagonal does not mirror the pattern below, or that pairs an
+    index twice raises ``ValueError``.
     """
+    if h.rows.dtype.kind != "f":
+        raise ValueError("the eigensystem is read off real operators only, "
+                         "and this one is complex")
     stored, cols = np.nonzero(h.rows)
-    rows = cols + h.lo + stored * h.step
-    labels = np.arange(h.dim)
-    while True:
-        new = labels.copy()
-        np.minimum.at(new, rows, labels[cols])
-        new = new[new]
-        if np.array_equal(new, labels):
-            break
-        labels = new
-    order = np.argsort(labels, kind="stable")
-    # a component starts where the sorted labels change (np.unique would do,
-    # but in numpy >= 2 it imports numpy.ma, which costs start-up time)
-    ordered = labels[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    sizes = np.diff(np.append(starts, h.dim))
-    solvers = {1: _Singletons, 2: _Rotations} if h.rows.dtype.kind == "f" \
-        else {}
-    return [solvers.get(size, _Eigh)(
-                h, order[starts[sizes == size][:, None] + np.arange(size)])
-            for size in np.flatnonzero(np.bincount(sizes))]
+    offsets = h.lo + stored * h.step
+    below = offsets > 0
+    first = cols[below]
+    second = first + offsets[below]
+    ends = np.bincount(first, minlength=h.dim)
+    ends += np.bincount(second, minlength=h.dim)
+    if (ends > 1).any():
+        raise ValueError(f"index {np.argmax(ends > 1)} is in two pairs, so "
+                         "its component has more than two indices")
+    # the mirror of each pair is stored, and nothing else above the diagonal
+    if np.count_nonzero(offsets < 0) != len(first) \
+            or not _entries(h, first, second).all():
+        raise ValueError("the pattern above the diagonal does not mirror "
+                         "the pattern below")
+    order = np.argsort(first)
+    return [_Singletons(h, np.flatnonzero(ends == 0)[:, None]),
+            _Rotations(h, np.stack((first[order], second[order]), axis=1))]
 
 
 def spectrum(d: op.TruncatedOperator) -> SpectrumReport:
-    """Full Hermitian eigendecomposition with the boundary zero mode flagged.
+    """Full eigendecomposition with the boundary zero mode flagged.
 
     The truncation has the exact eigenvalues ``+-1, ..., +-(n-1)`` once each,
     plus a double zero: the true mode 0 (+) e_0 and one spurious mode created
@@ -327,9 +305,8 @@ def spectrum(d: op.TruncatedOperator) -> SpectrumReport:
 
     Clusters and zero modes are compared exactly: a cluster is a run of
     equal eigenvalues and a zero mode an eigenvalue equal to 0, which D's
-    closed-form solve satisfies.  A batch solved by ``np.linalg.eigh``
-    (complex components or larger ones) rounds, so its nearly equal
-    eigenvalues count as distinct.
+    closed-form solve satisfies.  ``d`` must split into pairs and
+    singletons as D does; any other operator raises ``ValueError``.
     """
     evals = np.zeros(d.dim)
     residuals = np.zeros(d.dim)

@@ -132,14 +132,27 @@ class FourierSeries:
     # coefficient operations
     # ------------------------------------------------------------------
 
+    @classmethod
+    def _kept(cls, coeffs: dict) -> "FourierSeries":
+        """Series on ``coeffs``, nonzero coefficients mapped one to one from
+        a series' own, with no second pruning: a coefficient the source
+        keeps is kept, however small beside the others it comes out."""
+        if not all(math.isfinite(_modulus(v)) for v in coeffs.values()):
+            raise ValueError("Fourier coefficients must be finite")
+        out = cls()
+        out._coeffs = coeffs
+        return out
+
     def derivative(self) -> "FourierSeries":
-        """Coefficient k of the derivative is ``i*k*fhat(k)``."""
-        return FourierSeries({k: 1j * k * v for k, v in self._coeffs.items()})
+        """Coefficient k of the derivative is ``i*k*fhat(k)``; every
+        coefficient but ``fhat(0)`` is kept."""
+        return FourierSeries._kept({k: 1j * k * v
+                                    for k, v in self._coeffs.items() if k})
 
     def shifted(self, m: int) -> "FourierSeries":
         """Multiplication by ``u^m``: coefficient at k becomes ``fhat(k - m)``."""
         m = int(m)
-        return FourierSeries({k + m: v for k, v in self._coeffs.items()})
+        return FourierSeries._kept({k + m: v for k, v in self._coeffs.items()})
 
     def conjugate(self) -> "FourierSeries":
         """Pointwise complex conjugate; coefficient at k is ``conj(fhat(-k))``."""

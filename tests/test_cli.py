@@ -772,8 +772,9 @@ def test_start_up_leaves_lazy_modules_unloaded():
 
 
 def test_spectrum_leaves_numpy_ma_unloaded(tmp_path):
-    # numpy >= 2 imports numpy.ma from np.unique; the Dirac eigensolve finds
-    # its components without it.  numpy 1.x loads numpy.ma with numpy.
+    # numpy >= 2 imports numpy.ma from np.unique; the Dirac eigensolve reads
+    # D's pairs off its stored rows without it.  numpy 1.x loads numpy.ma
+    # with numpy.
     if loaded_in_child(("numpy.ma",), "import numpy"):
         pytest.skip("this numpy loads numpy.ma when it is imported")
     argv = ["spectrum", "--n", "8", "--output-dir", str(tmp_path)]

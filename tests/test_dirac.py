@@ -189,40 +189,6 @@ def test_eigenbasis_with_spurious_mode_is_orthonormal():
 # spectrum
 # ----------------------------------------------------------------------
 
-def test_eigensystem_reads_components_off_the_matrix():
-    # Components {0, 3, 5}, {1, 6} and the singletons {2}, {4}; the coupling
-    # 6-1 joins the last index to another one, unlike anything in D.
-    n = 7
-    h = np.zeros((n, n), dtype=complex)
-    h[2, 2] = 0.5
-    h[4, 4] = -2.0
-    h[0, 3], h[3, 5], h[0, 5] = 1.0 + 2.0j, -0.5j, 0.25
-    h[0, 0], h[3, 3], h[5, 5] = 1.0, -1.5, 3.0
-    h[1, 6], h[1, 1] = 2.0 - 1.0j, 0.75
-    h = h + np.triu(h, 1).conj().T
-    parts = _eigensystem(op.finite_rank(h, n))
-    assert [part.idx.tolist() for part in parts] == [[[2], [4]], [[1, 6]],
-                                                     [[0, 3, 5]]]
-    evals = np.zeros(n)
-    vecs = np.zeros((n, n), dtype=complex)
-    for part in parts:
-        idx = part.idx
-        assert np.array_equal(part.block, h[idx[:, :, None], idx[:, None, :]])
-        evals[idx] = part.w
-        vecs[idx[:, :, None], idx[:, None, :]] = part.v
-    assert np.abs(np.sort(evals) - np.linalg.eigvalsh(h)).max() < 1e-12
-    assert np.abs(vecs.conj().T @ vecs - np.eye(n)).max() < 1e-12
-    assert np.abs(h @ vecs - vecs * evals).max() < 1e-12
-    # each eigenvector lives on its own component
-    assert evals[2] == 0.5 and evals[4] == -2.0
-    assert not vecs[[0, 2, 3, 4, 5]][:, [1, 6]].any()
-    # a tridiagonal path is one component whose far pairs lie off the band
-    path = op.TruncatedOperator(np.ones((3, 4)), -1)
-    [part] = _eigensystem(path)
-    assert part.idx.tolist() == [[0, 1, 2, 3]]
-    assert np.array_equal(part.block[0], path.dense())
-
-
 @pytest.mark.parametrize("n", [2, 8, 64, 16384])
 def test_spectrum_ladder(n):
     report = spectrum(dirac(n))
@@ -345,6 +311,80 @@ def test_closed_form_solves_match_eigh(triples):
     assert not single.residuals().any()
 
 
+def components(h):
+    """Connected components of the nonzero pattern of the matrix h, each a
+    sorted list of indices, ordered by their first index."""
+    linked = h != 0
+    seen = np.zeros(len(h), dtype=bool)
+    out = []
+    for start in range(len(h)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        found, todo = [start], [start]
+        while todo:
+            new = np.flatnonzero(linked[todo.pop()] & ~seen)
+            seen[new] = True
+            found += new.tolist()
+            todo += new.tolist()
+        out.append(sorted(found))
+    return out
+
+
+@st.composite
+def paired_operators(draw):
+    """A real symmetric operator of dimension up to 40 made of 2 x 2 blocks
+    ``[[p, q], [q, r]]`` on a random matching of indices, at offsets on a
+    lattice of step 1 to 3, and 1 x 1 blocks on the indices left over."""
+    n = draw(st.integers(1, 40))
+    step = draw(st.integers(1, 3))
+    order = draw(st.permutations(range(n)))
+    h = np.zeros((n, n))
+    single = set(range(n))
+    for i, j in zip(order[0::2], order[1::2]):
+        if (i - j) % step == 0 and draw(st.booleans()):
+            p, q, r = draw(blocks)
+            h[i, i], h[i, j], h[j, i], h[j, j] = p, q, q, r
+            single -= {i, j}
+    for i in single:
+        h[i, i] = draw(entries)
+    return op.finite_rank(h, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(paired_operators())
+def test_eigensystem_reads_components_off_the_matrix(h):
+    dense = h.dense().real
+    expected = components(dense)
+    singles, pairs = _eigensystem(h)
+    assert singles.idx.tolist() == [c for c in expected if len(c) == 1]
+    assert pairs.idx.tolist() == [c for c in expected if len(c) == 2]
+    eps = np.finfo(float).eps
+    for part in (singles, pairs):
+        idx = part.idx
+        w = np.linalg.eigvalsh(dense[idx[:, :, None], idx[:, None, :]])
+        # the bound of test_closed_form_solves_match_eigh
+        scale = 6 * eps * np.abs(w).max(axis=1, initial=0.0)
+        assert (np.abs(part.w - w) <= scale[:, None]).all()
+
+
+@pytest.mark.parametrize("h, message", [
+    # a tridiagonal path: one component of four indices
+    (op.TruncatedOperator(np.ones((3, 4)), -1), "in two pairs"),
+    (op.finite_rank(np.array([[0.0, 1j], [-1j, 0.0]]), 2), "complex"),
+    # an entry below the diagonal with nothing above it
+    (op.TruncatedOperator([[1.0, 0.0, 0.0]], 1), "does not mirror"),
+    # one entry on each side, but not each other's mirror
+    (op.finite_rank(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0],
+                              [0.0, 0.0, 0.0]]), 3), "does not mirror"),
+], ids=["path", "complex", "one_sided", "unmirrored"])
+def test_eigensystem_refuses_components_unlike_d(h, message):
+    with pytest.raises(ValueError, match=message):
+        _eigensystem(h)
+    with pytest.raises(ValueError, match=message):
+        spectrum(h)
+
+
 def test_dirac_runs_no_eigh(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.linalg.eigh called")
@@ -357,7 +397,8 @@ def test_dirac_runs_no_eigh(monkeypatch):
     assert (f.band, absd.band) == ((-3, 3), (0, 0))
     assert fredholm_index(16, 32) == 1
     assert delta_absdirac_spot_check(FourierSeries.cosine(16), 133).passed
-    with pytest.raises(AssertionError, match="eigh called"):
+    # a component of three indices is refused, not solved some other way
+    with pytest.raises(ValueError, match="in two pairs"):
         _eigensystem(op.finite_rank(np.ones((3, 3)), 3))
 
 

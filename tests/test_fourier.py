@@ -141,6 +141,14 @@ def test_right_scaling_difference_and_negation_are_the_explicit_arithmetic():
     assert (f - f).coeffs == {}
 
 
+def test_derivative_and_shift_keep_every_coefficient():
+    # +-1 sit below DROP_TOL beside i*16*0.5 = 8i, not beside 0.5
+    f = FourierSeries({0: 1.0, 1: 2e-14, -1: 2e-14, 16: 0.5, -16: 0.5})
+    assert f.derivative().coeffs == {k: 1j * k * v
+                                     for k, v in f.coeffs.items() if k}
+    assert f.shifted(3).coeffs == {k + 3: v for k, v in f.coeffs.items()}
+
+
 small_series = st.dictionaries(
     st.integers(-8, 8),
     st.complex_numbers(max_magnitude=8.0, allow_nan=False, allow_infinity=False),

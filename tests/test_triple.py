@@ -242,6 +242,16 @@ def test_delta_k_deviation_does_not_grow_with_n(make):
         assert len({r.max_deviation for r in reports}) == 1
 
 
+def test_exact_identities_read_zero_beside_a_tiny_coefficient():
+    # f keeps its coefficients at +-1, 4e-14 of its largest one; pruned
+    # from f' alone, they made each check below read 2e-14
+    f = FourierSeries({1: 2e-14, -1: 2e-14, 16: 0.5, -16: 0.5})
+    for k in (1, 2, 3):
+        assert verify_delta_k(f, k, 256).max_deviation == 0.0
+    assert verify_commutator_dz(f, 128).max_deviation < 1e-20
+    assert delta_absdirac_spot_check(f, 128).max_deviation < 1e-20
+
+
 def test_margin_preconditions():
     f = FourierSeries.cosine(4)
     with pytest.raises(ValueError, match="margin"):
