@@ -15,15 +15,17 @@ The doubled space is stored in Kronecker order, ``H (+) H = H (x) C^2``:
 first-summand ``e_m`` is index ``2m``, second-summand ``e_m`` is ``2m + 1``.
 Then D and F (offsets +-3), |D| (diagonal), ``a (+) a`` and the grading are
 banded ``TruncatedOperator``s of dimension 2n.  D, F, |D| and the grading
-have real entries, so their bands are float64, and D's 2 x 2 blocks are
-solved in closed form, by one Jacobi rotation each, with no LAPACK or BLAS
-call.  Only this module knows the order; others compare through
-``block_interior_deviation``.
+have real entries, so their bands are float64.  Only this module knows
+the order; others compare through ``block_interior_deviation``.
 
-D's spectrum, |D| and F come out exact: the eigenvalues are the integers,
-every residual is 0.0 and |D| and F match their closed forms bit for bit.
-So ``spectrum``, ``polar_check`` and ``fredholm_index`` decide exactly,
-with no tolerance.
+Every component of D is a singleton or a pair ``[[0, k], [k, 0]]``, read
+off its stored rows into one table (``_pair_table``).  A pair's
+eigenvalues are ``-|k|`` and ``|k|``, its part of |D| is ``|k|`` on the
+diagonal and its part of F is ``sign k`` off it, so D's spectrum, |D| and
+F are written from k with no LAPACK or BLAS call, and come out exact: the
+eigenvalues are the integers, every residual is 0.0 and |D| and F match
+their closed forms bit for bit.  So ``spectrum``, ``polar_check`` and
+``fredholm_index`` decide exactly, with no tolerance.
 """
 
 from __future__ import annotations
@@ -146,129 +148,27 @@ class SpectrumReport:
     multiplicities: np.ndarray   # cluster sizes; sums to 2n
 
 
-def _entries(h: op.TruncatedOperator, r: np.ndarray,
-             c: np.ndarray) -> np.ndarray:
-    """Entries ``h[r, c]`` for index arrays ``r`` and ``c`` that broadcast,
-    read from the lattice row of each offset ``r - c``, 0 off the lattice."""
-    count = h.rows.shape[0]
-    j, off = np.divmod(r - c - h.lo, h.step)
-    stored = (off == 0) & (j >= 0) & (j < count)
-    return np.where(stored, h.rows[j.clip(0, count - 1), c], 0)
-
-
-class _Singletons:
-    """Components of one index of a real operator: ``e_i`` is an
-    eigenvector, with eigenvalue the diagonal entry ``w[c, 0]``."""
-
-    def __init__(self, h: op.TruncatedOperator, idx: np.ndarray):
-        self.idx = idx
-        self.w = _entries(h, idx, idx)
-
-    def residuals(self) -> np.ndarray:
-        return np.zeros_like(self.w)
-
-    def reaches(self, where: np.ndarray) -> np.ndarray:
-        return where
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return values[:, :, None]
-
-
-class _Rotations:
-    """Components of two indices of a real symmetric operator, each solved
-    by one Jacobi rotation (Golub & Van Loan, Matrix Computations, 4th ed.,
-    Alg. 8.5.1), elementwise across the batch.
-
-    Component c is the block ``[[p, q], [q, r]]`` on ``idx[c]``, with q read
-    below the diagonal, as ``eigh`` reads it.  With ``tau = (r - p)/(2q)``,
-    ``t = sign(tau)/(|tau| + hypot(1, tau))`` (sign 1 at tau = +0, and
-    t = 0 where q = 0), ``c = 1/sqrt(1 + t^2)`` and ``s = t c``, its
-    eigenpairs are ``p - t q`` on ``(c, -s)`` and ``r + t q`` on
-    ``(s, c)``.  Where the first is the larger (r < p) the two swap and
-    ``(c, s)`` becomes ``(s, -c)``, so ``w[c]`` ascends as ``eigh``
-    returns it.  For D's blocks ``[[0, k], [k, 0]]`` t is exactly +-1, so
-    ``c == |s|`` and the eigenvalues are exactly ``-|k|`` and ``|k|``.
-    """
-
-    def __init__(self, h: op.TruncatedOperator, idx: np.ndarray):
-        self.idx = idx
-        first, second = idx.T
-        p, q, r = (_entries(h, i, j) for i, j in ((first, first),
-                                                  (second, first),
-                                                  (second, second)))
-        self.p, self.q, self.r = p, q, r
-        coupled = q != 0
-        tau = np.divide(r - p, 2 * q, out=np.zeros_like(q), where=coupled)
-        t = np.copysign(1.0, tau)
-        t /= np.abs(tau) + np.hypot(1.0, tau)
-        t *= coupled
-        self.c = 1.0 / np.sqrt(1.0 + t * t)
-        self.s = t * self.c
-        self.w = np.empty((len(q), 2))
-        self.w[:, 0] = p - t * q
-        self.w[:, 1] = r + t * q
-        swap = self.w[:, 0] > self.w[:, 1]
-        if swap.any():
-            self.w[swap] = self.w[swap, ::-1]
-            self.c[swap], self.s[swap] = self.s[swap], -self.c[swap]
-
-    def residuals(self) -> np.ndarray:
-        p, q, r, c, s = self.p, self.q, self.r, self.c, self.s
-        out = np.empty_like(self.w)
-        low, high = self.w.T
-        out[:, 0] = np.hypot((p - low) * c - q * s, q * c - (r - low) * s)
-        out[:, 1] = np.hypot((p - high) * s + q * c, q * s + (r - high) * c)
-        return out
-
-    def reaches(self, where: np.ndarray) -> np.ndarray:
-        c, s = self.c != 0, self.s != 0
-        out = np.empty_like(where)
-        out[:, 0] = where[:, 0] & c | where[:, 1] & s
-        out[:, 1] = where[:, 0] & s | where[:, 1] & c
-        return out
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        # V diag(f) V* entry by entry: c^2 f1 + s^2 f2 and s^2 f1 + c^2 f2 on
-        # the diagonal, c s (f2 - f1) off it, so equal values give an exactly
-        # zero off-diagonal.  Where |c| == |s|, as in every block of D, c^2,
-        # s^2 and c s are +-1/2 rounded; taken as +-1/2 exactly, in place,
-        # they make the entries (f1 + f2)/2 and +-(f2 - f1)/2, one rounding
-        # and an exact halving each, so |D| and F come out exact
-        c, s = self.c, self.s
-        even = np.abs(c) == np.abs(s)
-
-        def halved(product):
-            return np.copysign(0.5, product, out=product, where=even)
-
-        cc, ss = halved(c * c), halved(s * s)
-        low, high = values.T
-        out = np.empty((len(c), 2, 2), dtype=values.dtype)
-        out[:, 0, 0] = cc * low + ss * high
-        out[:, 1, 1] = ss * low + cc * high
-        out[:, 0, 1] = out[:, 1, 0] = halved(c * s) * (high - low)
-        return out
-
-
-def _eigensystem(h: op.TruncatedOperator) -> list:
-    """Eigensystem of real symmetric ``h`` whose components are pairs and
-    singletons, as D's are.
+def _pair_table(h: op.TruncatedOperator) -> tuple:
+    """The components of real symmetric ``h``, which must be pairs
+    ``[[0, k], [k, 0]]`` and singletons, as D's are: ``(diag, first,
+    second, k)``, ``h``'s diagonal and, for each pair, its indices
+    ``first < second`` and its entry k.  Every index in no pair is a
+    singleton, with ``e_i`` as eigenvector and its diagonal entry as
+    eigenvalue.
 
     Each nonzero entry of a stored row below the diagonal, at offset
-    ``d > 0`` and column c, pairs index c with index ``c + d``; every index
-    in no pair is a singleton.  Returns the singletons' batch
-    (``_Singletons``) and the pairs' (``_Rotations``), both solved in
-    closed form with no LAPACK or BLAS call: ``idx[c]`` lists the indices
-    of component c in increasing order, components ordered by their first
-    index, eigenvalue ``w[c, t]`` is filed under index ``idx[c, t]``,
-    ascending along each component, and each batch gives its residuals,
-    where its eigenvectors are nonzero (``reaches``) and ``V f(w) V*`` per
-    component (``apply``).  An operator that is complex, whose pattern
-    above the diagonal does not mirror the pattern below, or that pairs an
-    index twice raises ``ValueError``.
+    ``d > 0`` and column c, pairs index c with index ``c + d``, in the
+    order of the stored rows.  An operator that is complex, that is not
+    exactly its own transpose, that pairs an index twice or whose pair
+    carries a diagonal entry raises ``ValueError``.
     """
     if h.rows.dtype.kind != "f":
         raise ValueError("the eigensystem is read off real operators only, "
                          "and this one is complex")
+    # h is its own transpose: its lattice and its stored rows mirror
+    if h.lo != -h.band[1] or not np.array_equal(op._mirrored(h), h.rows):
+        raise ValueError("the part above the diagonal does not mirror "
+                         "the part below")
     stored, cols = np.nonzero(h.rows)
     offsets = h.lo + stored * h.step
     below = offsets > 0
@@ -279,14 +179,13 @@ def _eigensystem(h: op.TruncatedOperator) -> list:
     if (ends > 1).any():
         raise ValueError(f"index {np.argmax(ends > 1)} is in two pairs, so "
                          "its component has more than two indices")
-    # the mirror of each pair is stored, and nothing else above the diagonal
-    if np.count_nonzero(offsets < 0) != len(first) \
-            or not _entries(h, first, second).all():
-        raise ValueError("the pattern above the diagonal does not mirror "
-                         "the pattern below")
-    order = np.argsort(first)
-    return [_Singletons(h, np.flatnonzero(ends == 0)[:, None]),
-            _Rotations(h, np.stack((first[order], second[order]), axis=1))]
+    diag = h._row(0)
+    if diag is None:
+        diag = np.zeros(h.dim)
+    if diag[first].any() or diag[second].any():
+        raise ValueError("a pair carries a diagonal entry, which no "
+                         "component of D does")
+    return diag, first, second, h.rows[stored[below], first]
 
 
 def spectrum(d: op.TruncatedOperator) -> SpectrumReport:
@@ -294,29 +193,34 @@ def spectrum(d: op.TruncatedOperator) -> SpectrumReport:
 
     The truncation has the exact eigenvalues ``+-1, ..., +-(n-1)`` once each,
     plus a double zero: the true mode 0 (+) e_0 and one spurious mode created
-    by cutting the raising image of first-summand ``e_{n-1}``.  The two zero
-    modes are separate components of D's nonzero pattern, so the eigensolve
-    returns each as its own basis vector, and D's 2 x 2 blocks
-    ``[[0, k], [k, 0]]`` are solved in closed form, with eigenvalues exactly
-    ``-k`` and ``k`` and residuals computed entry by entry.  A zero mode is
-    flagged spurious when its eigenvector vanishes on the second summand,
-    where the semi-infinite kernel 0 (+) e_0 lives; it sorts before the true
-    zero mode.
+    by cutting the raising image of first-summand ``e_{n-1}``.  D's
+    components are read off its stored rows (``_pair_table``): a pair
+    ``[[0, k], [k, 0]]`` has eigenvalues exactly ``-|k|`` and ``|k|``, on
+    ``(1, -sign k)/sqrt(2)`` and ``(sign k, 1)/sqrt(2)``, and each residual
+    ``|(h - lambda) v|`` is computed from the entries read off ``d``.
+    Every pair eigenvalue is nonzero, so the two zero modes are singletons,
+    each its own basis vector.  A zero mode is flagged spurious when it
+    lies off the second summand, where the semi-infinite kernel 0 (+) e_0
+    lives; it sorts before the true zero mode.
 
     Clusters and zero modes are compared exactly: a cluster is a run of
     equal eigenvalues and a zero mode an eigenvalue equal to 0, which D's
     closed-form solve satisfies.  ``d`` must split into pairs and
     singletons as D does; any other operator raises ``ValueError``.
     """
-    evals = np.zeros(d.dim)
+    diag, first, second, k = _pair_table(d)
+    high = np.abs(k)
+    evals = np.array(diag)
+    evals[first] = -high
+    evals[second] = high
+    c = math.sqrt(0.5)
+    s = np.copysign(c, k)
+    a, b = diag[first], diag[second]
     residuals = np.zeros(d.dim)
-    on_second = np.zeros(d.dim, dtype=bool)
-    for part in _eigensystem(d):
-        evals[part.idx] = part.w
-        residuals[part.idx] = part.residuals()
-        # second-summand indices are the odd ones
-        on_second[part.idx] = part.reaches(part.idx % 2 == 1)
-    flags = (evals == 0) & ~on_second
+    residuals[first] = np.hypot((a + high) * c - k * s, k * c - (b + high) * s)
+    residuals[second] = np.hypot((a - high) * s + k * c, k * s + (b - high) * c)
+    flags = evals == 0
+    flags[1::2] = False  # second-summand indices are the odd ones
     # the true zero mode (index 1) precedes the spurious one (index 2n - 2),
     # so ties go to the flagged mode to keep it first of the double zero
     order = np.lexsort((~flags, evals))
@@ -339,41 +243,22 @@ def spectrum(d: op.TruncatedOperator) -> SpectrumReport:
 def polar_parts(n: int) -> tuple[op.TruncatedOperator, op.TruncatedOperator]:
     """(F, |D|) of the polar decomposition D = F |D|.
 
-    Both come from the eigensystem of D, one component at a time:
-    ``|D| = V |lambda| V*`` and ``F = V sign(lambda) V*``.  D's zero
-    eigenvalues are exactly 0.0 and every other one has modulus at least 1,
-    so ``sign`` alone decides the kernel: F vanishes on the kernel of |D|.
-    Each component's product is scattered into the rows of the smallest
-    offset lattice that holds the offsets between indices of one component
-    (-3, 0 and 3 for D), and the operators keep the rows that came out
-    nonzero.  D's 2 x 2 blocks
-    ``[[0, k], [k, 0]]`` are solved in closed form with ``c == s`` and
-    eigenvalues exactly ``-k`` and ``k``, and their entries are written as
-    exact halves (see ``_Rotations.apply``), so |D| is ``diag(N + 1, N)``
-    and F is ``[[0, S*], [S, 0]]`` bit for bit, but for the spurious zero
-    mode: |D| is diagonal, stored as 1 row, and F has offsets -3 and 3, as
-    2 rows.
+    Both come from D's pair table, one component at a time:
+    ``|D| = V |lambda| V*`` and ``F = V sign(lambda) V*``.  A pair
+    ``[[0, k], [k, 0]]`` gives ``|k|`` twice on the diagonal of |D| and
+    ``[[0, sign k], [sign k, 0]]`` in F; a singleton w gives ``|w|`` and
+    ``sign w``.  So F is ``sign`` taken entry by entry on D's stored rows,
+    and every entry of both is exact: |D| is ``diag(N + 1, N)`` and F is
+    ``[[0, S*], [S, 0]]`` bit for bit, but for the spurious zero mode,
+    where both vanish.  |D| is diagonal, stored as 1 row, and F has
+    offsets -3 and 3, as 2 rows.
     """
-    parts = _eigensystem(dirac(n))
-
-    def offsets(idx):
-        # entry [r, c] of a component has offset idx[r] - idx[c]
-        return idx[:, :, None] - idx[:, None, :]
-
-    lattice = op._lattice([d for part in parts
-                           for d in op._lattice(offsets(part.idx))])
-    # D is real and its components have at most two indices, so all of
-    # them are solved in closed form, and F and |D| are real
-    f = np.zeros((len(lattice), 2 * n))
-    absd = np.zeros_like(f)
-    for part in parts:
-        at = ((offsets(part.idx) - lattice.start) // lattice.step,
-              part.idx[:, None, :])
-        f[at] = part.apply(np.sign(part.w))
-        absd[at] = part.apply(np.abs(part.w))
-    return (op.TruncatedOperator(op._Fresh(f, lattice.step), lattice.start),
-            op.TruncatedOperator(op._Fresh(absd, lattice.step),
-                                 lattice.start))
+    d = dirac(n)
+    diag, first, second, k = _pair_table(d)
+    absd = np.abs(diag)
+    absd[first] = absd[second] = np.abs(k)
+    return (op.TruncatedOperator(op._Fresh(np.sign(d.rows), d.step), d.lo),
+            op.TruncatedOperator(op._Fresh(absd[None, :]), 0))
 
 
 def _shift_factor(n: int) -> op.TruncatedOperator:

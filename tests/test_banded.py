@@ -379,12 +379,12 @@ def test_doubled_space_scales_with_the_band():
     (lambda n, a: represent(a), lambda n, out: 1.25 * held_bytes(out)),
     # 2 rows of 2n entries, plus dz and dz*, half of that
     (lambda n, a: dirac(n), lambda n, out: 1.75 * held_bytes(out)),
-    # F keeps 2 rows and |D| 1, but both are scattered into 3-row arrays
-    # first, beside D, its 2 x 2 eigensystem and the index arrays of its
-    # components: 9.51 times D's stored rows in all.  The bound is taken from
-    # D, whose rows do not shrink with the factors
+    # F is sign taken on D's rows and |D| one row, written beside D and its
+    # pair table: 4.57 times D's stored rows in all (9.04 with a Jacobi
+    # rotation per pair, scattered into 3-row arrays).  The bound is taken
+    # from D, whose rows do not shrink with the factors
     (lambda n, a: polar_parts(n)[0],
-     lambda n, out: 10.0 * held_bytes(dirac(n))),
+     lambda n, out: 6.0 * held_bytes(dirac(n))),
 ], ids=["represent", "dirac", "polar_parts"])
 def test_doubled_space_holds_one_band(make, bound):
     # a doubled band is scattered into one array that the operator adopts,

@@ -142,8 +142,39 @@ SPECTRUM_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("argv", list(SPECTRUM_DIGESTS))
-def test_spectrum_outputs_are_unchanged(argv, tmp_path):
+# The same digests for the other lines that read D's eigensystem: polar
+# (|D| and F), index (F against the shift pattern) and verify, whose
+# delta_absdirac_spot_check takes |D| and whose evenness check takes D.
+# They were taken while D's blocks were solved by Jacobi rotations, before
+# |D| and F were written from the entries of D
+DIRAC_DIGESTS = {
+    ("polar", "--n", "64", "--margin", "2"): {
+        "data.csv": "6c5d944c8cee679b1d966f3d30b88d36"
+                    "a972b4f5a10363433021e1daa0739528",
+        "report.json": "b9976041b998bb85f9dcca7fba4153c0"
+                       "42f08e63af8c622ab4c3060853afe161"},
+    ("polar", "--n", "768"): {
+        "data.csv": "3be6b458f3d46df614845c4011632d3b"
+                    "a2ddc6cf7322ed33ee197a848900eada",
+        "report.json": "41c31a8be46eb5c2d0ab256b2da5cc42"
+                       "7d7001ebaad7ba61b7109ef9802d9f06"},
+    ("index",): {
+        "data.csv": "94f9f7b49ebcbd37697e34b46a27ba48"
+                    "fa2175f1f2648703751a8b2edec069f9",
+        "report.json": "a83515b04268f10015f05bb05b55bf54"
+                       "c2bbdb12f755c56cbc8be88233981307"},
+    ("verify", "--n", "512", "--symbol", "cos4k:1"): {
+        "data.csv": "2ab7b58c983c887d8ef5707bb90970a4"
+                    "578ea3a9966156e90e769d8f351e4c4e",
+        "report.json": "700c9e90f139b7e7a56ca97de8b3abcc"
+                       "6e7378ffc1c9917d766be7e419c11c46"},
+}
+
+
+def output_digests(argv, tmp_path):
+    """SHA-256 of each file the command line ``argv`` writes, with
+    report.json's timestamp emptied and its output directory written as
+    OUT."""
     assert exit_code(list(argv), tmp_path) == EXIT_OK
     digests = {}
     for path in tmp_path.iterdir():
@@ -152,7 +183,17 @@ def test_spectrum_outputs_are_unchanged(argv, tmp_path):
             data = re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', data)
             data = data.replace(str(tmp_path).encode(), b"OUT")
         digests[path.name] = hashlib.sha256(data).hexdigest()
-    assert digests == SPECTRUM_DIGESTS[argv]
+    return digests
+
+
+@pytest.mark.parametrize("argv", list(SPECTRUM_DIGESTS))
+def test_spectrum_outputs_are_unchanged(argv, tmp_path):
+    assert output_digests(argv, tmp_path) == SPECTRUM_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", list(DIRAC_DIGESTS))
+def test_dirac_outputs_are_unchanged(argv, tmp_path):
+    assert output_digests(argv, tmp_path) == DIRAC_DIGESTS[argv]
 
 
 def test_spectrum_rows_do_not_depend_on_the_chunk(tmp_path, monkeypatch):
@@ -167,9 +208,10 @@ def test_spectrum_rows_do_not_depend_on_the_chunk(tmp_path, monkeypatch):
 
 
 def test_spectrum_holds_a_few_arrays():
-    # D, its closed-form eigensystem and the report's arrays peak at 18.7
-    # times the bytes of the eigenvalues; a report of Python lists, its row
-    # tuples and the chart's copy of the eigenvalues took it to 51 times
+    # D, its pair table and the report's arrays peak at 13.6 times the
+    # bytes of the eigenvalues (16.3 with a Jacobi rotation per pair); a
+    # report of Python lists, its row tuples and the chart's copy of the
+    # eigenvalues took it to 51 times
     n = 16384
     cfg = RunConfig(command="spectrum", n=n)
     tracemalloc.start()
@@ -181,7 +223,7 @@ def test_spectrum_holds_a_few_arrays():
     finally:
         tracemalloc.stop()
     assert all(c["passed"] for c in checks)
-    assert peak <= 24 * 2 * n * 8
+    assert peak <= 16 * 2 * n * 8
 
 
 def test_report_schema_stable_and_reproducible(tmp_path):

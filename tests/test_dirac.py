@@ -13,10 +13,8 @@ from toeplitz_triple.cli import RunConfig, run
 from toeplitz_triple.dirac import (
     SUM_CHUNK,
     FredholmIndexError,
-    _eigensystem,
-    _Rotations,
-    _Singletons,
     _double,
+    _pair_table,
     analytic_eigenvector,
     block_interior_deviation,
     dirac,
@@ -197,13 +195,14 @@ def test_spectrum_ladder(n):
     assert (report.residuals == 0.0).all()
     assert report.spurious.tolist() == [n - 1]
     assert report.eigenvalues[n - 1] == 0.0
-    # the two zero modes are the singleton components: second-summand e_0
-    # (index 1, the true mode) and first-summand e_{n-1} (index 2n-2, the
-    # flagged one), each its own basis vector
-    part = _eigensystem(dirac(n))[0]
-    assert part.idx.tolist() == [[1], [2 * n - 2]]
-    assert not part.w.any() and not part.residuals().any()
-    assert np.array_equal(part.apply(np.ones((2, 1))), np.ones((2, 1, 1)))
+    # the two zero modes are the singletons, the indices in no pair:
+    # second-summand e_0 (index 1, the true mode) and first-summand e_{n-1}
+    # (index 2n-2, the flagged one), each its own basis vector
+    diag, first, second, k = _pair_table(dirac(n))
+    assert np.setdiff1d(np.arange(2 * n), np.r_[first, second]).tolist() \
+        == [1, 2 * n - 2]
+    assert not diag.any()
+    assert sorted(np.abs(k).tolist()) == list(range(1, n))
 
 
 def test_spectrum_flags_only_zero_modes_off_the_second_summand():
@@ -263,52 +262,9 @@ def test_spectrum_serialization(tmp_path):
 # closed-form solves
 # ----------------------------------------------------------------------
 
-# 0, or either sign with a modulus from 1e-150 to 1e150
-entries = st.one_of(st.just(0.0), st.builds(
-    lambda sign, exponent: sign * 10.0 ** exponent,
-    st.sampled_from([-1.0, 1.0]), st.floats(-150.0, 150.0)))
-# (p, q, r) of a block [[p, q], [q, r]]: drawn, with p = r, or with q = 0
-blocks = st.one_of(st.tuples(entries, entries, entries),
-                   st.builds(lambda p, q: (p, q, p), entries, entries),
-                   st.builds(lambda p, r: (p, 0.0, r), entries, entries))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(blocks, min_size=1, max_size=8))
-def test_closed_form_solves_match_eigh(triples):
-    # block k sits on indices 2k and 2k + 1 of a tridiagonal operator
-    p, q, r = np.array(triples).T
-    m = len(triples)
-    band = np.zeros((3, 2 * m))
-    band[0, 1::2] = q  # offset -1, above the diagonal
-    band[1, 0::2], band[1, 1::2] = p, r
-    band[2, 0::2] = q  # offset 1, below it
-    h = op.TruncatedOperator(band, -1)
-    idx = np.arange(2 * m).reshape(m, 2)
-    block = np.zeros((m, 2, 2))
-    block[:, 0, 0], block[:, 0, 1], block[:, 1, 0], block[:, 1, 1] = p, q, q, r
-    w, _ = np.linalg.eigh(block)
-    eps = np.finfo(float).eps
-    # the worst of 600 000 random blocks was 2.9 eps |B|
-    scale = 6 * eps * np.abs(w).max(axis=1)
-
-    part = _Rotations(h, idx)
-    assert (part.w[:, 0] <= part.w[:, 1]).all()
-    assert (np.abs(part.w - w) <= scale[:, None]).all()
-    # eigenvectors (c, -s) and (s, c)
-    c, s = part.c, part.s
-    v = np.stack([np.stack([c, s], axis=1), np.stack([-s, c], axis=1)], axis=1)
-    gram = v.swapaxes(1, 2) @ v
-    assert (np.abs(gram - np.eye(2)) <= 4 * eps).all()
-    assert (part.residuals() <= scale[:, None]).all()
-    residuals = np.abs(block @ v - v * part.w[:, None, :]).max(axis=1)
-    assert (residuals <= scale[:, None]).all()
-
-    # the first index of each block on its own is a 1 x 1 block
-    single = _Singletons(op.TruncatedOperator(band[1:2, 0::2], 0),
-                         np.arange(m)[:, None])
-    assert single.w.tolist() == p[:, None].tolist()
-    assert not single.residuals().any()
+# either sign, with a modulus from 1e-150 to 1e150
+nonzero = st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+                    st.sampled_from([-1.0, 1.0]), st.floats(-150.0, 150.0))
 
 
 def components(h):
@@ -333,9 +289,10 @@ def components(h):
 
 @st.composite
 def paired_operators(draw):
-    """A real symmetric operator of dimension up to 40 made of 2 x 2 blocks
-    ``[[p, q], [q, r]]`` on a random matching of indices, at offsets on a
-    lattice of step 1 to 3, and 1 x 1 blocks on the indices left over."""
+    """A real symmetric operator of dimension up to 40 shaped like D: pairs
+    ``[[0, q], [q, 0]]`` on a random matching of indices, at offsets on a
+    lattice of step 1 to 3, and a diagonal entry, 0 or not, on each index
+    left over."""
     n = draw(st.integers(1, 40))
     step = draw(st.integers(1, 3))
     order = draw(st.permutations(range(n)))
@@ -343,29 +300,47 @@ def paired_operators(draw):
     single = set(range(n))
     for i, j in zip(order[0::2], order[1::2]):
         if (i - j) % step == 0 and draw(st.booleans()):
-            p, q, r = draw(blocks)
-            h[i, i], h[i, j], h[j, i], h[j, j] = p, q, q, r
+            h[i, j] = h[j, i] = draw(nonzero)
             single -= {i, j}
     for i in single:
-        h[i, i] = draw(entries)
+        h[i, i] = draw(st.one_of(st.just(0.0), nonzero))
     return op.finite_rank(h, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(paired_operators())
+def test_closed_form_solves_match_eigh(h):
+    diag, first, second, k = _pair_table(h)
+    single = np.setdiff1d(np.arange(h.dim), np.r_[first, second])
+    report = spectrum(h)
+    # exactly -|q| and |q| for each pair, the diagonal entry for each
+    # singleton, and residuals computed to 0.0
+    high = np.abs(k)
+    assert np.array_equal(report.eigenvalues,
+                          np.sort(np.r_[diag[single], -high, high]))
+    assert (report.residuals == 0.0).all()
+    # the zero modes are singletons, flagged on the even indices
+    even = single[single % 2 == 0]
+    assert len(report.spurious) == np.count_nonzero(diag[even] == 0)
+    # the pairs against LAPACK: the worst of 600 000 random blocks
+    # [[p, q], [q, r]] was 2.9 eps |B|
+    dense = h.dense().real
+    idx = np.stack((first, second), axis=1)
+    w = np.linalg.eigvalsh(dense[idx[:, :, None], idx[:, None, :]])
+    scale = 6 * np.finfo(float).eps * np.abs(w).max(axis=1, initial=0.0)
+    assert (np.abs(np.stack((-high, high), axis=1) - w)
+            <= scale[:, None]).all()
 
 
 @settings(max_examples=200, deadline=None)
 @given(paired_operators())
 def test_eigensystem_reads_components_off_the_matrix(h):
     dense = h.dense().real
-    expected = components(dense)
-    singles, pairs = _eigensystem(h)
-    assert singles.idx.tolist() == [c for c in expected if len(c) == 1]
-    assert pairs.idx.tolist() == [c for c in expected if len(c) == 2]
-    eps = np.finfo(float).eps
-    for part in (singles, pairs):
-        idx = part.idx
-        w = np.linalg.eigvalsh(dense[idx[:, :, None], idx[:, None, :]])
-        # the bound of test_closed_form_solves_match_eigh
-        scale = 6 * eps * np.abs(w).max(axis=1, initial=0.0)
-        assert (np.abs(part.w - w) <= scale[:, None]).all()
+    diag, first, second, k = _pair_table(h)
+    assert sorted(zip(first.tolist(), second.tolist())) == \
+        [tuple(c) for c in components(dense) if len(c) == 2]
+    assert np.array_equal(k, dense[second, first])
+    assert np.array_equal(diag, np.diag(dense))
 
 
 @pytest.mark.parametrize("h, message", [
@@ -377,10 +352,17 @@ def test_eigensystem_reads_components_off_the_matrix(h):
     # one entry on each side, but not each other's mirror
     (op.finite_rank(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0],
                               [0.0, 0.0, 0.0]]), 3), "does not mirror"),
-], ids=["path", "complex", "one_sided", "unmirrored"])
+    # mirrored patterns with unequal values: reading the entry below the
+    # diagonal alone gave eigenvalues +-2 with residuals 0.0, where the
+    # matrix has +-sqrt(2)
+    (op.finite_rank(np.array([[0.0, 1.0], [2.0, 0.0]]), 2), "does not mirror"),
+    (op.finite_rank(np.array([[0.0, 1.0], [1.0, 5.0]]), 2),
+     "pair carries a diagonal entry"),
+], ids=["path", "complex", "one_sided", "unmirrored", "unequal_mirror",
+        "pair_with_diagonal"])
 def test_eigensystem_refuses_components_unlike_d(h, message):
     with pytest.raises(ValueError, match=message):
-        _eigensystem(h)
+        _pair_table(h)
     with pytest.raises(ValueError, match=message):
         spectrum(h)
 
@@ -399,7 +381,7 @@ def test_dirac_runs_no_eigh(monkeypatch):
     assert delta_absdirac_spot_check(FourierSeries.cosine(16), 133).passed
     # a component of three indices is refused, not solved some other way
     with pytest.raises(ValueError, match="in two pairs"):
-        _eigensystem(op.finite_rank(np.ones((3, 3)), 3))
+        _pair_table(op.finite_rank(np.ones((3, 3)), 3))
 
 
 # ----------------------------------------------------------------------
@@ -446,9 +428,9 @@ def test_polar_check_fails_one_ulp_off(monkeypatch):
 
 @pytest.mark.parametrize("n", [64, 768, 16384])
 def test_polar_parts_are_exact(n):
-    # D's blocks [[0, k], [k, 0]] are solved with |c| == |s|, where apply
-    # writes (f1 + f2)/2 and +-(f2 - f1)/2, so |D| is diag(N + 1, N) and F
-    # is [[0, S*], [S, 0]] bit for bit: no margin, no tolerance.  The one
+    # D's blocks [[0, k], [k, 0]] give |k| twice on the diagonal of |D| and
+    # sign k off the diagonal of F, so |D| is diag(N + 1, N) and F is
+    # [[0, S*], [S, 0]] bit for bit: no margin, no tolerance.  The one
     # exception is the spurious zero mode, first-summand e_{n-1}, where |D|
     # is 0.  c^2 k + s^2 k, with c = s = 1/sqrt(2) rounded, left |D|
     # 7.3e-12 off at n = 16384
