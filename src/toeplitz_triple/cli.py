@@ -27,8 +27,8 @@ from .dirac import FredholmIndexError, dirac, fredholm_index, polar_check, \
 from .fourier import FourierSeries, wedge_check
 from .operators import pattern_kernel_dims, rectangular_kernel_dims, \
     shift_adjoint_pattern, shift_pattern
-from .triple import ABSDIRAC_TOLERANCE, MEMBERSHIP_TOLERANCE, \
-    STABILIZATION_TOL, WEDGE_TOLERANCE, AlgebraElement, boundedness_sweep, \
+from .triple import MEMBERSHIP_TOLERANCE, STABILIZATION_TOL, \
+    WEDGE_TOLERANCE, AlgebraElement, boundedness_sweep, \
     delta_absdirac_spot_check, evenness_check, membership_check, \
     rough_symbol, verify_commutator_dz, verify_delta_k, \
     verify_dzstar_via_adjoint
@@ -436,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
             "verify", "commutator_number, commutator_dz, delta_1, delta_2, "
                       "delta_3 and dzstar_via_adjoint; wedge_gluing "
                       f"({WEDGE_TOLERANCE:g}), delta_absdirac_spot_check "
-                      f"({ABSDIRAC_TOLERANCE:g}), evenness (0) and membership "
+                      "(0), evenness (0) and membership "
                       f"({MEMBERSHIP_TOLERANCE:g}) keep fixed tolerances"),
         "--margin": "interior margin of the commutator and delta checks "
                     "(default: automatic, from the symbol's band)",
@@ -471,8 +471,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(**vars(args))
     if cfg.n < 2:
         raise ValueError("n must be >= 2")
-    if cfg.tolerance is not None and \
-            not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
+    if cfg.tolerance is not None and not 0 < cfg.tolerance < math.inf:
         raise ValueError("tolerance must be finite and > 0")
     if not (math.isfinite(cfg.epsilon) and cfg.epsilon >= 0):
         raise ValueError("epsilon must be finite and >= 0")

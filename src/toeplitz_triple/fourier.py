@@ -271,8 +271,8 @@ def wedge_check(f: FourierSeries, tolerance: float = 1e-9) -> WedgeReport:
     Each violation is ``sum_k |g(k)|``: no sampling, so no frequency can
     alias to a pass, and it bounds the difference on the whole circle.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite: {tolerance}")
     c = f.coefficient
     ks = sorted(set(f.coeffs) | {-k for k in f.coeffs})
     v1 = float(sum(_modulus(c(k) - _I_POWERS[k % 4] * c(-k)) for k in ks))

@@ -41,8 +41,9 @@ of one step (at most the left factor's rows).  The constructor zeroes the
 entries outside the matrix by slices of each row and checks the rows finite
 by reductions, so it adds O(n) bytes to the rows it adopts, and
 ``interior_deviation`` compares two operators diagonal by diagonal, with no
-copy of either and no difference band.  ``delta``, the iterated commutator
-with N, takes no product: it scales each stored diagonal.
+copy of either and no difference band.  A commutator with a diagonal
+operator, such as N in ``delta`` or |D|, takes no product: it scales each
+stored diagonal by differences of the weights.
 
 Besides the concrete matrices, ``BandPattern`` describes a weighted shift
 ``e_m -> w(m) e_{m+offset}`` of the semi-infinite model exactly (a polynomial
@@ -479,36 +480,44 @@ def delta(x: TruncatedOperator, k: int) -> TruncatedOperator:
     """The k-fold commutator ``[N, [N, ... [N, x]]]`` with ``number(n)``.
 
     N is diagonal, so it commutes with the truncation and diagonal d of
-    ``[N, x]`` is ``d * x_d``: each stored diagonal is scaled by its offset
+    ``[N, x]`` is ``(m[c + d] - m[c]) * x_d[c] = d * x_d[c]`` (see
+    ``_diagonal_commutator``): each stored diagonal is scaled by its offset
     to the k-th power, one rounding per entry, with no cancellation against
     N's entries, which grow with n.  The result keeps x's lattice, or a
     smaller one when the diagonal of offset 0, which it zeroes, was at an
     end of it.
     """
-    return TruncatedOperator(_Fresh(x.rows * _offset_powers(x, k), x.step),
-                             x.lo)
+    return _diagonal_commutator(np.arange(x.dim, dtype=float), x, k)
 
 
-def _delta_in_place(x: TruncatedOperator, k: int) -> TruncatedOperator:
-    """``delta(x, k)``, bit for bit, in x's own rows, for a caller that owns
-    x and holds no other reference to it: x gives its rows up and cannot be
-    used again.  Rows that share memory with another array are copied
-    instead."""
-    scale, rows = _offset_powers(x, k), x.rows
-    del x.rows
-    if rows.flags.owndata:
-        rows.setflags(write=True)
-    else:
-        rows = np.array(rows)
-    np.multiply(rows, scale, out=rows)
-    return TruncatedOperator(_Fresh(rows, x.step), x.lo)
+def _diagonal_commutator(w: np.ndarray, x: TruncatedOperator, k: int,
+                         owned: bool = False) -> TruncatedOperator:
+    """``[W, [W, ... [W, x]]]``, k-fold, for the diagonal W of real
+    entries ``w``.
 
-
-def _offset_powers(x: TruncatedOperator, k: int) -> np.ndarray:
-    """A column of the offsets of x's stored rows to the k-th power."""
+    Entry c of the diagonal of offset d of ``[W, x]`` is
+    ``w[c + d] * x_d[c] - x_d[c] * w[c]``, so each stored row is multiplied
+    by ``(w[c + d] - w[c])**k`` over its columns inside the matrix, one row
+    at a time.  Where the weights are integers, as N's and |D|'s are, their
+    differences are exact, and each entry rounds once.  The result has x's
+    dtype and lattice, less rows that come out zero.  It is written into
+    new rows, or, when ``owned``, into x's own rows, for a caller that
+    holds no other reference to x: x gives its rows up and cannot be used
+    again.  Rows that share memory with another array are copied instead.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return np.array(x._offsets(), dtype=float)[:, None] ** k
+    n, offsets, rows = x.dim, x._offsets(), x.rows
+    if owned:
+        del x.rows
+        rows = rows if rows.flags.owndata else np.array(rows)
+        rows.setflags(write=True)
+    out = rows if owned else np.zeros_like(rows)
+    for d, row, new in zip(offsets, rows, out):
+        first, stop = max(0, -d), n - max(0, d)
+        scale = (w[first + d:stop + d] - w[first:stop]) ** k
+        np.multiply(row[first:stop], scale, out=new[first:stop])
+    return TruncatedOperator(_Fresh(out, offsets.step), offsets.start)
 
 
 class _MatvecPlan:

@@ -18,6 +18,7 @@ growing when the commutator is genuinely unbounded.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -53,12 +54,6 @@ STABILIZATION_TOL = 1e-6  # relative change of the last two sweep values
 GROWTH_TOL = 1e-2
 NORM_TOL = 1e-9  # relative stop rule of the section norms
 WEDGE_TOLERANCE = 1e-9  # of the generator guard and verify's wedge_gluing
-# |D| comes out exact (see dirac.polar_parts), but the fused commutator forms
-# (m + 1) x and m x, which grow with n and cancel, so the spot check rounds:
-# 64 samples of cos 16t + 0.5 cos 8t read 3.6e-15, 5.3e-14 and 2.2e-13 at
-# n = 128, 1024 and 4096, and 1e3 times them 2.3e-10 at n = 4096.
-# Commutators taken by offsets (ROADMAP item 7) would make it exact
-ABSDIRAC_TOLERANCE = 1e-10
 # membership_check's tolerance of the estimated symbol's wedge check, of its
 # distance to the exact symbol and of the compact part's symbol
 MEMBERSHIP_TOLERANCE = 1e-8
@@ -245,9 +240,12 @@ def _margin(margin: int | None, least: int, n: int, what: str) -> int:
 
 def _report(name: str, lhs: op.TruncatedOperator, rhs: op.TruncatedOperator,
             n: int, margin: int, tolerance: float,
-            deviation=op.interior_deviation, **details) -> VerificationReport:
-    """Compare ``lhs`` and ``rhs`` on the interior blocks at ``margin``."""
-    dev = deviation(lhs, rhs, margin)
+            **details) -> VerificationReport:
+    """Compare ``lhs`` and ``rhs`` on the interior blocks at ``margin``; the
+    check passes below ``tolerance``, which must be finite and > 0."""
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite: {tolerance}")
+    dev = op.interior_deviation(lhs, rhs, margin)
     return VerificationReport(name, dev < tolerance, dev, tolerance, n, margin,
                               details=details)
 
@@ -296,14 +294,18 @@ def delta_absdirac_spot_check(f: FourierSeries, n: int) -> VerificationReport:
 
     |D| = diag(N+1, N) and the +1 drops out of commutators, so
     [|D|, a (+) a] should be block diagonal with both blocks equal to
-    [N, a] = -i T_{f'}; |D| is formed from the eigensystem of D, exactly.
+    [N, a] = -i T_{f'}.  |D| is formed from the eigensystem of D, exactly,
+    and it is diagonal, so the commutator scales each entry of a (+) a by
+    a difference of |D|'s integer entries, one rounding per entry.  So the
+    check passes only at deviation 0.0 and reports tolerance 0.0.
     """
     margin = _margin(None, f.bandwidth + 1, n, "bandwidth + 1")
-    _, absd = polar_parts(n)
-    comm = op.commutator(absd, represent(op.toeplitz(f, n)))
+    absd = polar_parts(n)[1].rows[0]  # |D| is diagonal, stored as one row
+    comm = op._diagonal_commutator(absd, represent(op.toeplitz(f, n)), 1)
     expected = represent((-1j) * op.toeplitz(f.derivative(), n))
-    return _report("delta_absdirac_spot_check", comm, expected, n, margin,
-                   ABSDIRAC_TOLERANCE, deviation=block_interior_deviation)
+    dev = block_interior_deviation(comm, expected, margin)
+    return VerificationReport("delta_absdirac_spot_check", dev == 0.0, dev,
+                              0.0, n, margin)
 
 
 def evenness_check(a: AlgebraElement, n: int) -> VerificationReport:
@@ -451,16 +453,13 @@ def _sweep_blocks(word: AlgebraElement, which: str, order: int,
         return x if m == n else op._columns(x, 0, n)
 
     a = word.realize(m)
-    if which == "delta":
-        lead = cut(a)
-        del a
-        return [op._delta_in_place(lead, order)]
-    # each commutator is dropped once its leading block is cut
-    generators = (op.dz, op.dz_star) if which == "dirac" else (op.dz,)
-    leads = [cut(op.commutator(g(m), a)) for g in generators]
-    del a
-    return leads if which == "dirac" else \
-        [op._delta_in_place(leads[0], order)]
+    if which == "dirac":
+        # each commutator is dropped once its leading block is cut
+        return [cut(op.commutator(g(m), a)) for g in (op.dz, op.dz_star)]
+    # rebinding a to the leading block drops the inflated band
+    a = cut(a if which == "delta" else op.commutator(op.dz(m), a))
+    return [op._diagonal_commutator(np.arange(n, dtype=float), a, order,
+                                    owned=True)]
 
 
 def _sweep_value(word: AlgebraElement, n: int, which: str,

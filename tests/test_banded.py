@@ -470,13 +470,13 @@ def test_absdirac_commutator_stores_few_rows(monkeypatch, n):
     # rounding noise on |D|'s offsets -3 and 3 the product's lattice had step
     # 1 and stored 23, 39, 19 and 71 rows for cos4k:1..4
     formed = []
-    commutator = op.commutator
+    commutator = op._diagonal_commutator
 
-    def spy(a, b):
-        formed.append(commutator(a, b))
+    def spy(*args, **kwargs):
+        formed.append(commutator(*args, **kwargs))
         return formed[-1]
 
-    monkeypatch.setattr(op, "commutator", spy)
+    monkeypatch.setattr(op, "_diagonal_commutator", spy)
     for k in (1, 2, 3, 4):
         assert delta_absdirac_spot_check(FourierSeries.cosine(4 * k), n).passed
         assert formed[-1].rows.shape[0] <= 3
@@ -560,6 +560,47 @@ def test_lattice_operations_match_dense(pair, scalar, k):
         assert result.rows.shape == ((hi - lo) // step + 1, n)
         assert np.array_equal(reference_dense(result.diagonals, lo), m)
         assert not stored_outside(result).any()
+
+
+lattice_bands = st.tuples(sizes, st.booleans()).flatmap(
+    lambda nr: on_lattice(*nr))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_bands, st.integers(1, 3))
+def test_delta_scales_each_row_by_its_offset_power(ax, k):
+    # delta takes [N, .] through the differences m[c + d] - m[c] of N's
+    # weights, which are d exactly: the rows are those of the formula
+    # rows * offset**k, bit for bit
+    a, _ = ax
+    offsets = np.array(range(a.lo, a.band[1] + 1, a.step), dtype=float)
+    expected = op.TruncatedOperator(
+        op._Fresh(a.rows * offsets[:, None] ** k, a.step), a.lo)
+    result = op.delta(a, k)
+    assert (result.lo, result.step) == (expected.lo, expected.step)
+    assert result.rows.dtype == expected.rows.dtype
+    for row, reference in zip(result.rows, expected.rows, strict=True):
+        assert row.tobytes() == reference.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_bands, st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_diagonal_commutator_matches_dense(ax, k, seed):
+    # integer weights and entries keep every product and difference exact
+    a, _ = ax
+    n = a.dim
+    whole = op.TruncatedOperator(np.round(4 * a.diagonals), a.lo)
+    w = np.random.default_rng(seed).integers(-20, 21, n).astype(float)
+    x = before = whole.dense()
+    for _ in range(k):
+        x = np.diag(w) @ x - x @ np.diag(w)
+    result = op._diagonal_commutator(w, whole, k)
+    assert np.array_equal(result.dense(), x)
+    assert not stored_outside(result).any()
+    # the caller's operator is left as it was, unless it gives its rows up
+    assert np.array_equal(whole.dense(), before)
+    owned = op._diagonal_commutator(w, whole, k, owned=True)
+    assert np.array_equal(owned.dense(), x)
 
 
 # ----------------------------------------------------------------------

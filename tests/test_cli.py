@@ -146,7 +146,9 @@ SPECTRUM_DIGESTS = {
 # (|D| and F), index (F against the shift pattern) and verify, whose
 # delta_absdirac_spot_check takes |D| and whose evenness check takes D.
 # They were taken while D's blocks were solved by Jacobi rotations, before
-# |D| and F were written from the entries of D
+# |D| and F were written from the entries of D.  Taking [|D|, a (+) a] by
+# differences of |D|'s entries changed only verify's report.json, where the
+# spot check's tolerance went from 1e-10 to 0.0
 DIRAC_DIGESTS = {
     ("polar", "--n", "64", "--margin", "2"): {
         "data.csv": "6c5d944c8cee679b1d966f3d30b88d36"
@@ -166,8 +168,8 @@ DIRAC_DIGESTS = {
     ("verify", "--n", "512", "--symbol", "cos4k:1"): {
         "data.csv": "2ab7b58c983c887d8ef5707bb90970a4"
                     "578ea3a9966156e90e769d8f351e4c4e",
-        "report.json": "700c9e90f139b7e7a56ca97de8b3abcc"
-                       "6e7378ffc1c9917d766be7e419c11c46"},
+        "report.json": "c16b4f2d70c144a2d0b98318c3a79ebc"
+                       "22a9f7de864c3bbe045319b1a1b63282"},
 }
 
 
@@ -777,7 +779,7 @@ def test_verify_tolerance_reaches_the_six_checks_its_help_names(tmp_path):
                        "delta_2", "delta_3", "dzstar_via_adjoint"}
     # the other four keep their fixed tolerances whatever --tolerance says
     assert {k: v for k, v in tolerances.items() if k not in reached} == {
-        "wedge_gluing": 1e-9, "delta_absdirac_spot_check": 1e-10,
+        "wedge_gluing": 1e-9, "delta_absdirac_spot_check": 0.0,
         "evenness": 0.0, "membership": 1e-8}
     text = option_help("verify", "--tolerance")
     head, fixed = text.split(";")

@@ -226,6 +226,13 @@ def test_wedge_preconditions():
         wedge_check(f, 0.0)
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1.0])
+def test_wedge_rejects_tolerances_that_decide_nothing(tolerance):
+    # NaN failed the exact wedge symbol cos 4t, and inf passed every symbol
+    with pytest.raises(ValueError, match="positive"):
+        wedge_check(FourierSeries.cosine(4), tolerance)
+
+
 def test_wedge_rejects_sampling_alias():
     # 4092 = 4 * 1023 aliases to a passing frequency on a 1024-point grid of
     # [0, pi/2]; on the coefficients both relations fail with l1 norm 2

@@ -1,6 +1,7 @@
 """Tests for algebra words, identity verification and boundedness sweeps."""
 
 import logging
+import math
 import operator
 
 import numpy as np
@@ -283,7 +284,49 @@ def test_dzstar_via_adjoint():
 def test_delta_absdirac_spot_check():
     report = delta_absdirac_spot_check(FourierSeries.cosine(4), 64)
     assert report.passed
-    assert report.max_deviation < 1e-10
+    assert report.max_deviation == 0.0
+
+
+def cos16_samples():
+    """64 samples of cos 16t + 0.5 cos 8t, as a sample file holds them."""
+    theta = 2 * np.pi * np.arange(64) / 64
+    return np.cos(16 * theta) + 0.5 * np.cos(8 * theta)
+
+
+def random_symbol(amplitude):
+    """Seeded random complex coefficients at -7..7, times ``amplitude``."""
+    rng = np.random.default_rng(3)
+    return FourierSeries({k: amplitude * complex(*rng.standard_normal(2))
+                          for k in range(-7, 8)})
+
+
+@pytest.mark.parametrize("n", [128, 1024, 4096])
+@pytest.mark.parametrize("amplitude", [1.0, 1e3, 1e6])
+@pytest.mark.parametrize("symbol", [
+    lambda a: FourierSeries.from_samples(a * cos16_samples()),
+    random_symbol], ids=["cos16", "random"])
+def test_delta_absdirac_spot_check_is_exact_at_any_amplitude(symbol,
+                                                             amplitude, n):
+    # [|D|, a (+) a] scales each entry by a difference of |D|'s integer
+    # entries, one rounding as in -i T_{f'}; the product loop cancelled
+    # (m + 1) x against m x, up to 2.4e-7 (cos16) and 1.7e-6 (random) here
+    report = delta_absdirac_spot_check(symbol(amplitude), n)
+    assert report.max_deviation == 0.0
+    assert report.passed
+    assert report.tolerance == 0.0
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1.0])
+def test_identity_checks_reject_tolerances_that_decide_nothing(tolerance):
+    # NaN, 0 and -1 failed an identity that deviates by exactly 0.0, and
+    # inf passed any
+    f = FourierSeries.cosine(4)
+    for check in (lambda: verify_delta_k(f, 1, 64, tolerance=tolerance),
+                  lambda: verify_commutator_dz(f, 64, tolerance=tolerance),
+                  lambda: verify_dzstar_via_adjoint(cos4_word(), 64,
+                                                    tolerance=tolerance)):
+        with pytest.raises(ValueError, match="positive"):
+            check()
 
 
 # ----------------------------------------------------------------------
@@ -454,7 +497,7 @@ def test_delta_in_place_takes_the_rows_over():
     a = op.toeplitz(FourierSeries.cosine(4), 40) + \
         op.finite_rank(np.ones((3, 3)) * 1j, 40)
     expected = op.delta(a, 3)
-    result = op._delta_in_place(a, 3)
+    result = op._diagonal_commutator(np.arange(40.0), a, 3, owned=True)
     assert (result.lo, result.step) == (expected.lo, expected.step)
     assert np.array_equal(result.rows, expected.rows)
     assert not result.rows.flags.writeable
@@ -465,7 +508,9 @@ def test_delta_in_place_takes_the_rows_over():
     base = np.array([[1.0, 2.0, 0.0, 0.0]])
     view = op.TruncatedOperator(op._Fresh(base[:, :]), 2)
     assert not view.rows.flags.owndata
-    assert np.array_equal(op._delta_in_place(view, 1).rows, 2 * base)
+    assert np.array_equal(
+        op._diagonal_commutator(np.arange(4.0), view, 1, owned=True).rows,
+        2 * base)
     assert np.array_equal(base, [[1.0, 2.0, 0.0, 0.0]])
 
 
