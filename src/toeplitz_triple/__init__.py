@@ -37,10 +37,10 @@ from .operators import BandPattern, TruncatedOperator, \
     interior_deviation, number, operator_norm, pattern_kernel_dims, \
     rectangular_kernel_dims, shift, shift_adjoint, shift_adjoint_pattern, \
     shift_pattern, symbol_estimate, toeplitz
-from .dirac import FredholmIndexError, SpectrumReport, analytic_eigenvector, \
-    block_interior_deviation, dirac, fredholm_index, grading, polar_check, \
-    polar_parts, represent, spectrum, summability_partial_sums, \
-    summability_report
+from .dirac import DiracStructureError, FredholmIndexError, SpectrumReport, \
+    analytic_eigenvector, block_interior_deviation, dirac, fredholm_index, \
+    grading, polar_check, polar_parts, represent, spectrum, \
+    summability_partial_sums, summability_report
 from .reports import VerificationReport
 from .triple import AlgebraElement, SweepReport, boundedness_sweep, \
     delta_absdirac_spot_check, evenness_check, membership_check, random_words, \
@@ -52,6 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraElement",
     "BandPattern",
+    "DiracStructureError",
     "FourierSeries",
     "FredholmIndexError",
     "SpectrumReport",

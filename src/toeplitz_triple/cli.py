@@ -4,7 +4,8 @@ Every run writes ``report.json`` (stable schema: command, config echo,
 timestamp, checks, artifacts, error), plus ``data.csv`` for tabular output and
 ``plot.svg`` when SVG emission is on.  Exit codes: 0 all checks passed,
 1 a check failed, 2 usage/configuration error (an output that cannot be
-written is one), 3 internal numerical failure.
+written is one), 3 internal numerical failure (index routes that disagree,
+or an operator built as D that is not made of D's pairs and singletons).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import svg
-from .dirac import FredholmIndexError, dirac, fredholm_index, polar_check, \
-    spectrum, summability_report
+from .dirac import DiracStructureError, FredholmIndexError, dirac, \
+    fredholm_index, polar_check, spectrum, summability_report
 from .fourier import FourierSeries, wedge_check
 from .operators import pattern_kernel_dims, rectangular_kernel_dims, \
     shift_adjoint_pattern, shift_pattern
@@ -358,12 +359,12 @@ def run(cfg: RunConfig) -> int:
     error = None
     try:
         checks, header, rows, chart = COMMANDS[cfg.command](cfg)
+    except (DiracStructureError, FredholmIndexError) as exc:
+        error, code = {"type": "numerical", "message": str(exc)}, EXIT_NUMERICAL
+        print(f"numerical failure: {exc}", file=sys.stderr)
     except ValueError as exc:
         error, code = {"type": "config", "message": str(exc)}, EXIT_USAGE
         print(f"error: {exc}", file=sys.stderr)
-    except FredholmIndexError as exc:
-        error, code = {"type": "numerical", "message": str(exc)}, EXIT_NUMERICAL
-        print(f"numerical failure: {exc}", file=sys.stderr)
     try:
         if error is not None:
             _write_report(outdir, cfg, [], [], error)

@@ -40,6 +40,7 @@ from .reports import VerificationReport
 
 __all__ = [
     "SpectrumReport",
+    "DiracStructureError",
     "FredholmIndexError",
     "dirac",
     "grading",
@@ -60,6 +61,10 @@ SUM_CHUNK = 1_000_000
 
 class FredholmIndexError(RuntimeError):
     """Index computations disagree across truncations or methods."""
+
+
+class DiracStructureError(ValueError):
+    """An operator read as D does not split into D's pairs and singletons."""
 
 
 def _double(blocks: dict, n: int) -> op.TruncatedOperator:
@@ -160,15 +165,15 @@ def _pair_table(h: op.TruncatedOperator) -> tuple:
     ``d > 0`` and column c, pairs index c with index ``c + d``, in the
     order of the stored rows.  An operator that is complex, that is not
     exactly its own transpose, that pairs an index twice or whose pair
-    carries a diagonal entry raises ``ValueError``.
+    carries a diagonal entry raises ``DiracStructureError``.
     """
     if h.rows.dtype.kind != "f":
-        raise ValueError("the eigensystem is read off real operators only, "
-                         "and this one is complex")
+        raise DiracStructureError("the eigensystem is read off real "
+                                  "operators only, and this one is complex")
     # h is its own transpose: its lattice and its stored rows mirror
     if h.lo != -h.band[1] or not np.array_equal(op._mirrored(h), h.rows):
-        raise ValueError("the part above the diagonal does not mirror "
-                         "the part below")
+        raise DiracStructureError("the part above the diagonal does not "
+                                  "mirror the part below")
     stored, cols = np.nonzero(h.rows)
     offsets = h.lo + stored * h.step
     below = offsets > 0
@@ -177,14 +182,14 @@ def _pair_table(h: op.TruncatedOperator) -> tuple:
     ends = np.bincount(first, minlength=h.dim)
     ends += np.bincount(second, minlength=h.dim)
     if (ends > 1).any():
-        raise ValueError(f"index {np.argmax(ends > 1)} is in two pairs, so "
-                         "its component has more than two indices")
+        raise DiracStructureError(f"index {np.argmax(ends > 1)} is in two "
+                                  "pairs, in a component of over two indices")
     diag = h._row(0)
     if diag is None:
         diag = np.zeros(h.dim)
     if diag[first].any() or diag[second].any():
-        raise ValueError("a pair carries a diagonal entry, which no "
-                         "component of D does")
+        raise DiracStructureError("a pair carries a diagonal entry, which "
+                                  "no component of D does")
     return diag, first, second, h.rows[stored[below], first]
 
 
@@ -206,7 +211,8 @@ def spectrum(d: op.TruncatedOperator) -> SpectrumReport:
     Clusters and zero modes are compared exactly: a cluster is a run of
     equal eigenvalues and a zero mode an eigenvalue equal to 0, which D's
     closed-form solve satisfies.  ``d`` must split into pairs and
-    singletons as D does; any other operator raises ``ValueError``.
+    singletons as D does; any other operator raises
+    ``DiracStructureError``, a ``ValueError``.
     """
     diag, first, second, k = _pair_table(d)
     high = np.abs(k)

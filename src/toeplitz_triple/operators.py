@@ -41,16 +41,20 @@ of one step (at most the left factor's rows).  The constructor zeroes the
 entries outside the matrix by slices of each row and checks the rows finite
 by reductions, so it adds O(n) bytes to the rows it adopts, and
 ``interior_deviation`` compares two operators diagonal by diagonal, with no
-copy of either and no difference band.  A commutator with a diagonal
-operator, such as N in ``delta`` or |D|, takes no product: it scales each
-stored diagonal by differences of the weights.
+copy of either and no difference band.  A commutator with a generator,
+N in ``delta``, |D|, dz or dz*, takes no product: one pass scales each
+stored diagonal by exact differences of the generator's weights and adds
+a weight times the diagonal's own differences, which vanish where it is
+constant, one diagonal at a time.
 
-Besides the concrete matrices, ``BandPattern`` describes a weighted shift
-``e_m -> w(m) e_{m+offset}`` of the semi-infinite model exactly (a polynomial
-weight with rational coefficients), which makes kernel/cokernel dimensions
-and the index computable without any truncation.  Its rectangular truncations
-have one entry per column, so their kernel and cokernel are counted exactly
-in O(n) and no matrix is formed.
+``BandPattern`` describes a weighted shift ``e_m -> w(m) e_{m+offset}`` of
+the semi-infinite model exactly (a polynomial weight with rational
+coefficients), which makes kernel/cokernel dimensions and the index
+computable without any truncation.  It is the one definition of each
+generator: ``shift``, ``shift_adjoint``, ``number``, ``dz`` and ``dz_star``
+are realisations of their patterns.  Its rectangular truncations have one
+entry per column, so their kernel and cokernel are counted exactly in O(n)
+and no matrix is formed.
 """
 
 from __future__ import annotations
@@ -378,28 +382,28 @@ def identity(n: int) -> TruncatedOperator:
 
 def shift(n: int) -> TruncatedOperator:
     """S e_m = e_{m+1}; the image of e_{n-1} is cut by the truncation."""
-    return TruncatedOperator(np.ones((1, n)), 1)
+    return shift_pattern().realize(n)
 
 
 def shift_adjoint(n: int) -> TruncatedOperator:
     """S* e_m = e_{m-1} for m >= 1 and S* e_0 = 0."""
-    return TruncatedOperator(np.ones((1, n)), -1)
+    return shift_adjoint_pattern().realize(n)
 
 
 def number(n: int) -> TruncatedOperator:
     """N e_m = m e_m."""
-    return TruncatedOperator(np.arange(n, dtype=float)[None, :], 0)
+    return BandPattern.weighted_shift(0, [0, 1]).realize(n)
 
 
 def dz(n: int) -> TruncatedOperator:
     """Lowering derivative: e_m -> m e_{m-1} (equals shift_adjoint @ number)."""
-    return TruncatedOperator(np.arange(n, dtype=float)[None, :], -1)
+    return dz_pattern().realize(n)
 
 
 def dz_star(n: int) -> TruncatedOperator:
     """Raising adjoint: e_m -> (m+1) e_{m+1}; the image ``n*e_n`` of ``e_{n-1}``
     is cut by the truncation, so the last column is zero."""
-    return TruncatedOperator(np.arange(1, n + 1, dtype=float)[None, :], 1)
+    return dz_star_pattern().realize(n)
 
 
 def finite_rank(block, n: int) -> TruncatedOperator:
@@ -479,45 +483,69 @@ def commutator(a: TruncatedOperator, b: TruncatedOperator) -> TruncatedOperator:
 def delta(x: TruncatedOperator, k: int) -> TruncatedOperator:
     """The k-fold commutator ``[N, [N, ... [N, x]]]`` with ``number(n)``.
 
-    N is diagonal, so it commutes with the truncation and diagonal d of
-    ``[N, x]`` is ``(m[c + d] - m[c]) * x_d[c] = d * x_d[c]`` (see
-    ``_diagonal_commutator``): each stored diagonal is scaled by its offset
+    N is diagonal, so diagonal d of ``[N, x]`` is
+    ``(m[c + d] - m[c]) * x_d[c] = d * x_d[c]`` (see
+    ``_generator_commutator``): each stored diagonal is scaled by its offset
     to the k-th power, one rounding per entry, with no cancellation against
     N's entries, which grow with n.  The result keeps x's lattice, or a
     smaller one when the diagonal of offset 0, which it zeroes, was at an
     end of it.
     """
-    return _diagonal_commutator(np.arange(x.dim, dtype=float), x, k)
+    return _generator_commutator(number(x.dim), x, k)
 
 
-def _diagonal_commutator(w: np.ndarray, x: TruncatedOperator, k: int,
-                         owned: bool = False) -> TruncatedOperator:
-    """``[W, [W, ... [W, x]]]``, k-fold, for the diagonal W of real
-    entries ``w``.
+def _generator_commutator(g: TruncatedOperator, x: TruncatedOperator,
+                          k: int = 1, owned: bool = False) -> TruncatedOperator:
+    """``[G, x]`` for a weighted shift G, one that stores one row, at
+    offset s = -1, 0 or 1, holding its weights w: ``G e_c = w[c] e_{c+s}``.
+    For a diagonal G (s = 0) the k-fold ``[G, [G, ... [G, x]]]``.
 
-    Entry c of the diagonal of offset d of ``[W, x]`` is
-    ``w[c + d] * x_d[c] - x_d[c] * w[c]``, so each stored row is multiplied
-    by ``(w[c + d] - w[c])**k`` over its columns inside the matrix, one row
-    at a time.  Where the weights are integers, as N's and |D|'s are, their
-    differences are exact, and each entry rounds once.  The result has x's
-    dtype and lattice, less rows that come out zero.  It is written into
-    new rows, or, when ``owned``, into x's own rows, for a caller that
-    holds no other reference to x: x gives its rows up and cannot be used
-    again.  Rows that share memory with another array are copied instead.
+    Entry c of the result's diagonal e + s is
+    ``w[c + e] * x_e[c] - w[c] * x_e[c + s]``, where a weight or an entry
+    outside the matrix is 0.  It is computed, one row of x at a time, as
+    an exact weight difference times an entry of x, to which a weight
+    times ``x_e[c] - x_e[c + s]`` is added when s is not 0:
+
+    - s = 0: ``(w[c + e] - w[c])**k * x_e[c]``;
+    - s = 1: ``(w[c + e] - w[c]) * x_e[c] + w[c] * (x_e[c] - x_e[c + 1])``;
+    - s = -1, on the mirrored terms:
+      ``(w[c + e] - w[c]) * x_e[c - 1] + w[c + e] * (x_e[c] - x_e[c - 1])``.
+
+    Where the weights are integers, as those of N, |D|, dz and dz* are,
+    their differences are exact, and the second term is exactly 0 on a
+    constant diagonal, so the interior entries of a Toeplitz band round
+    once, with no cancellation against weights that grow with n.  The
+    mirrored terms make ``[dz*, a]`` and ``-[dz, a*]*`` round alike.  The
+    result has x's dtype and lattice, moved by s, less rows that come out
+    zero.  It is written into new rows, or, when ``owned`` (s = 0 only),
+    into x's own rows, for a caller that holds no other reference to x: x
+    gives its rows up and cannot be used again.  Rows that share memory
+    with another array are copied instead.
     """
+    s = g.lo
     if k < 1:
         raise ValueError("k must be >= 1")
+    if g.rows.shape[0] != 1 or abs(s) > 1 or s and (k > 1 or owned):
+        raise ValueError("a generator stores one row at offset -1, 0 or 1, "
+                         "and a shift's commutator is taken once, unowned")
     n, offsets, rows = x.dim, x._offsets(), x.rows
     if owned:
         del x.rows
         rows = rows if rows.flags.owndata else np.array(rows)
         rows.setflags(write=True)
     out = rows if owned else np.zeros_like(rows)
-    for d, row, new in zip(offsets, rows, out):
-        first, stop = max(0, -d), n - max(0, d)
-        scale = (w[first + d:stop + d] - w[first:stop]) ** k
-        np.multiply(row[first:stop], scale, out=new[first:stop])
-    return TruncatedOperator(_Fresh(out, offsets.step), offsets.start)
+    # the weights, and below each row of x, between two zeros: the columns
+    # c + e and c + s reach -1 and n
+    w = np.pad(g.rows[0], 1)
+    for e, row, new in zip(offsets, rows, out):
+        first, stop = max(0, -e - s), n - max(0, e + s)
+        at, shifted = w[first + 1:stop + 1], w[first + e + 1:stop + e + 1]
+        u, new = row[first:stop], new[first:stop]
+        v = np.pad(row, 1)[first + s + 1:stop + s + 1] if s else u
+        np.multiply((shifted - at) ** k, v if s < 0 else u, out=new)
+        if s:
+            new += (u - v) * (at if s > 0 else shifted)
+    return TruncatedOperator(_Fresh(out, offsets.step), offsets.start + s)
 
 
 class _MatvecPlan:
@@ -930,9 +958,21 @@ class BandPattern:
         return acc
 
     def realize(self, n: int) -> TruncatedOperator:
-        """Float truncation, for cross-checks against the exact computations."""
-        weights = [float(self.weight(m)) for m in range(n)]
-        return TruncatedOperator(np.array([weights]), self.offset)
+        """The float64 truncation: ``w(m)`` at column m of one stored row,
+        0 where ``m + offset`` falls outside the matrix.
+
+        The weights come from Horner's rule, in place, on the integer
+        numerators of the coefficients over their common denominator q,
+        then one division by q.  While the numerators stay below 2**53
+        every step is exact, so each weight is ``float(self.weight(m))``
+        bit for bit."""
+        q = math.lcm(*(c.denominator for c in self.coeffs))
+        m, weights = np.arange(n, dtype=float), np.zeros((1, n))
+        for c in reversed(self.coeffs):
+            weights *= m
+            weights += int(c * q)
+        weights /= q
+        return TruncatedOperator(_Fresh(weights), self.offset)
 
     def nonnegative_zeros(self) -> list[int]:
         """All integers m >= 0 with ``w(m) == 0``, found exactly."""

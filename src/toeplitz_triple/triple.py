@@ -252,9 +252,14 @@ def _report(name: str, lhs: op.TruncatedOperator, rhs: op.TruncatedOperator,
 
 def verify_commutator_dz(f: FourierSeries, n: int, margin: int | None = None,
                          tolerance: float = 1e-12) -> VerificationReport:
-    """[dz, T_f] equals -i T_{conj(u) f'} on interior blocks."""
+    """[dz, T_f] equals -i T_{conj(u) f'} on interior blocks.
+
+    The commutator is taken by ``op._generator_commutator``: inside the
+    band each entry is an exact weight difference times a coefficient of
+    f, one rounding, so the deviation does not grow with n.
+    """
     margin = _margin(margin, f.bandwidth + 1, n, "bandwidth + 1")
-    lhs = op.commutator(op.dz(n), op.toeplitz(f, n))
+    lhs = op._generator_commutator(op.dz(n), op.toeplitz(f, n))
     rhs = (-1j) * op.toeplitz(f.derivative().shifted(-1), n)
     return _report("commutator_dz", lhs, rhs, n, margin, tolerance)
 
@@ -281,10 +286,12 @@ def verify_delta_k(f: FourierSeries, k: int, n: int, margin: int | None = None,
 def verify_dzstar_via_adjoint(a: AlgebraElement, n: int,
                               tolerance: float = 1e-12) -> VerificationReport:
     """[dz*, a] equals -[dz, a*]* (exact for finite matrices, so it is
-    compared on the whole truncation, at margin 0)."""
+    compared on the whole truncation, at margin 0).  Both commutators are
+    taken by ``op._generator_commutator``, whose terms for dz* and dz
+    mirror each other, so the two sides round alike."""
     margin = _margin(0, 0, n, "0")
-    lhs = op.commutator(op.dz_star(n), a.realize(n))
-    rhs = -(op.commutator(op.dz(n), a.adjoint().realize(n)).adjoint())
+    lhs = op._generator_commutator(op.dz_star(n), a.realize(n))
+    rhs = -op._generator_commutator(op.dz(n), a.adjoint().realize(n)).adjoint()
     return _report("dzstar_via_adjoint", lhs, rhs, n, margin, tolerance,
                    word=a.describe())
 
@@ -300,8 +307,8 @@ def delta_absdirac_spot_check(f: FourierSeries, n: int) -> VerificationReport:
     check passes only at deviation 0.0 and reports tolerance 0.0.
     """
     margin = _margin(None, f.bandwidth + 1, n, "bandwidth + 1")
-    absd = polar_parts(n)[1].rows[0]  # |D| is diagonal, stored as one row
-    comm = op._diagonal_commutator(absd, represent(op.toeplitz(f, n)), 1)
+    comm = op._generator_commutator(polar_parts(n)[1],
+                                    represent(op.toeplitz(f, n)))
     expected = represent((-1j) * op.toeplitz(f.derivative(), n))
     dev = block_interior_deviation(comm, expected, margin)
     return VerificationReport("delta_absdirac_spot_check", dev == 0.0, dev,
@@ -437,10 +444,12 @@ def _sweep_blocks(word: AlgebraElement, which: str, order: int,
     in the realisation, and cut to their leading blocks.  The collar keeps
     them exact: ``_collar(word)``, one more under "dirac" and "delta_dz",
     whose commutators with dz and dz* read one row and column of the word
-    past the block.  ``delta`` scales each entry by its offset, so it is
-    taken of the leading block, in the rows of that block: the sweep made
-    it, as the realisation itself when there is no collar and as a copy of
-    its leading columns otherwise, and holds the only reference to it.  So
+    past the block.  Each commutator, with dz, dz* or N, is one pass of
+    ``op._generator_commutator`` over the generator's realisation.  The
+    one with N, ``delta``, scales each entry by its offset, so it is taken
+    of the leading block, in the rows of that block: the sweep made it, as
+    the realisation itself when there is no collar and as a copy of its
+    leading columns otherwise, and holds the only reference to it.  So
     a "delta" target of a word without products, such as the rough
     control, holds one band; with a collar, the inflated band and its
     leading columns are held together only while they are cut.
@@ -455,11 +464,11 @@ def _sweep_blocks(word: AlgebraElement, which: str, order: int,
     a = word.realize(m)
     if which == "dirac":
         # each commutator is dropped once its leading block is cut
-        return [cut(op.commutator(g(m), a)) for g in (op.dz, op.dz_star)]
+        return [cut(op._generator_commutator(g(m), a))
+                for g in (op.dz, op.dz_star)]
     # rebinding a to the leading block drops the inflated band
-    a = cut(a if which == "delta" else op.commutator(op.dz(m), a))
-    return [op._diagonal_commutator(np.arange(n, dtype=float), a, order,
-                                    owned=True)]
+    a = cut(a if which == "delta" else op._generator_commutator(op.dz(m), a))
+    return [op._generator_commutator(op.number(n), a, order, owned=True)]
 
 
 def _sweep_value(word: AlgebraElement, n: int, which: str,

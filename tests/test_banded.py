@@ -470,13 +470,13 @@ def test_absdirac_commutator_stores_few_rows(monkeypatch, n):
     # rounding noise on |D|'s offsets -3 and 3 the product's lattice had step
     # 1 and stored 23, 39, 19 and 71 rows for cos4k:1..4
     formed = []
-    commutator = op._diagonal_commutator
+    commutator = op._generator_commutator
 
     def spy(*args, **kwargs):
         formed.append(commutator(*args, **kwargs))
         return formed[-1]
 
-    monkeypatch.setattr(op, "_diagonal_commutator", spy)
+    monkeypatch.setattr(op, "_generator_commutator", spy)
     for k in (1, 2, 3, 4):
         assert delta_absdirac_spot_check(FourierSeries.cosine(4 * k), n).passed
         assert formed[-1].rows.shape[0] <= 3
@@ -583,24 +583,51 @@ def test_delta_scales_each_row_by_its_offset_power(ax, k):
         assert row.tobytes() == reference.tobytes()
 
 
-@settings(max_examples=100, deadline=None)
-@given(lattice_bands, st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_diagonal_commutator_matches_dense(ax, k, seed):
+@settings(max_examples=200, deadline=None)
+@given(lattice_bands,
+       st.sampled_from(["dz", "dz_star", "shift", "shift_adjoint", "number",
+                        -1, 0, 1]),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_diagonal_commutator_matches_dense(ax, generator, k, seed):
+    # a generator, or random integer weights at offset s = -1, 0 or 1;
     # integer weights and entries keep every product and difference exact
     a, _ = ax
     n = a.dim
     whole = op.TruncatedOperator(np.round(4 * a.diagonals), a.lo)
-    w = np.random.default_rng(seed).integers(-20, 21, n).astype(float)
+    if isinstance(generator, str):
+        g = getattr(op, generator)(n)
+    else:
+        w = np.random.default_rng(seed).integers(-20, 21, n).astype(float)
+        g = op.TruncatedOperator(w[None, :], generator)
+    # the k-fold commutator is a diagonal operator's only
+    k = k if g.lo == 0 else 1
     x = before = whole.dense()
     for _ in range(k):
-        x = np.diag(w) @ x - x @ np.diag(w)
-    result = op._diagonal_commutator(w, whole, k)
+        x = g.dense() @ x - x @ g.dense()
+    result = op._generator_commutator(g, whole, k)
     assert np.array_equal(result.dense(), x)
+    assert result.rows.dtype == whole.rows.dtype
     assert not stored_outside(result).any()
     # the caller's operator is left as it was, unless it gives its rows up
     assert np.array_equal(whole.dense(), before)
-    owned = op._diagonal_commutator(w, whole, k, owned=True)
-    assert np.array_equal(owned.dense(), x)
+    if g.lo == 0:
+        owned = op._generator_commutator(g, whole, k, owned=True)
+        assert np.array_equal(owned.dense(), x)
+
+
+@pytest.mark.parametrize("g, k, owned", [
+    (op.toeplitz(FourierSeries.cosine(1), 16), 1, False),
+    (op.TruncatedOperator(np.ones((1, 16)), 2), 1, False),
+    (op.dz(16), 2, False), (op.dz_star(16), 1, True), (op.shift(16), 3, True)],
+    ids=["two_rows", "offset_2", "dz_twice", "dz_star_owned", "shift_owned"])
+def test_generator_commutator_refuses_other_operators(g, k, owned):
+    # a generator stores one row at offset -1, 0 or 1, and a commutator
+    # with one off the diagonal is taken once, into new rows
+    a = op.toeplitz(FourierSeries.cosine(4), 16)
+    with pytest.raises(ValueError, match="one row at offset -1, 0 or 1"):
+        op._generator_commutator(g, a, k, owned=owned)
+    # the operator keeps its rows
+    assert a.rows.shape == (2, 16)
 
 
 # ----------------------------------------------------------------------

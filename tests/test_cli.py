@@ -20,6 +20,7 @@ import pytest
 
 import toeplitz_triple
 from toeplitz_triple import cli, svg
+from toeplitz_triple import operators as op
 from toeplitz_triple.cli import (
     COMMANDS,
     EXIT_CHECK_FAILED,
@@ -508,6 +509,30 @@ def test_index_failure_is_a_numerical_error(tmp_path, monkeypatch):
                                "message": "forced disagreement"}
     assert report["checks"] == [] and report["artifacts"] == []
     assert not (tmp_path / "data.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--n", "64"], ["polar", "--n", "64"],
+    ["index", "--sizes", "16,32"], ["verify", "--n", "256"]],
+    ids=lambda args: args[0])
+def test_a_defect_in_d_is_a_numerical_error(args, tmp_path, monkeypatch):
+    # one ulp on one entry of dz breaks D's mirror symmetry: a failure of
+    # the operator under test, not of the user's configuration (exit 2)
+    real = op.dz
+
+    def dz(n):
+        rows = real(n).rows.copy()
+        rows[0, n // 2] = np.nextafter(rows[0, n // 2], np.inf)
+        return op.TruncatedOperator(rows, -1)
+
+    monkeypatch.setattr(op, "dz", dz)
+    assert exit_code(args, tmp_path) == EXIT_NUMERICAL
+    report = read_report(tmp_path)
+    assert report["error"] == {
+        "type": "numerical",
+        "message": "the part above the diagonal does not mirror the part "
+                   "below"}
+    assert report["checks"] == [] and report["artifacts"] == []
 
 
 def test_output_dir_naming_a_file_is_a_usage_error(tmp_path, capsys):

@@ -12,6 +12,7 @@ from toeplitz_triple import operators as op
 from toeplitz_triple.cli import RunConfig, run
 from toeplitz_triple.dirac import (
     SUM_CHUNK,
+    DiracStructureError,
     FredholmIndexError,
     _double,
     _pair_table,
@@ -361,7 +362,9 @@ def test_eigensystem_reads_components_off_the_matrix(h):
 ], ids=["path", "complex", "one_sided", "unmirrored", "unequal_mirror",
         "pair_with_diagonal"])
 def test_eigensystem_refuses_components_unlike_d(h, message):
-    with pytest.raises(ValueError, match=message):
+    # a ValueError, as library callers of spectrum catch it, of its own
+    # class, as the command line reports it
+    with pytest.raises(DiracStructureError, match=message):
         _pair_table(h)
     with pytest.raises(ValueError, match=message):
         spectrum(h)

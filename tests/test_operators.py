@@ -4,6 +4,7 @@ import contextlib
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -557,12 +558,42 @@ def test_pattern_rejects_an_empty_weight():
         op.BandPattern.weighted_shift(-1, [0, 0]).nonnegative_zeros()
 
 
+def closed_form(name, n):
+    """The offset and stored row of a generator's n x n truncation, written
+    out: the weights, 0 where the image falls outside the matrix."""
+    m = np.arange(n, dtype=float)
+    offset, row = {"shift": (1, np.ones(n)), "shift_adjoint": (-1, np.ones(n)),
+                   "number": (0, m), "dz": (-1, m),
+                   "dz_star": (1, m + 1)}[name]
+    row[:max(0, -offset)] = 0
+    row[n - max(0, offset):] = 0
+    return (offset, row[None, :]) if row.any() else (0, np.zeros((1, n)))
+
+
 def test_pattern_realization_matches_matrices():
-    assert np.array_equal(op.dz_pattern().realize(6).dense(), op.dz(6).dense())
-    assert np.array_equal(op.dz_star_pattern().realize(6).dense(),
-                          op.dz_star(6).dense())
-    assert np.array_equal(op.shift_pattern().realize(6).dense(),
-                          op.shift(6).dense())
+    # each generator is the realisation of its pattern, and equals its
+    # closed form bit for bit, lattice and dtype included
+    for name in ("shift", "shift_adjoint", "number", "dz", "dz_star"):
+        for n in (1, 2, 3, 7, 64, 262144):
+            g = getattr(op, name)(n)
+            offset, row = closed_form(name, n)
+            assert (g.lo, g.step, g.rows.dtype) == (offset, 1, np.float64)
+            assert np.array_equal(g.rows, row)
+            assert g.rows.tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("coeffs", [
+    [Fraction(-3, 7), Fraction(1, 7)],
+    [Fraction(1, 3), Fraction(-5, 6), Fraction(7, 10)]])
+def test_pattern_realization_rounds_each_exact_weight(coeffs):
+    # Horner's rule on the integer numerators, then one division, rounds
+    # as float() of the exact weight does
+    n = 1000
+    p = op.BandPattern.weighted_shift(-1, coeffs)
+    row = p.realize(n).rows[0]
+    # the image of e_0 is cut
+    assert row[0] == 0.0
+    assert all(row[m] == float(p.weight(m)) for m in range(1, n))
 
 
 def test_rectangular_dims_match_exact_and_are_stable():

@@ -243,6 +243,29 @@ def test_delta_k_deviation_does_not_grow_with_n(make):
         assert len({r.max_deviation for r in reports}) == 1
 
 
+def test_commutator_dz_rounds_each_entry_once():
+    # [dz, T_f] is taken as an exact weight difference times T_f's constant
+    # diagonals, so it equals -i T_{conj(u) f'} exactly whatever n is; the
+    # product loop cancelled (c + d + 1) x against c x and read 9.6e-14,
+    # 1.9e-12 and 7.4e-12 for the seeded symbol, 1.8e-12 and 3.6e-12 for
+    # the sample file at n = 32768 and 65536
+    rng = np.random.default_rng(3)
+    f = FourierSeries({k: complex(*rng.standard_normal(2))
+                       for k in range(-7, 8)})
+    for n in (256, 4096, 16384):
+        assert verify_commutator_dz(f, n).max_deviation == 0.0
+    for n in (32768, 65536):
+        assert verify_commutator_dz(sample_file_symbol(), n).max_deviation \
+            == 0.0
+
+
+def test_dzstar_via_adjoint_reads_zero_on_random_words():
+    # dz* and dz pivot on mirrored terms, so [dz*, a] and -[dz, a*]* round
+    # alike; one pivot for both read 1.26e-15
+    for word in random_words(np.random.default_rng(7), 40):
+        assert verify_dzstar_via_adjoint(word, 64).max_deviation == 0.0
+
+
 def test_exact_identities_read_zero_beside_a_tiny_coefficient():
     # f keeps its coefficients at +-1, 4e-14 of its largest one; pruned
     # from f' alone, they made each check below read 2e-14
@@ -433,15 +456,17 @@ def test_sweep_delta_of_dz_commutator_for_random_words():
 def generous_blocks(word, which, order, n):
     """The leading blocks of a sweep target as the sweep cut them at the
     generous collar ``band_spread + compact_support + order + 4``, with
-    ``delta`` taken of the inflated band."""
+    ``delta`` taken of the inflated band and the commutators with dz and
+    dz* through the pass that the sweep takes."""
     m = n + word.band_spread() + word.compact_support() + order + 4
     a = word.realize(m)
     if which == "dirac":
-        blocks = [op.commutator(op.dz(m), a), op.commutator(op.dz_star(m), a)]
+        blocks = [op._generator_commutator(g(m), a)
+                  for g in (op.dz, op.dz_star)]
     elif which == "delta":
         blocks = [op.delta(a, order)]
     else:
-        blocks = [op.delta(op.commutator(op.dz(m), a), order)]
+        blocks = [op.delta(op._generator_commutator(op.dz(m), a), order)]
     return [op._columns(x, 0, n) for x in blocks]
 
 
@@ -497,7 +522,7 @@ def test_delta_in_place_takes_the_rows_over():
     a = op.toeplitz(FourierSeries.cosine(4), 40) + \
         op.finite_rank(np.ones((3, 3)) * 1j, 40)
     expected = op.delta(a, 3)
-    result = op._diagonal_commutator(np.arange(40.0), a, 3, owned=True)
+    result = op._generator_commutator(op.number(40), a, 3, owned=True)
     assert (result.lo, result.step) == (expected.lo, expected.step)
     assert np.array_equal(result.rows, expected.rows)
     assert not result.rows.flags.writeable
@@ -509,7 +534,7 @@ def test_delta_in_place_takes_the_rows_over():
     view = op.TruncatedOperator(op._Fresh(base[:, :]), 2)
     assert not view.rows.flags.owndata
     assert np.array_equal(
-        op._diagonal_commutator(np.arange(4.0), view, 1, owned=True).rows,
+        op._generator_commutator(op.number(4), view, 1, owned=True).rows,
         2 * base)
     assert np.array_equal(base, [[1.0, 2.0, 0.0, 0.0]])
 
