@@ -28,10 +28,9 @@ from .dirac import DiracStructureError, FredholmIndexError, dirac, \
 from .fourier import FourierSeries, wedge_check
 from .operators import pattern_kernel_dims, rectangular_kernel_dims, \
     shift_adjoint_pattern, shift_pattern
-from .triple import MEMBERSHIP_TOLERANCE, STABILIZATION_TOL, \
-    WEDGE_TOLERANCE, AlgebraElement, boundedness_sweep, \
-    delta_absdirac_spot_check, evenness_check, membership_check, \
-    rough_symbol, verify_commutator_dz, verify_delta_k, \
+from .triple import STABILIZATION_TOL, WEDGE_TOLERANCE, AlgebraElement, \
+    boundedness_sweep, delta_absdirac_spot_check, evenness_check, \
+    membership_check, rough_symbol, verify_commutator_dz, verify_delta_k, \
     verify_dzstar_via_adjoint
 
 EXIT_OK = 0
@@ -44,9 +43,6 @@ OUTPUT_DIR_ENV = "TOEPLITZ_TRIPLE_OUTPUT_DIR"
 DEFAULT_N = 256
 DEFAULT_SWEEP_SIZES = [64, 128, 256, 512]
 DEFAULT_INDEX_SIZES = [16, 32, 64, 128]
-# the tolerance of each command that reads --tolerance, when it is absent;
-# spectrum and polar take none, since D's eigensystem, |D| and F are exact
-DEFAULT_TOLERANCE = {"verify": 1e-12, "wedge": 1e-9}
 DEFAULT_POLAR_MARGIN = 2
 # spectrum formats its CSV rows this many at a time
 CSV_CHUNK = 1 << 16
@@ -118,12 +114,6 @@ def _from_wedge(report) -> dict:
                   tolerance=report.tolerance)
 
 
-def _tolerance(cfg: RunConfig) -> float:
-    if cfg.tolerance is not None:
-        return cfg.tolerance
-    return DEFAULT_TOLERANCE[cfg.command]
-
-
 def cmd_spectrum(cfg: RunConfig):
     report = spectrum(dirac(cfg.n))
     n = cfg.n
@@ -167,19 +157,18 @@ def _spectrum_rows(report):
 def cmd_verify(cfg: RunConfig):
     f = load_symbol(cfg.symbol_spec)
     n = cfg.n
-    tol = _tolerance(cfg)
     word = AlgebraElement.unchecked_toeplitz(f, label=cfg.symbol_spec)
 
     checks = [_from_wedge(wedge_check(f, WEDGE_TOLERANCE))]
     # commutator_number is delta_1 under its own name, so [N, T_f] is built once
-    delta_1 = verify_delta_k(f, 1, n, cfg.margin, tol)
+    delta_1 = verify_delta_k(f, 1, n, cfg.margin)
     reports = [
         replace(delta_1, name="commutator_number"),
-        verify_commutator_dz(f, n, cfg.margin, tol),
+        verify_commutator_dz(f, n, cfg.margin),
         delta_1,
-        verify_delta_k(f, 2, n, cfg.margin, tol),
-        verify_delta_k(f, 3, n, cfg.margin, tol),
-        verify_dzstar_via_adjoint(word, n, tolerance=tol),
+        verify_delta_k(f, 2, n, cfg.margin),
+        verify_delta_k(f, 3, n, cfg.margin),
+        verify_dzstar_via_adjoint(word, n),
         # capped at 128, but large enough for the margin rule n > 4(b + 1)
         delta_absdirac_spot_check(f, min(n, max(128, 4 * f.bandwidth + 5))),
         evenness_check(word, min(n, 128)),
@@ -285,7 +274,7 @@ def cmd_sweep(cfg: RunConfig):
 
 def cmd_wedge(cfg: RunConfig):
     f = load_symbol(cfg.symbol_spec)
-    tol = _tolerance(cfg)
+    tol = WEDGE_TOLERANCE if cfg.tolerance is None else cfg.tolerance
     checks = [_from_wedge(wedge_check(f, tol))]
     # max_violation_* are l1 sums of the violations' Fourier coefficients,
     # which bound the curve below on the whole circle, so they may exceed its
@@ -426,19 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="truncation sizes (default %(default)s)")
         return p
 
-    def tolerance_help(name, what):
-        return f"tolerance of {what} (default {DEFAULT_TOLERANCE[name]:g})"
-
     command("spectrum", "eigenvalue ladder and residuals", {
         "--n": size_help, "--svg": svg_help})
     command("verify", "commutator/grading/membership suite", {
         "--n": size_help,
-        "--tolerance": tolerance_help(
-            "verify", "commutator_number, commutator_dz, delta_1, delta_2, "
-                      "delta_3 and dzstar_via_adjoint; wedge_gluing "
-                      f"({WEDGE_TOLERANCE:g}), delta_absdirac_spot_check "
-                      "(0), evenness (0) and membership "
-                      f"({MEMBERSHIP_TOLERANCE:g}) keep fixed tolerances"),
         "--margin": "interior margin of the commutator and delta checks "
                     "(default: automatic, from the symbol's band)",
         "--symbol": symbol_help})
@@ -460,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "instead of a symbol's sweeps")
     command("wedge", "wedge gluing check of a symbol", {
         "--svg": svg_help,
-        "--tolerance": tolerance_help("wedge", "the wedge gluing check"),
+        "--tolerance": "tolerance of the wedge gluing check "
+                       f"(default {WEDGE_TOLERANCE:g})",
         "--symbol": symbol_help})
     command("polar", "polar decomposition check", {
         "--n": size_help,

@@ -963,14 +963,19 @@ class BandPattern:
 
         The weights come from Horner's rule, in place, on the integer
         numerators of the coefficients over their common denominator q,
-        then one division by q.  While the numerators stay below 2**53
-        every step is exact, so each weight is ``float(self.weight(m))``
-        bit for bit."""
+        then one division by q.  ``sum |numerator_i| * (n - 1)**i`` bounds
+        every step, so while it stays below 2**53 every step is exact and
+        each weight is ``float(self.weight(m))`` bit for bit; a larger n
+        raises ValueError."""
         q = math.lcm(*(c.denominator for c in self.coeffs))
+        numerators = [int(c * q) for c in self.coeffs]
+        if sum(abs(a) * max(n - 1, 0) ** i
+               for i, a in enumerate(numerators)) >= 2 ** 53:
+            raise ValueError(f"the weights at n = {n} are not exact in float64")
         m, weights = np.arange(n, dtype=float), np.zeros((1, n))
-        for c in reversed(self.coeffs):
+        for a in reversed(numerators):
             weights *= m
-            weights += int(c * q)
+            weights += a
         weights /= q
         return TruncatedOperator(_Fresh(weights), self.offset)
 
@@ -1030,14 +1035,14 @@ def rectangular_kernel_dims(p: BandPattern, n: int) -> tuple[int, int]:
     index zero and cannot see the Fredholm index, which is why the codomain
     must follow the band.  Each column ``m >= max(0, -offset)`` with
     ``w(m) != 0`` holds one entry, in a row of its own, so the rank is the
-    count of those columns: O(n) exact weights, no matrix, and independent
-    of the zeros ``pattern_kernel_dims`` finds.
+    count of those columns.  They are the nonzero weights among the first n
+    columns of the exact realisation at ``n + max(offset, 0)``, which
+    keeps column n - 1 and zeroes the columns with ``m + offset < 0``:
+    O(n) weights, no matrix, and independent of the zeros
+    ``pattern_kernel_dims`` finds.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rank, top = 0, -1
-    for m in range(max(0, -p.offset), n):
-        if p.weight(m) != 0:
-            rank += 1
-            top = m + p.offset
-    return n - rank, (top + 1) - rank
+    [used] = np.nonzero(p.realize(n + max(p.offset, 0)).rows[0, :n])
+    top = used[-1] + p.offset if used.size else -1
+    return n - used.size, int(top) + 1 - used.size

@@ -18,7 +18,6 @@ growing when the commutator is genuinely unbounded.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -53,7 +52,8 @@ SUP_GRID = 4096
 STABILIZATION_TOL = 1e-6  # relative change of the last two sweep values
 GROWTH_TOL = 1e-2
 NORM_TOL = 1e-9  # relative stop rule of the section norms
-WEDGE_TOLERANCE = 1e-9  # of the generator guard and verify's wedge_gluing
+# of the generator guard, of verify's wedge_gluing and, by default, of wedge
+WEDGE_TOLERANCE = 1e-9
 # membership_check's tolerance of the estimated symbol's wedge check, of its
 # distance to the exact symbol and of the compact part's symbol
 MEMBERSHIP_TOLERANCE = 1e-8
@@ -239,60 +239,62 @@ def _margin(margin: int | None, least: int, n: int, what: str) -> int:
 
 
 def _report(name: str, lhs: op.TruncatedOperator, rhs: op.TruncatedOperator,
-            n: int, margin: int, tolerance: float,
-            **details) -> VerificationReport:
-    """Compare ``lhs`` and ``rhs`` on the interior blocks at ``margin``; the
-    check passes below ``tolerance``, which must be finite and > 0."""
-    if not 0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be positive and finite: {tolerance}")
+            n: int, margin: int, **details) -> VerificationReport:
+    """Compare ``lhs`` and ``rhs`` on the interior blocks at ``margin``.
+
+    Both sides round each compared entry once, to the same correctly
+    rounded product, so the check passes only at deviation 0.0 and reports
+    tolerance 0.0."""
     dev = op.interior_deviation(lhs, rhs, margin)
-    return VerificationReport(name, dev < tolerance, dev, tolerance, n, margin,
+    return VerificationReport(name, dev == 0.0, dev, 0.0, n, margin,
                               details=details)
 
 
-def verify_commutator_dz(f: FourierSeries, n: int, margin: int | None = None,
-                         tolerance: float = 1e-12) -> VerificationReport:
+def verify_commutator_dz(f: FourierSeries, n: int,
+                         margin: int | None = None) -> VerificationReport:
     """[dz, T_f] equals -i T_{conj(u) f'} on interior blocks.
 
     The commutator is taken by ``op._generator_commutator``: inside the
     band each entry is an exact weight difference times a coefficient of
-    f, one rounding, so the deviation does not grow with n.
+    f, one rounding, as is each coefficient ``i*k*fhat(k)`` of f', so the
+    check decides at 0 whatever n is.
     """
     margin = _margin(margin, f.bandwidth + 1, n, "bandwidth + 1")
     lhs = op._generator_commutator(op.dz(n), op.toeplitz(f, n))
     rhs = (-1j) * op.toeplitz(f.derivative().shifted(-1), n)
-    return _report("commutator_dz", lhs, rhs, n, margin, tolerance)
+    return _report("commutator_dz", lhs, rhs, n, margin)
 
 
-def verify_delta_k(f: FourierSeries, k: int, n: int, margin: int | None = None,
-                   tolerance: float = 1e-12) -> VerificationReport:
+def verify_delta_k(f: FourierSeries, k: int, n: int,
+                   margin: int | None = None) -> VerificationReport:
     """Iterated [N, .] applied k times to T_f equals (-i)^k T_{f^(k)}.
 
     ``op.delta`` scales diagonal j of T_f by ``j**k``, one rounding per
-    entry whatever n is, so the deviation does not grow with n.  The verdict
-    is absolute, so ``tolerance`` must still cover the rounding of entries
-    up to ``max_j |j**k fhat(j)| <= bandwidth**k * max |fhat|``.  The
-    identity holds on the whole truncation, yet the least margin stays
-    ``k * bandwidth``, so the ``margin`` that reports record does not move.
+    entry.  Coefficient j of f^(k) is ``(i*j)**k * fhat(j)``: the integer
+    power is exact, and one factor of the complex product has a zero part,
+    so it rounds once too, to the same value up to the exact factor
+    ``(-i)**k``, and the check decides at 0 whatever n and the amplitude
+    are.  The identity holds on the whole truncation, yet the least margin
+    stays ``k * bandwidth``, so the ``margin`` that reports record does not
+    move.
     """
     margin = _margin(margin, k * f.bandwidth, n, "k*bandwidth")
-    g = f
-    for _ in range(k):
-        g = g.derivative()
+    g = FourierSeries._kept({j: (1j * j) ** k * v
+                             for j, v in f.coeffs.items() if j})
     return _report(f"delta_{k}", op.delta(op.toeplitz(f, n), k),
-                   (-1j) ** k * op.toeplitz(g, n), n, margin, tolerance)
+                   (-1j) ** k * op.toeplitz(g, n), n, margin)
 
 
-def verify_dzstar_via_adjoint(a: AlgebraElement, n: int,
-                              tolerance: float = 1e-12) -> VerificationReport:
+def verify_dzstar_via_adjoint(a: AlgebraElement, n: int) -> VerificationReport:
     """[dz*, a] equals -[dz, a*]* (exact for finite matrices, so it is
     compared on the whole truncation, at margin 0).  Both commutators are
     taken by ``op._generator_commutator``, whose terms for dz* and dz
-    mirror each other, so the two sides round alike."""
+    mirror each other, so the two sides round alike and the check decides
+    at 0."""
     margin = _margin(0, 0, n, "0")
     lhs = op._generator_commutator(op.dz_star(n), a.realize(n))
     rhs = -op._generator_commutator(op.dz(n), a.adjoint().realize(n)).adjoint()
-    return _report("dzstar_via_adjoint", lhs, rhs, n, margin, tolerance,
+    return _report("dzstar_via_adjoint", lhs, rhs, n, margin,
                    word=a.describe())
 
 

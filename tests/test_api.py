@@ -89,9 +89,9 @@ SIGNATURES = {
     "summability_report": "(epsilon, big_k)",
     "symbol_estimate": "(a, max_freq)",
     "toeplitz": "(f, n)",
-    "verify_commutator_dz": "(f, n, margin=None, tolerance=1e-12)",
-    "verify_delta_k": "(f, k, n, margin=None, tolerance=1e-12)",
-    "verify_dzstar_via_adjoint": "(a, n, tolerance=1e-12)",
+    "verify_commutator_dz": "(f, n, margin=None)",
+    "verify_delta_k": "(f, k, n, margin=None)",
+    "verify_dzstar_via_adjoint": "(a, n)",
     "wedge_check": "(f, tolerance=1e-09)",
     "wedge_from_profiles": "(h1, h2, corner_value)",
 }

@@ -149,7 +149,8 @@ SPECTRUM_DIGESTS = {
 # They were taken while D's blocks were solved by Jacobi rotations, before
 # |D| and F were written from the entries of D.  Taking [|D|, a (+) a] by
 # differences of |D|'s entries changed only verify's report.json, where the
-# spot check's tolerance went from 1e-10 to 0.0
+# spot check's tolerance went from 1e-10 to 0.0.  Deciding the six identity
+# checks at 0 changed it again: their tolerances went from 1e-12 to 0.0
 DIRAC_DIGESTS = {
     ("polar", "--n", "64", "--margin", "2"): {
         "data.csv": "6c5d944c8cee679b1d966f3d30b88d36"
@@ -169,8 +170,8 @@ DIRAC_DIGESTS = {
     ("verify", "--n", "512", "--symbol", "cos4k:1"): {
         "data.csv": "2ab7b58c983c887d8ef5707bb90970a4"
                     "578ea3a9966156e90e769d8f351e4c4e",
-        "report.json": "c16b4f2d70c144a2d0b98318c3a79ebc"
-                       "22a9f7de864c3bbe045319b1a1b63282"},
+        "report.json": "cecd8e5a284c8f0f46bd06ae4b63d03e"
+                       "2f90c33255653a11e86bfd62f04f079a"},
 }
 
 
@@ -615,8 +616,8 @@ def exit_code(argv, tmp_path):
 @pytest.mark.parametrize("argv", [
     # an infinite tolerance used to pass any deviation, and a nan one or a
     # nan epsilon to fail every comparison with exit 1
-    ["verify", "--n", "64", "--tolerance", "inf"],
-    ["verify", "--n", "64", "--tolerance", "nan"],
+    ["wedge", "--tolerance", "inf"],
+    ["wedge", "--tolerance", "nan"],
     ["summability", "--epsilon", "nan", "--K", "100"],
     ["wedge", "--tolerance", "0"],
     ["wedge", "--tolerance=-1e-9"],
@@ -629,9 +630,10 @@ def test_bad_tolerance_or_epsilon_is_a_usage_error(argv, tmp_path):
     assert not (tmp_path / "report.json").exists()
 
 
-@pytest.mark.parametrize("command", ["spectrum", "polar"])
+@pytest.mark.parametrize("command", ["spectrum", "polar", "verify"])
 def test_exact_commands_take_no_tolerance(command, tmp_path):
-    # D's eigensystem, |D| and F are exact, so both decide at 0
+    # D's eigensystem, |D| and F are exact, so spectrum and polar decide at
+    # 0, and each identity of verify rounds both sides alike
     assert exit_code([command, "--tolerance", "1e-10"], tmp_path) == EXIT_USAGE
     assert not (tmp_path / "report.json").exists()
 
@@ -678,7 +680,7 @@ def test_smallest_sizes_run(tmp_path):
 # the options each command reads, and no others
 SUBCOMMAND_OPTIONS = {
     "spectrum": {"--n", "--output-dir", "--svg"},
-    "verify": {"--n", "--output-dir", "--tolerance", "--margin", "--symbol"},
+    "verify": {"--n", "--output-dir", "--margin", "--symbol"},
     "index": {"--output-dir", "--sizes"},
     "summability": {"--output-dir", "--svg", "--epsilon", "--K"},
     "sweep": {"--output-dir", "--svg", "--symbol", "--sizes", "--rough"},
@@ -794,24 +796,61 @@ def test_tolerance_help_names_the_default_each_command_uses(command, name,
         f"(default {check['tolerance']:g})")
 
 
-def test_verify_tolerance_reaches_the_six_checks_its_help_names(tmp_path):
-    cfg = make_config("verify", tmp_path, n=64, tolerance=1e-3)
-    assert run(cfg) == EXIT_OK
+IDENTITY_CHECKS = ("commutator_number", "commutator_dz", "delta_1", "delta_2",
+                   "delta_3", "dzstar_via_adjoint")
+
+
+def test_verify_identity_checks_decide_at_zero(tmp_path):
+    assert run(make_config("verify", tmp_path, n=64)) == EXIT_OK
     tolerances = {c["name"]: c["tolerance"]
                   for c in read_report(tmp_path)["checks"]}
-    reached = {name for name, tol in tolerances.items() if tol == 1e-3}
-    assert reached == {"commutator_number", "commutator_dz", "delta_1",
-                       "delta_2", "delta_3", "dzstar_via_adjoint"}
-    # the other four keep their fixed tolerances whatever --tolerance says
-    assert {k: v for k, v in tolerances.items() if k not in reached} == {
-        "wedge_gluing": 1e-9, "delta_absdirac_spot_check": 0.0,
-        "evenness": 0.0, "membership": 1e-8}
-    text = option_help("verify", "--tolerance")
-    head, fixed = text.split(";")
-    assert all(name in head for name in reached)
-    assert {name: float(tol) for name, tol in
-            re.findall(r"(\w+) \(([-+.\w]+)\)", fixed)} == {
-        k: v for k, v in tolerances.items() if k not in reached}
+    assert {name: tolerances.pop(name) for name in IDENTITY_CHECKS} == \
+        dict.fromkeys(IDENTITY_CHECKS, 0.0)
+    # the other four keep their fixed tolerances
+    assert tolerances == {"wedge_gluing": 1e-9,
+                          "delta_absdirac_spot_check": 0.0,
+                          "evenness": 0.0, "membership": 1e-8}
+
+
+def wedge128_samples():
+    """128 samples of a wedge-passing symbol of bandwidth 32 with seeded
+    complex coefficients: c_m at +-4m, and d_m and -d_m at +-(4m - 2)."""
+    r = np.random.default_rng(0)
+    t = 2 * np.pi * np.arange(128) / 128
+    return sum(2 * complex(*r.standard_normal(2)) * np.cos(4 * m * t)
+               + 2j * complex(*r.standard_normal(2)) * np.sin((4 * m - 2) * t)
+               for m in range(1, 9))
+
+
+def test_verify_passes_a_wedge_symbol_from_a_sample_file(tmp_path):
+    # delta_3 took the third derivative in three roundings, and read
+    # 3.64e-12 against the tolerance 1e-12 at every n
+    path = tmp_path / "wedge128.txt"
+    path.write_text("".join(f"{complex(v)}\n" for v in wedge128_samples()))
+    argv = ["verify", "--n", "1024", "--symbol", str(path)]
+    assert exit_code(argv, tmp_path / "out") == EXIT_OK
+    deviations = {c["name"]: c["max_deviation"]
+                  for c in read_report(tmp_path / "out")["checks"]
+                  if c["name"] in IDENTITY_CHECKS}
+    assert deviations == dict.fromkeys(IDENTITY_CHECKS, 0.0)
+
+
+def test_one_ulp_in_toeplitz_fails_the_identity_checks(monkeypatch):
+    # the tolerance 1e-12 passed a one-ulp defect in an interior entry
+    build = op.toeplitz
+
+    def defective(f, n):
+        a = build(f, n)
+        rows = a.rows.copy()
+        top = int(np.abs(rows).max(axis=1).argmax())
+        rows[top, n // 2] += np.spacing(abs(rows[top, n // 2]))
+        return op.TruncatedOperator(op._Fresh(rows, a.step), a.lo)
+
+    monkeypatch.setattr(op, "toeplitz", defective)
+    checks, _, _, _ = cli.cmd_verify(RunConfig(command="verify", n=1024))
+    assert [c["name"] for c in checks if not c["passed"]] == [
+        "commutator_number", "commutator_dz", "delta_1", "delta_2",
+        "delta_3", "delta_absdirac_spot_check"]
 
 
 # loaded only on the paths that need them, so start-up stays light

@@ -596,6 +596,19 @@ def test_pattern_realization_rounds_each_exact_weight(coeffs):
     assert all(row[m] == float(p.weight(m)) for m in range(1, n))
 
 
+def test_pattern_realization_refuses_weights_it_cannot_round_exactly():
+    # sum |numerator_i| (n - 1)**i bounds every step of Horner's rule; from
+    # 2**53 on a step may round, and the weights would not be exact
+    p = op.BandPattern.weighted_shift(0, [Fraction(1, 3), 2 ** 40])
+    n = 2 ** 13 // 3 + 1  # the numerators are 1 and 3 * 2**40
+    row = p.realize(n).rows[0]
+    assert all(row[m] == float(p.weight(m)) for m in range(n))
+    with pytest.raises(ValueError, match="not exact"):
+        p.realize(n + 1)
+    with pytest.raises(ValueError, match="not exact"):
+        op.BandPattern.weighted_shift(1, [2 ** 53]).realize(1)
+
+
 def test_rectangular_dims_match_exact_and_are_stable():
     for pattern, expected in [
         (op.shift_adjoint_pattern(), (1, 0)),
@@ -605,7 +618,8 @@ def test_rectangular_dims_match_exact_and_are_stable():
     ]:
         exact = op.pattern_kernel_dims(pattern)
         assert exact == expected
-        for n in (16, 32, 64):
+        # the weights are counted vectorised, so a large n takes milliseconds
+        for n in (16, 32, 64, 262144):
             k, c = op.rectangular_kernel_dims(pattern, n)
             assert (k - c) == (exact[0] - exact[1])
 
